@@ -13,7 +13,9 @@ oracle is realized:
   check decides when the collection is already trustworthy.
 
 Every entry point takes an integer seed and a worker count and is
-deterministic for a fixed (seed, workers) pair.
+deterministic for a fixed (seed, workers) pair.  RA collections depend on
+the seed alone; simulation and realization streams are still split by the
+worker count.
 """
 
 import math
@@ -66,6 +68,15 @@ def _effective_big_n(net: TCNetwork, big_n):
     return float(big_n)
 
 
+def _count_or(value, name: str, default: int) -> int:
+    """An explicit sample count, or default when value is None."""
+    if value is None:
+        return default
+    if int(value) != value or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _counting_sim_oracle(net, l, eval_parent, workers):
     """Evaluator drawing l fresh simulations per call from its own stream."""
     state = {"sims": 0}
@@ -84,7 +95,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     _check_eps(eps)
     big_n = _effective_big_n(net, big_n)
     n, r = net.n, net.discount_ratio
-    l = int(l_override) if l_override else math.ceil(delta0(n, big_n, eps, r))
+    l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
     shift = 2.0 * eps * net.full_profit() / n
     ss = np.random.SeedSequence(seed)
     coin_ss, eval_parent = ss.spawn(2)
@@ -143,7 +154,7 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     _check_eps(eps)
     big_n = _effective_big_n(net, big_n)
     n, r = net.n, net.discount_ratio
-    l = int(l_override) if l_override else math.ceil(delta0(n, big_n, eps, r))
+    l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
     projected = _estimate_realization_bytes(net, l)
     if projected > memory_budget_mb * (1 << 20):
         raise MemoryBudgetError(
@@ -224,7 +235,8 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
     ss = np.random.SeedSequence(seed)
     coll_ss, probe_ss, coin_ss = ss.spawn(3)
     coll = generate_collection(net, l, coll_ss, workers)
-    probes = int(order_probes) if order_probes else _default_probe_count(net, big_n, eps, max_ra)
+    probes = _count_or(order_probes, "order_probes",
+                       _default_probe_count(net, big_n, eps, max_ra))
     order = node_order(net, probes, probe_ss, workers)
     oracle = CoverageOracle(coll, net.price, net.coupon)
     members = double_greedy(oracle, order, _rng_from(coin_ss))
@@ -235,15 +247,6 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
         params={"eps": eps, "big_n": big_n, "eps1": eps1, "eps2": eps2,
                 "max_ra": max_ra, "order_probes": probes,
                 "seed": seed, "workers": workers})
-
-
-def _extend_partitioned(builder: CollectionBuilder, count: int, ss, workers: int):
-    if count <= 0:
-        return
-    workers = max(1, min(workers, count))
-    q, rem = divmod(count, workers)
-    for i, child in enumerate(ss.spawn(workers)):
-        builder.extend(q + 1 if i < rem else q, child)
 
 
 def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
@@ -264,7 +267,8 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     l_star = math.ceil(params.delta3)
     ss = np.random.SeedSequence(seed)
     probe_ss, loop_ss = ss.spawn(2)
-    probes = int(order_probes) if order_probes else _default_probe_count(net, big_n, eps)
+    probes = _count_or(order_probes, "order_probes",
+                       _default_probe_count(net, big_n, eps))
     order = node_order(net, probes, probe_ss, workers)
     builder = CollectionBuilder(net)
     l_real = params.delta2_star
@@ -276,7 +280,7 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     value = None
     while l_real <= 2.0 * params.delta1_star * (1.0 + 1e-9):
         grow_ss, coin_ss, sim_ss = loop_ss.spawn(3)
-        _extend_partitioned(builder, math.ceil(l_real) - len(builder), grow_ss, workers)
+        builder.extend(math.ceil(l_real) - len(builder), grow_ss)
         coll = builder.snapshot()
         oracle = CoverageOracle(coll, net.price, net.coupon)
         members = double_greedy(oracle, order, _rng_from(coin_ss))

@@ -232,19 +232,43 @@ def save_realizations(path, realizations, n: int):
                     fh.write(struct.pack(f"<{len(t)}I", *t))
 
 
+class _CacheReader:
+    """Bounds-checked reads over a whole cache file held in memory."""
+
+    def __init__(self, path, kind: str):
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        self.pos = 0
+        self.kind = kind
+
+    def take(self, size: int) -> bytes:
+        end = self.pos + size
+        if end > len(self.data):
+            raise NetworkError(f"truncated {self.kind} cache")
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def u32_array(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count), dtype="<u4")
+
+
 def load_realizations(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _REAL_MAGIC:
-            raise NetworkError("not a realization cache file")
-        version, n, count = struct.unpack("<BII", fh.read(9))
-        if version != _REAL_VERSION:
-            raise NetworkError(f"unsupported realization cache version {version}")
-        out = []
-        for _ in range(count):
-            trig = []
-            for _ in range(n):
-                (k,) = struct.unpack("<I", fh.read(4))
-                trig.append(struct.unpack(f"<{k}I", fh.read(4 * k)) if k else ())
-            out.append(Realization.from_triggering(trig))
-        return out
+    reader = _CacheReader(path, "realization")
+    if reader.data[:4] != _REAL_MAGIC:
+        raise NetworkError("not a realization cache file")
+    reader.take(4)
+    version, n, count = reader.unpack("<BII")
+    if version != _REAL_VERSION:
+        raise NetworkError(f"unsupported realization cache version {version}")
+    out = []
+    for _ in range(count):
+        trig = []
+        for _ in range(n):
+            (k,) = reader.unpack("<I")
+            trig.append(reader.unpack(f"<{k}I") if k else ())
+        out.append(Realization.from_triggering(trig))
+    return out

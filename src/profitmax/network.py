@@ -7,9 +7,10 @@ a feasible seed.  A retained node can adopt organically (without holding a
 coupon) only when I_v >= P.
 """
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,6 +137,19 @@ class DiffusionParams:
             raise ParameterError("ic probability must lie in (0, 1]")
 
 
+class InCSR(NamedTuple):
+    """In-edge arrays of a TCNetwork in compressed sparse row form.
+
+    The in-neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending;
+    prob_in and eligible are the network's per-node tuples as arrays.
+    """
+
+    indptr: np.ndarray  # int64, n + 1
+    indices: np.ndarray  # int32, m
+    prob_in: np.ndarray  # float64, n
+    eligible: np.ndarray  # bool, n
+
+
 class TCNetwork:
     """A pruned coupon network ready for seed selection.
 
@@ -147,7 +161,8 @@ class TCNetwork:
     """
 
     __slots__ = ("graph", "params", "price", "coupon", "intrinsic",
-                 "discount_ratio", "eligible", "prob_in", "pruned_labels")
+                 "discount_ratio", "eligible", "prob_in", "pruned_labels",
+                 "_in_csr")
 
     def __init__(self, graph: Graph, params: DiffusionParams, price: float,
                  coupon: float, intrinsic, pruned_labels=()):
@@ -167,6 +182,22 @@ class TCNetwork:
                 0.0 if graph.in_degree(v) == 0 else 1.0 / graph.in_degree(v)
                 for v in range(graph.n)
             )
+        self._in_csr = None
+
+    def in_csr(self) -> InCSR:
+        """The in-edge arrays the sampling kernels run on, built on first
+        use and kept for the network's lifetime."""
+        if self._in_csr is None:
+            in_adj = self.graph.in_adj
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, in_adj), dtype=np.int64, count=self.n),
+                      out=indptr[1:])
+            indices = np.fromiter(itertools.chain.from_iterable(in_adj),
+                                  dtype=np.int32, count=self.m)
+            self._in_csr = InCSR(indptr, indices,
+                                 np.array(self.prob_in, dtype=np.float64),
+                                 np.array(self.eligible, dtype=bool))
+        return self._in_csr
 
     @property
     def n(self) -> int:

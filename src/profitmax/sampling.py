@@ -17,8 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _rng_from, sample_triggering_set
+from .diffusion import _CacheReader
 from .network import NetworkError, TCNetwork
+
+# RA sets per random stream.  Every block of this many sets draws from its
+# own SeedSequence child, so a collection depends on its seed alone.
+RA_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -31,24 +35,112 @@ class RASet:
             raise ValueError("RA set must contain its own root")
 
 
-def generate_ra_set(net: TCNetwork, rng) -> RASet:
-    """Grow one RA set by lazy reverse traversal.
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """Accept a SeedSequence, a random.Random or any SeedSequence entropy."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, random.Random):
+        return np.random.SeedSequence(seed.getrandbits(128))
+    return np.random.SeedSequence(seed)
 
-    Triggering sets are sampled only for nodes the traversal actually
-    reaches, each at most once (on first visit); the rest of the
-    realization is never materialized.
+
+def _ic_parents(gen, sets, start, deg, p, indices, n):
+    """Keys of the live in-edges' sources: each in-edge of a frontier node
+    is live independently with that node's probability.  Geometric skips
+    jump from one live edge to the next, so the draws follow the hits
+    rather than the in-degree."""
+    found = []
+    pos = gen.geometric(p)  # 1-based position of the next live in-edge
+    while True:
+        hit = pos <= deg
+        sets, start, deg, p, pos = sets[hit], start[hit], deg[hit], p[hit], pos[hit]
+        if not sets.size:
+            break
+        found.append(sets * n + indices[start + pos - 1])
+        pos += gen.geometric(p)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _lt_parents(gen, sets, start, deg, indices, n):
+    """Keys of the one in-neighbor each frontier node picks: weights are
+    1/in-degree and sum to exactly 1, so the pick is uniform."""
+    pick = (gen.random(sets.size) * deg).astype(np.int64)
+    np.minimum(pick, deg - 1, out=pick)
+    return sets * n + indices[start + pick]
+
+
+def _sorted_unique(keys) -> np.ndarray:
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
+def _in_sorted(sorted_keys, keys) -> np.ndarray:
+    """Mask over keys: which ones occur in the ascending array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
+    """Grow count RA sets together by level-synchronous reverse BFS.
+
+    A member of set i that is node v carries the key i * n + v.  Each step
+    samples the triggering sets of every set's newest members at once and
+    keeps the parents whose keys are new to their set.  Triggering sets are
+    drawn only for nodes the traversal reaches, each once per set; the
+    rest of the realization is never materialized.
+
+    Returns (roots, sizes, members): members holds set 0's nodes, then set
+    1's, and so on, each set's nodes ascending.
     """
-    rng = _rng_from(rng)
-    root = rng.randrange(net.n)
-    members = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in sample_triggering_set(net, v, rng):
-            if u not in members:
-                members.add(u)
-                stack.append(u)
-    return RASet(root, frozenset(members))
+    n = net.n
+    indptr, indices, prob_in, eligible = net.in_csr()
+    lt = net.params.model == "lt"
+    roots = gen.integers(0, n, size=count)
+    frontier = np.arange(count, dtype=np.int64) * n + roots
+    levels = [frontier]
+    # member keys of the sets still growing, ascending; sets that have
+    # stopped never meet a candidate again, so they are left out
+    growing = frontier
+    while frontier.size:
+        sets, nodes = np.divmod(frontier, n)
+        start = indptr[nodes]
+        deg = indptr[nodes + 1] - start
+        live = eligible[nodes] & (deg > 0)
+        sets, nodes, start, deg = sets[live], nodes[live], start[live], deg[live]
+        if lt:
+            parents = _lt_parents(gen, sets, start, deg, indices, n)
+        else:
+            parents = _ic_parents(gen, sets, start, deg, prob_in[nodes], indices, n)
+        parents = _sorted_unique(parents)
+        frontier = parents[~_in_sorted(growing, parents)]
+        if not frontier.size:
+            break
+        levels.append(frontier)
+        alive = np.zeros(count, dtype=bool)
+        alive[frontier // n] = True
+        growing = np.sort(np.concatenate((growing[alive[growing // n]], frontier)),
+                          kind="stable")
+    keys = np.sort(np.concatenate(levels), kind="stable")
+    sets = keys // n
+    sizes = np.bincount(sets, minlength=count)
+    return (roots.astype(np.int32), sizes.astype(np.int64),
+            (keys - sets * n).astype(np.int32))
+
+
+def generate_ra_set(net: TCNetwork, rng) -> RASet:
+    """Grow one RA set: a block of one through sample_ra_block.
+
+    rng is a numpy Generator, a random.Random (advanced by the call) or
+    a seed.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_seed_sequence(rng))
+    roots, _, members = sample_ra_block(net, 1, rng)
+    return RASet(int(roots[0]), frozenset(members.tolist()))
 
 
 def coverage_indicator(seeds, ra: RASet) -> int:
@@ -120,45 +212,60 @@ class RACollection:
 
 
 class CollectionBuilder:
-    """Accumulates RA sets across growth rounds without recopying."""
+    """Accumulates RA sets across growth rounds as kernel output chunks."""
 
     def __init__(self, net: TCNetwork):
         self.net = net
-        self.roots = []
-        self.offsets = [0]
-        self.members = []
+        self._chunks = []  # (roots, sizes, members) per block
+        self._count = 0
 
     def __len__(self):
-        return len(self.roots)
+        return self._count
 
     def extend(self, count: int, rng):
-        rng = _rng_from(rng)
-        net = self.net
-        for _ in range(count):
-            ra = generate_ra_set(net, rng)
-            self.roots.append(ra.root)
-            self.members.extend(ra.members)
-            self.offsets.append(len(self.members))
+        """Append count RA sets.  rng (a SeedSequence, a random.Random or a
+        seed) spawns one child stream per RA_BLOCK sets."""
+        if count <= 0:
+            return
+        ss = _seed_sequence(rng)
+        for i, child in enumerate(ss.spawn(-(-count // RA_BLOCK))):
+            size = min(RA_BLOCK, count - i * RA_BLOCK)
+            self._chunks.append(
+                sample_ra_block(self.net, size, np.random.default_rng(child)))
+        self._count += count
+
+    def _merged(self):
+        # merge once; later snapshots only append the newer chunks
+        if len(self._chunks) != 1:
+            if not self._chunks:
+                return (np.empty(0, np.int32), np.empty(0, np.int64),
+                        np.empty(0, np.int32))
+            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
+
+    @property
+    def members(self) -> np.ndarray:
+        """Members of every set so far, set after set."""
+        return self._merged()[2]
 
     def snapshot(self) -> RACollection:
-        return RACollection(self.net.n, self.roots, self.offsets, self.members)
+        roots, sizes, members = self._merged()
+        offsets = np.zeros(len(roots) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return RACollection(self.net.n, roots, offsets, members)
 
 
 def generate_collection(net: TCNetwork, l: int, rng_seed, workers: int = 1) -> RACollection:
-    """Generate l RA sets, partitioned into per-worker blocks.
+    """Generate l RA sets.
 
-    Blocks are contiguous and each uses its own derived stream, so the
-    collection is reproducible for a fixed (rng_seed, workers) pair.
+    The stream is split into blocks of RA_BLOCK sets with one SeedSequence
+    child each, so the collection is the same for every workers value;
+    workers is accepted for call compatibility.
     """
     if l < 1:
         raise ValueError("collection needs at least one RA set")
-    workers = max(1, min(workers, l))
-    ss = rng_seed if isinstance(rng_seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(rng_seed)
     builder = CollectionBuilder(net)
-    q, rem = divmod(l, workers)
-    for i, child in enumerate(ss.spawn(workers)):
-        builder.extend(q + 1 if i < rem else q, child)
+    builder.extend(l, rng_seed)
     return builder.snapshot()
 
 
@@ -180,48 +287,49 @@ def covered_sets(coll: RACollection, seeds) -> np.ndarray:
 
 
 _RA_MAGIC = b"RACL"
-_RA_VERSION = 1
+_RA_VERSION = 2
 
 
 def _model_digest(net: TCNetwork) -> bytes:
-    payload = repr((net.params.model, net.params.ic_probability, net.price,
-                    net.coupon, net.n, net.m, net.intrinsic)).encode()
-    return hashlib.sha256(payload).digest()[:8]
+    csr = net.in_csr()
+    h = hashlib.sha256(repr((net.params.model, net.params.ic_probability, net.price,
+                             net.coupon, net.n, net.m, net.intrinsic)).encode())
+    h.update(csr.indptr.astype("<i8").tobytes())
+    h.update(csr.indices.astype("<i4").tobytes())
+    return h.digest()[:8]
 
 
 def save_collection(path, coll: RACollection, net: TCNetwork):
-    """Versioned binary cache: header (magic, version, model digest, n, l)
-    then per set a root and a length-prefixed member list."""
+    """Versioned binary cache: header (magic, version, model digest, n, l),
+    then the roots, the set sizes and all members as uint32 arrays."""
     with open(path, "wb") as fh:
         fh.write(_RA_MAGIC)
         fh.write(struct.pack("<B", _RA_VERSION))
         fh.write(_model_digest(net))
         fh.write(struct.pack("<IQ", coll.n, len(coll)))
-        for i in range(len(coll)):
-            mem = coll.members_of(i)
-            fh.write(struct.pack("<II", int(coll.roots[i]), len(mem)))
-            fh.write(mem.astype("<u4").tobytes())
+        for arr in (coll.roots, coll.sizes(), coll.members):
+            fh.write(arr.astype("<u4").tobytes())
 
 
 def load_collection(path, net: TCNetwork) -> RACollection:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _RA_MAGIC:
-            raise NetworkError("not an RA collection cache file")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _RA_VERSION:
-            raise NetworkError(f"unsupported RA cache version {version}")
-        digest = fh.read(8)
-        if digest != _model_digest(net):
-            raise NetworkError(
-                "RA cache was generated for a different network or model")
-        n, l = struct.unpack("<IQ", fh.read(12))
-        if n != net.n:
-            raise NetworkError("RA cache node count mismatch")
-        roots, offsets, members = [], [0], []
-        for _ in range(l):
-            root, k = struct.unpack("<II", fh.read(8))
-            roots.append(root)
-            mem = np.frombuffer(fh.read(4 * k), dtype="<u4")
-            members.extend(int(x) for x in mem)
-            offsets.append(len(members))
-        return RACollection(n, roots, offsets, members)
+    reader = _CacheReader(path, "RA collection")
+    if reader.data[:4] != _RA_MAGIC:
+        raise NetworkError("not an RA collection cache file")
+    reader.take(4)
+    (version,) = reader.unpack("<B")
+    if version != _RA_VERSION:
+        raise NetworkError(f"unsupported RA cache version {version}")
+    if reader.take(8) != _model_digest(net):
+        raise NetworkError(
+            "RA cache was generated for a different network or model")
+    n, l = reader.unpack("<IQ")
+    if n != net.n:
+        raise NetworkError("RA cache node count mismatch")
+    roots = reader.u32_array(l)
+    sizes = reader.u32_array(l).astype(np.int64)
+    members = reader.u32_array(int(sizes.sum()))
+    if (l and roots.max() >= n) or (members.size and members.max() >= n):
+        raise NetworkError("RA cache holds node ids outside the network")
+    offsets = np.zeros(l + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return RACollection(n, roots, offsets, members)

@@ -162,6 +162,19 @@ class TestRAS:
             ra_s(two_node_net, eps=0.4, k=0)
 
 
+class TestZeroOverrides:
+    # an explicit zero is an error, not "unset"
+    @pytest.mark.parametrize("alg", [spm, rpm])
+    def test_l_override_zero_rejected(self, two_node_net, alg):
+        with pytest.raises(ParameterError, match="l_override"):
+            alg(two_node_net, eps=0.4, l_override=0, seed=1)
+
+    @pytest.mark.parametrize("alg", [ra_t, ra_s])
+    def test_order_probes_zero_rejected(self, two_node_net, alg):
+        with pytest.raises(ParameterError, match="order_probes"):
+            alg(two_node_net, eps=0.4, order_probes=0, seed=1)
+
+
 class TestRegistry:
     def test_contains_all_four(self):
         assert set(ALGORITHMS) == {"spm", "rpm", "ra-t", "ra-s"}

@@ -77,6 +77,16 @@ class TestRun:
         assert data["algorithm"] == alg
         assert data["parameters"]["rng_seed"] == 5
 
+    @pytest.mark.parametrize("alg", ["spm", "rpm"])
+    def test_zero_l_override_fails_cleanly(self, capsys, graph_file, intr_file,
+                                           alg):
+        code, out, err = run_cli(
+            capsys, "run", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--alg", alg, "--eval-sims", "10", "--l-override", "0")
+        assert code == 1
+        assert out == ""
+        assert "l_override must be a positive integer" in err
+
     def test_deterministic_output(self, capsys, graph_file, intr_file):
         args = ("run", "--graph", graph_file, "--intrinsics-file", intr_file,
                 "--alg", "ra-t", "--eval-sims", "100", "--seed", "9")

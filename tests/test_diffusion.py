@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (ProfitEstimate, Realization, estimate_profit_simulation,
+from profitmax import (NetworkError, ProfitEstimate, Realization,
+                       estimate_profit_simulation,
                        load_realizations, replay_on_realization,
                        sample_realization, sample_triggering_set,
                        save_realizations, simulate_once)
@@ -190,6 +191,17 @@ class TestRealizations:
         assert len(loaded) == 20
         for a, b in zip(reals, loaded):
             assert a.triggering == b.triggering
+
+    @pytest.mark.parametrize("cut", ["header", "body"])
+    def test_load_truncated_fails_cleanly(self, tmp_path, lt_fork_net, cut):
+        reals = [sample_realization(lt_fork_net, s) for s in range(5)]
+        path = tmp_path / "reals.bin"
+        save_realizations(str(path), reals, lt_fork_net.n)
+        data = path.read_bytes()
+        # the header is 13 bytes: magic, version, n, count
+        path.write_bytes(data[:9] if cut == "header" else data[:-2])
+        with pytest.raises(NetworkError, match="truncated realization cache"):
+            load_realizations(str(path))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

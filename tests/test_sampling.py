@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from profitmax import (RACollection, RASet, estimate_F, exact_pi, exact_profit,
-                       generate_collection, generate_ra_set, load_collection,
-                       save_collection)
-from profitmax.sampling import CollectionBuilder, coverage_indicator, covered_sets
+from profitmax import (NetworkError, RACollection, RASet, estimate_F, exact_pi,
+                       exact_profit, generate_collection, generate_ra_set,
+                       load_collection, ra_t, save_collection)
+from profitmax.sampling import (RA_BLOCK, CollectionBuilder, coverage_indicator,
+                                covered_sets, sample_ra_block)
 
 from conftest import make_net, random_small_net
 
@@ -87,13 +88,23 @@ class TestCollection:
         assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.offsets, b.offsets)
 
-    def test_worker_count_changes_partition_only(self, lt_fork_net):
-        a = generate_collection(lt_fork_net, 100, 5, workers=1)
-        b = generate_collection(lt_fork_net, 100, 5, workers=4)
-        assert len(a) == len(b) == 100
-        # same (seed, workers) pair reproduces exactly
-        c = generate_collection(lt_fork_net, 100, 5, workers=4)
-        assert np.array_equal(b.members, c.members)
+    def test_collection_independent_of_worker_count(self, lt_fork_net):
+        # the stream is split into fixed RA_BLOCK-set blocks, not per worker
+        l = 2 * RA_BLOCK + 123
+        base = generate_collection(lt_fork_net, l, 5, workers=1)
+        assert len(base) == l
+        for workers in (2, 3):
+            other = generate_collection(lt_fork_net, l, 5, workers=workers)
+            assert np.array_equal(base.roots, other.roots)
+            assert np.array_equal(base.offsets, other.offsets)
+            assert np.array_equal(base.members, other.members)
+
+    def test_ra_t_independent_of_worker_count(self):
+        net = make_net("1 2\n2 3\n3 4\n1 4\n4 5\n2 5\n", ic_p=0.4)
+        a = ra_t(net, eps=0.4, seed=8, workers=1)
+        b = ra_t(net, eps=0.4, seed=8, workers=2)
+        assert a.members == b.members
+        assert a.internal_value == b.internal_value
 
     def test_from_sets_round_trip(self):
         sets = [RASet(0, frozenset({0})), RASet(1, frozenset({0, 1}))]
@@ -125,6 +136,61 @@ class TestCollection:
         snap = builder.snapshot()
         assert len(snap) == 80
         assert len(builder) == 80
+        assert np.array_equal(builder.members, snap.members)
+        assert len(snap.members) == snap.sizes().sum()
+
+
+# A multi-level chain, a cycle and two paths to one ancestor (the diamond:
+# 4's parents 2 and 3 reach 1 on the same level, so 1 must be kept once).
+KERNEL_NETS = {"chain": "1 2\n2 3\n3 4\n",
+               "cycle": "1 2\n2 3\n3 1\n",
+               "diamond": "1 2\n1 3\n2 4\n3 4\n"}
+
+
+def assert_well_formed(n, roots, sizes, members):
+    """Every set holds its root once and no node twice."""
+    assert sizes.sum() == members.size
+    owner = np.repeat(np.arange(roots.size), sizes)
+    keys = owner * n + members
+    assert np.unique(keys).size == keys.size
+    assert np.array_equal(np.bincount(owner[members == roots[owner]],
+                                      minlength=roots.size),
+                          np.ones(roots.size))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    @pytest.mark.parametrize("shape", sorted(KERNEL_NETS))
+    def test_coverage_matches_exact_pi(self, model, shape):
+        # n * (fraction of sets holding v) is unbiased for pi({v})
+        net = make_net(KERNEL_NETS[shape], model=model, ic_p=0.5)
+        l = 60_000
+        roots, sizes, members = sample_ra_block(
+            net, l, np.random.default_rng(20260822))
+        assert roots.size == sizes.size == l
+        assert_well_formed(net.n, roots, sizes, members)
+        covering = np.bincount(members, minlength=net.n)
+        for v in range(net.n):
+            pi = exact_pi(net, [v])
+            p = pi / net.n
+            se = net.n * math.sqrt(p * (1.0 - p) / l)
+            got = net.n * covering[v] / l
+            assert abs(got - pi) <= 3.0 * se + 1e-12, (v, got, pi, se)
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_collection_is_well_formed(self, model):
+        # node 5 cannot pay full price, so it never expands
+        net = make_net(KERNEL_NETS["diamond"] + "4 1\n4 5\n5 2\n", model=model,
+                       ic_p=0.7, intrinsics=[0.9, 0.9, 0.9, 0.9, 0.3])
+        coll = generate_collection(net, RA_BLOCK + 500, 4)
+        assert_well_formed(net.n, coll.roots, coll.sizes(), coll.members)
+        for i in range(0, len(coll), 37):
+            assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
+
+    def test_generate_ra_set_is_a_block_of_one(self, lt_fork_net):
+        ra = generate_ra_set(lt_fork_net, np.random.default_rng(3))
+        roots, _, members = sample_ra_block(lt_fork_net, 1, np.random.default_rng(3))
+        assert ra == RASet(int(roots[0]), frozenset(members.tolist()))
 
 
 class TestEstimateF:
@@ -177,6 +243,26 @@ class TestCache:
         other = make_net("1 3\n2 3\n", model="lt", price=0.4, coupon=0.1)
         with pytest.raises(ValueError, match="different network"):
             load_collection(str(path), other)
+
+    def test_rejects_same_shape_other_edges(self, tmp_path):
+        # same model, prices, n and m; only the edges differ
+        net = make_net("1 2\n2 3\n")
+        other = make_net("1 2\n1 3\n")
+        path = tmp_path / "ra.bin"
+        save_collection(str(path), generate_collection(net, 50, 2), net)
+        with pytest.raises(NetworkError, match="different network"):
+            load_collection(str(path), other)
+
+    @pytest.mark.parametrize("cut", ["header", "body"])
+    def test_truncated_file_fails_cleanly(self, tmp_path, lt_fork_net, cut):
+        path = tmp_path / "ra.bin"
+        save_collection(str(path), generate_collection(lt_fork_net, 40, 1),
+                        lt_fork_net)
+        data = path.read_bytes()
+        # the header is 25 bytes: magic, version, digest, n, l
+        path.write_bytes(data[:20] if cut == "header" else data[:-3])
+        with pytest.raises(NetworkError, match="truncated RA collection cache"):
+            load_collection(str(path), lt_fork_net)
 
     def test_rejects_garbage(self, tmp_path, lt_fork_net):
         path = tmp_path / "ra.bin"
