@@ -22,7 +22,7 @@ from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
 from .diffusion import (ProfitEstimate, Realization, estimate_profit_simulation,
                         load_realizations, replay_on_realization,
                         sample_realization, sample_triggering_set,
-                        save_realizations, simulate_once)
+                        save_realizations, simulate_block, simulate_once)
 from .exact import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
                     pi_table, profit_table, realization_count)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
@@ -59,6 +59,6 @@ __all__ = [
     "pi_table", "profit_table", "ra_s", "ra_t", "realization_count",
     "replay_on_realization", "rpm", "sample_realization",
     "sample_triggering_set", "save_collection", "save_realizations",
-    "search_rat_params", "simulate_once", "solve_ras_params", "spm",
-    "thresholds_at", "validate_report",
+    "search_rat_params", "simulate_block", "simulate_once",
+    "solve_ras_params", "spm", "thresholds_at", "validate_report",
 ]

@@ -12,10 +12,10 @@ oracle is realized:
 * ra_s: reverse samples are grown on a doubling schedule and a simulation
   check decides when the collection is already trustworthy.
 
-Every entry point takes an integer seed and a worker count and is
-deterministic for a fixed (seed, workers) pair.  RA collections depend on
-the seed alone; simulation and realization streams are still split by the
-worker count.
+Every entry point takes an integer seed and a worker count.  Every random
+stream (RA sets, forward runs, realizations) is split into fixed-size
+blocks with one SeedSequence child each, so results depend on the seed
+alone; workers is accepted for call compatibility.
 """
 
 import math
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import delta0, delta1, delta2, search_rat_params, solve_ras_params
-from .diffusion import (estimate_profit_simulation, replay_on_realization,
-                        sample_realization, _rng_from)
+from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
+                        replay_on_realization, sample_realization, stream_blocks,
+                        _rng_from)
 from .exact import _popcount_u32, _reach_masks
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
@@ -126,19 +127,21 @@ def _estimate_realization_bytes(net: TCNetwork, l: int) -> int:
     return int(l * per)
 
 
-def _generate_reach_matrix(net: TCNetwork, l: int, ss, workers: int) -> np.ndarray:
+def _realizations(net: TCNetwork, l: int, ss):
+    """l realizations, SIM_BLOCK per SeedSequence child of ss."""
+    for child, size in stream_blocks(ss, l, SIM_BLOCK):
+        rng = _rng_from(child)
+        for _ in range(size):
+            yield sample_realization(net, rng)
+
+
+def _generate_reach_matrix(net: TCNetwork, l: int, ss) -> np.ndarray:
     """Per-realization, per-node reachability bitmasks (networks up to 32
     nodes).  Row i holds, for every node, the set of nodes that adopt when
     that node alone is seeded under realization i."""
     mat = np.empty((l, net.n), dtype=np.uint32)
-    q, rem = divmod(l, workers)
-    row = 0
-    for i, child in enumerate(ss.spawn(workers)):
-        rng = _rng_from(child)
-        for _ in range(q + 1 if i < rem else q):
-            real = sample_realization(net, rng)
-            mat[row] = _reach_masks(real.live_out, net.n)
-            row += 1
+    for row, real in enumerate(_realizations(net, l, ss)):
+        mat[row] = _reach_masks(real.live_out, net.n)
     return mat
 
 
@@ -162,9 +165,8 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
             f"over the {memory_budget_mb:.0f} MiB budget; lower l or raise the budget")
     ss = np.random.SeedSequence(seed)
     coin_ss, gen_ss = ss.spawn(2)
-    workers = max(1, min(workers, l))
     if n <= 32:
-        mat = _generate_reach_matrix(net, l, gen_ss, workers)
+        mat = _generate_reach_matrix(net, l, gen_ss)
         price, coupon = net.price, net.coupon
 
         def evaluate(s):
@@ -174,12 +176,7 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
             mean = float(_popcount_u32(orred).astype(np.float64).mean())
             return price * mean - coupon * len(s)
     else:
-        reals = []
-        q, rem = divmod(l, workers)
-        for i, child in enumerate(gen_ss.spawn(workers)):
-            rng = _rng_from(child)
-            for _ in range(q + 1 if i < rem else q):
-                reals.append(sample_realization(net, rng))
+        reals = list(_realizations(net, l, gen_ss))
         price, coupon = net.price, net.coupon
 
         def evaluate(s):
@@ -230,8 +227,7 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
     n, r = net.n, net.discount_ratio
     eps1, eps2 = search_rat_params(n, big_n, eps, r, step=0.01)
     l = math.ceil(max(delta1(n, big_n, eps1, r), delta2(big_n, eps2, r)))
-    if max_ra is not None:
-        l = min(l, int(max_ra))
+    l = min(l, _count_or(max_ra, "max_ra", l))
     ss = np.random.SeedSequence(seed)
     coll_ss, probe_ss, coin_ss = ss.spawn(3)
     coll = generate_collection(net, l, coll_ss, workers)

@@ -54,7 +54,8 @@ def _add_network_args(p: argparse.ArgumentParser):
     p.add_argument("--intrinsics-file", help="one intrinsic value per line")
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker partitions (default: available cores)")
+                   help="worker count (default: available cores); "
+                        "results do not depend on it")
 
 
 def _add_alg_args(p: argparse.ArgumentParser):

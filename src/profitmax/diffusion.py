@@ -2,9 +2,8 @@
 
 Two interchangeable views of the same random process:
 
-* simulate_once runs the live process round by round (cascade attempts for
-  the IC models, threshold accumulation for LT) and reports how many nodes
-  adopt.
+* simulate_block runs a block of independent cascades together, level by
+  level, and reports how many nodes adopt in each run.
 * sample_realization freezes the randomness into one triggering set per
   node; replay_on_realization then resolves any seed set against that
   frozen draw with a breadth-first search.
@@ -22,7 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TCNetwork, NetworkError
+from .network import NetworkError, ParameterError, TCNetwork
+
+# Forward runs per random stream.  Every block of this many runs draws from
+# its own SeedSequence child, so an estimate depends on its seed alone.
+SIM_BLOCK = 1 << 12
+# Dense per-run state one chunk of a block may hold: an adoption flag, a
+# first-level draw and, under LT, an exposure count per (run, node).  A
+# block runs in chunks of as many runs as fit.
+SIM_STATE_BYTES = 1 << 19
+# Out-edges expanded at once within a level, which bounds the scratch
+# memory of the levels after the first.
+EDGE_STEP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,89 +74,161 @@ def _rng_from(seed_or_stream) -> random.Random:
     return random.Random(seed_or_stream)
 
 
-def simulate_once(net: TCNetwork, seeds, rng) -> int:
-    """One stochastic run; returns the number of adopters.
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """Accept a SeedSequence, a random.Random or any SeedSequence entropy."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, random.Random):
+        return np.random.SeedSequence(seed.getrandbits(128))
+    return np.random.SeedSequence(seed)
 
-    rng must be a random.Random instance (hot path, no conversion here).
+
+def stream_blocks(seed, total: int, block: int):
+    """Split total samples into consecutive blocks of block samples, the
+    last one possibly short, and yield (SeedSequence child, size) for
+    each.  The partition depends on total and block alone, never on how
+    many workers consume it."""
+    ss = _seed_sequence(seed)
+    for i, child in enumerate(ss.spawn(-(-total // block))):
+        yield child, min(block, total - i * block)
+
+
+def _sorted_runs(keys):
+    """The distinct values of keys, ascending, and how often each occurs.
+
+    Sort-based rather than np.unique, whose hash table code alone adds
+    about 1.7 MiB of resident memory the first time it runs.
     """
-    adopted = [False] * net.n
-    frontier = []
-    for s in seeds:
-        if not adopted[s]:
-            adopted[s] = True
-            frontier.append(s)
-    count = len(frontier)
-    if net.params.model == "lt":
-        return _run_lt(net, adopted, frontier, count, rng)
-    out_adj = net.graph.out_adj
-    prob_in = net.prob_in
-    eligible = net.eligible
-    rand = rng.random
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in out_adj[u]:
-                # one activation attempt per edge; spent even if v is below price
-                if not adopted[v] and eligible[v] and rand() < prob_in[v]:
-                    adopted[v] = True
-                    nxt.append(v)
-        count += len(nxt)
-        frontier = nxt
-    return count
+    if not keys.size:
+        return keys, keys
+    keys = np.sort(keys)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.diff(np.append(starts, keys.size))
 
 
-def _run_lt(net, adopted, frontier, count, rng):
-    # thresholds are drawn lazily on first exposure, fresh every run
-    out_adj = net.graph.out_adj
-    prob_in = net.prob_in
-    eligible = net.eligible
-    rand = rng.random
-    theta = {}
-    weight = {}
-    while frontier:
-        nxt = []
-        touched = set()
-        for u in frontier:
-            for v in out_adj[u]:
-                if adopted[v] or not eligible[v]:
-                    continue
-                weight[v] = weight.get(v, 0.0) + prob_in[v]
-                touched.add(v)
-        for v in touched:
-            if v not in theta:
-                theta[v] = rand()
-            if weight[v] >= theta[v] and not adopted[v]:
-                adopted[v] = True
-                nxt.append(v)
-        count += len(nxt)
-        frontier = nxt
-    return count
+def _expand(start, deg):
+    """Positions start[i] .. start[i] + deg[i] - 1 for every i, and for
+    each position its i."""
+    owner = np.repeat(np.arange(deg.size), deg)
+    first = np.cumsum(deg) - deg  # where each i's positions begin
+    return np.arange(owner.size) + (start - first)[owner], owner
 
 
-def _block_sizes(total: int, workers: int):
-    q, rem = divmod(total, workers)
-    return [q + 1 if i < rem else q for i in range(workers)]
+def _steps(ends):
+    """Cut points splitting items with cumulative edge counts ends into
+    consecutive parts of about EDGE_STEP edges each."""
+    if ends[-1] <= EDGE_STEP:
+        return (0, ends.size)
+    step = (ends - 1) // EDGE_STEP
+    return (0, *(np.flatnonzero(step[1:] != step[:-1]) + 1), ends.size)
+
+
+def simulate_block(net: TCNetwork, seeds, count: int,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Run count independent cascades from seeds together; returns each
+    run's adopter count, seeds included, as an int64 array.
+
+    Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
+    KDD 2003) a cascade is reachability over one random draw, so the runs
+    advance together one level at a time.  (run r, node v) carries the key
+    r * n + v.  The seeds' level is the same in every run: their out-edges
+    are expanded once, and a non-seed target hit by k of them adopts with
+    probability 1 - (1 - p_v)^k under IC and k / d_v under LT (d_v its
+    in-degree; every LT weight is 1 / d_v).  Later levels expand each
+    run's new adopters.  An IC edge is live with its target's probability.
+    An LT node that j new in-neighbors reach, after prev earlier ones,
+    adopts with probability j / (d_v - prev): its uniform threshold,
+    given that it lies above prev / d_v, lies below (prev + j) / d_v.
+    """
+    n = net.n
+    indptr, indices = net.out_csr()
+    in_indptr, _, prob_in, eligible = net.in_csr()
+    lt = net.params.model == "lt"
+    seeds = _sorted_runs(np.fromiter(seeds, dtype=np.int64))[0]
+    counts = np.full(count, seeds.size, dtype=np.int64)
+    if not seeds.size:
+        return counts
+    start = indptr[seeds]
+    exposed = np.bincount(indices[_expand(start, indptr[seeds + 1] - start)[0]],
+                          minlength=n)
+    exposed[seeds] = 0
+    exposed[~eligible] = 0
+    targets = np.flatnonzero(exposed)
+    k = exposed[targets]
+    if lt:
+        in_deg = np.diff(in_indptr)
+        first = k / in_deg[targets]
+    else:
+        first = 1.0 - (1.0 - prob_in[targets]) ** k
+    rows = max(1, SIM_STATE_BYTES // (n * (9 + 4 * lt)))
+    for lo in range(0, count, rows):
+        runs = min(rows, count - lo)
+        adopted = np.zeros((runs, n), dtype=bool)
+        adopted[:, seeds] = True
+        flat = adopted.reshape(-1)
+        hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
+        frontier = hit_runs * n + targets[hit_cols]
+        flat[frontier] = True
+        if lt:
+            seen = np.zeros((runs, n), dtype=np.int32)  # adopted in-neighbors
+            seen[:, targets] = k
+            seen = seen.reshape(-1)
+        while frontier.size:
+            frontier_runs, nodes = np.divmod(frontier, n)
+            start = indptr[nodes]
+            deg = indptr[nodes + 1] - start
+            cuts = _steps(np.cumsum(deg))
+            found = []
+            # a level in steps of about EDGE_STEP out-edges: a node that
+            # adopts in one step is closed to the next, and an LT node
+            # carries its exposure count over, so the steps compose exactly
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                pos, owner = _expand(start[a:b], deg[a:b])
+                v = indices[pos]
+                keys = frontier_runs[a:b][owner] * n + v
+                still_open = eligible[v] & ~flat[keys]
+                keys, v = keys[still_open], v[still_open]
+                if lt:
+                    keys, j = _sorted_runs(keys)
+                    prev = seen[keys]
+                    new = keys[gen.random(keys.size) < j / (in_deg[keys % n] - prev)]
+                    seen[keys] = prev + j
+                else:
+                    new = _sorted_runs(keys[gen.random(keys.size) < prob_in[v]])[0]
+                flat[new] = True
+                found.append(new)
+            frontier = np.concatenate(found)
+        counts[lo:lo + runs] = np.count_nonzero(adopted, axis=1)
+    return counts
+
+
+def simulate_once(net: TCNetwork, seeds, rng) -> int:
+    """One stochastic run, a block of one through simulate_block; returns
+    the number of adopters.
+
+    rng is a numpy Generator, a random.Random (advanced by the call) or a
+    seed.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_seed_sequence(rng))
+    return int(simulate_block(net, seeds, 1, rng)[0])
 
 
 def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
                                workers: int = 1) -> ProfitEstimate:
     """Mean profit over l independent forward runs.
 
-    The l runs are split into `workers` contiguous blocks, each driven by
-    its own derived stream, so the result is reproducible for a fixed
-    (rng_seed, workers) pair regardless of how blocks are scheduled.
+    The runs are split into blocks of SIM_BLOCK, each driven by its own
+    SeedSequence child of rng_seed, so the estimate depends on
+    (rng_seed, l) alone; workers is accepted for call compatibility.
     """
     if l < 1:
-        raise ValueError("need at least one simulation")
-    workers = max(1, min(workers, l))
-    ss = rng_seed if isinstance(rng_seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(rng_seed)
+        raise ParameterError(f"need at least one simulation, got {l}")
     seeds = sorted(seeds)
     total = 0
-    for child, block in zip(ss.spawn(workers), _block_sizes(l, workers)):
-        rng = _rng_from(child)
-        for _ in range(block):
-            total += simulate_once(net, seeds, rng)
+    for child, size in stream_blocks(rng_seed, l, SIM_BLOCK):
+        total += int(simulate_block(net, seeds, size,
+                                    np.random.default_rng(child)).sum())
     mean_adopters = total / l
     profit = net.price * mean_adopters - net.coupon * len(seeds)
     return ProfitEstimate(profit, mean_adopters, l, "simulation")

@@ -150,6 +150,22 @@ class InCSR(NamedTuple):
     eligible: np.ndarray  # bool, n
 
 
+class OutCSR(NamedTuple):
+    """Out-edge arrays of a TCNetwork: the out-neighbors of u are
+    indices[indptr[u]:indptr[u + 1]], ascending."""
+
+    indptr: np.ndarray  # int64, n + 1
+    indices: np.ndarray  # int32, m
+
+
+def _csr(adj, n: int, m: int):
+    """(indptr, indices) of adjacency tuples adj with m entries in all."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=m)
+    return indptr, indices
+
+
 class TCNetwork:
     """A pruned coupon network ready for seed selection.
 
@@ -162,7 +178,7 @@ class TCNetwork:
 
     __slots__ = ("graph", "params", "price", "coupon", "intrinsic",
                  "discount_ratio", "eligible", "prob_in", "pruned_labels",
-                 "_in_csr")
+                 "_in_csr", "_out_csr")
 
     def __init__(self, graph: Graph, params: DiffusionParams, price: float,
                  coupon: float, intrinsic, pruned_labels=()):
@@ -183,21 +199,23 @@ class TCNetwork:
                 for v in range(graph.n)
             )
         self._in_csr = None
+        self._out_csr = None
 
     def in_csr(self) -> InCSR:
         """The in-edge arrays the sampling kernels run on, built on first
         use and kept for the network's lifetime."""
         if self._in_csr is None:
-            in_adj = self.graph.in_adj
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, in_adj), dtype=np.int64, count=self.n),
-                      out=indptr[1:])
-            indices = np.fromiter(itertools.chain.from_iterable(in_adj),
-                                  dtype=np.int32, count=self.m)
-            self._in_csr = InCSR(indptr, indices,
+            self._in_csr = InCSR(*_csr(self.graph.in_adj, self.n, self.m),
                                  np.array(self.prob_in, dtype=np.float64),
                                  np.array(self.eligible, dtype=bool))
         return self._in_csr
+
+    def out_csr(self) -> OutCSR:
+        """The out-edge arrays forward simulation runs on, built on first
+        use and kept for the network's lifetime."""
+        if self._out_csr is None:
+            self._out_csr = OutCSR(*_csr(self.graph.out_adj, self.n, self.m))
+        return self._out_csr
 
     @property
     def n(self) -> int:

@@ -11,18 +11,20 @@ on a collection of l RA sets is
 """
 
 import hashlib
-import random
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _CacheReader
+from .diffusion import _CacheReader, _seed_sequence, _sorted_runs, stream_blocks
 from .network import NetworkError, TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
 # own SeedSequence child, so a collection depends on its seed alone.
 RA_BLOCK = 1 << 15
+# Entries per pass of the inverted-index build, which bounds its scratch
+# memory.
+INDEX_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,6 @@ class RASet:
     def __post_init__(self):
         if self.root not in self.members:
             raise ValueError("RA set must contain its own root")
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """Accept a SeedSequence, a random.Random or any SeedSequence entropy."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, random.Random):
-        return np.random.SeedSequence(seed.getrandbits(128))
-    return np.random.SeedSequence(seed)
 
 
 def _ic_parents(gen, sets, start, deg, p, indices, n):
@@ -67,13 +60,6 @@ def _lt_parents(gen, sets, start, deg, indices, n):
     pick = (gen.random(sets.size) * deg).astype(np.int64)
     np.minimum(pick, deg - 1, out=pick)
     return sets * n + indices[start + pick]
-
-
-def _sorted_unique(keys) -> np.ndarray:
-    keys = np.sort(keys)
-    if keys.size > 1:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
 
 
 def _in_sorted(sorted_keys, keys) -> np.ndarray:
@@ -115,7 +101,7 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
             parents = _lt_parents(gen, sets, start, deg, indices, n)
         else:
             parents = _ic_parents(gen, sets, start, deg, prob_in[nodes], indices, n)
-        parents = _sorted_unique(parents)
+        parents = _sorted_runs(parents)[0]
         frontier = parents[~_in_sorted(growing, parents)]
         if not frontier.size:
             break
@@ -152,6 +138,13 @@ def coverage_indicator(seeds, ra: RASet) -> int:
     return 0
 
 
+def _stable_order(nodes) -> np.ndarray:
+    """Stable argsort of node ids: two passes over 16-bit digits, which
+    numpy sorts by radix, so the cost is linear for any node count."""
+    order = np.argsort((nodes & 0xFFFF).astype(np.uint16), kind="stable")
+    return order[np.argsort((nodes[order] >> 16).astype(np.uint16), kind="stable")]
+
+
 class RACollection:
     """A flat, append-only store of RA sets with an inverted index.
 
@@ -182,15 +175,33 @@ class RACollection:
 
     def index(self):
         """(idx_offsets, idx_sets): for node v, idx_sets[idx_offsets[v]:
-        idx_offsets[v+1]] are the indices of RA sets containing v."""
+        idx_offsets[v+1]] are the indices of RA sets containing v, ascending,
+        as int32."""
         if self._index is None:
             counts = np.bincount(self.members, minlength=self.n)
             idx_offsets = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(counts, out=idx_offsets[1:])
-            set_of_entry = np.repeat(
-                np.arange(len(self), dtype=np.int64), self.sizes())
-            order = np.argsort(self.members, kind="stable")
-            self._index = (idx_offsets, set_of_entry[order].astype(np.int64))
+            idx_sets = np.empty(self.members.size, dtype=np.int32)
+            cursor = idx_offsets[:-1].copy()  # each node's next free slot
+            # a counting sort: entries come in set order, so filling each
+            # node's slots in entry order keeps its sets ascending
+            for lo in range(0, self.members.size, INDEX_CHUNK):
+                hi = min(lo + INDEX_CHUNK, self.members.size)
+                # sets first..last hold entries lo..hi-1
+                first = np.searchsorted(self.offsets, lo, side="right") - 1
+                last = np.searchsorted(self.offsets, hi, side="left") - 1
+                bounds = np.clip(self.offsets[first:last + 2], lo, hi)
+                owner = np.repeat(np.arange(first, last + 1, dtype=np.int32),
+                                  np.diff(bounds))
+                order = _stable_order(self.members[lo:hi])
+                nodes = self.members[lo:hi][order]
+                starts = np.flatnonzero(
+                    np.concatenate(([True], nodes[1:] != nodes[:-1])))
+                runs = np.diff(np.append(starts, nodes.size))
+                rank = np.arange(nodes.size) - np.repeat(starts, runs)
+                idx_sets[cursor[nodes] + rank] = owner[order]
+                cursor[nodes[starts]] += runs
+            self._index = (idx_offsets, idx_sets)
         return self._index
 
     def sets_containing(self, v: int) -> np.ndarray:
@@ -227,9 +238,7 @@ class CollectionBuilder:
         seed) spawns one child stream per RA_BLOCK sets."""
         if count <= 0:
             return
-        ss = _seed_sequence(rng)
-        for i, child in enumerate(ss.spawn(-(-count // RA_BLOCK))):
-            size = min(RA_BLOCK, count - i * RA_BLOCK)
+        for child, size in stream_blocks(rng, count, RA_BLOCK):
             self._chunks.append(
                 sample_ra_block(self.net, size, np.random.default_rng(child)))
         self._count += count

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from profitmax import (ALGORITHMS, MemoryBudgetError, ParameterError, delta0,
                        delta1, delta2, node_order, ra_s, ra_t, rpm,
                        search_rat_params, solve_ras_params, spm)
 
-from conftest import make_net
+from conftest import make_net, random_edge_text
 
 
 def star_net():
@@ -37,6 +38,21 @@ class TestDeterminism:
         b = alg(two_node_net, eps=0.4, seed=5, workers=3, **kw)
         assert a.members == b.members
         assert a.sample_counts == b.sample_counts
+
+    @pytest.mark.parametrize("alg,kw,n", [
+        (spm, {"l_override": 20}, 12),
+        (rpm, {"l_override": 20}, 12),
+        (rpm, {"l_override": 20}, 40),  # past the 32-node bitmask path
+        (ra_s, {"k": 3}, 12),
+    ])
+    def test_independent_of_worker_count(self, alg, kw, n):
+        rng = random.Random(n)
+        net = make_net(random_edge_text(rng, n, 2 * n), ic_p=0.3)
+        a = alg(net, eps=0.4, seed=5, workers=1, **kw)
+        for workers in (2, 3):
+            b = alg(net, eps=0.4, seed=5, workers=workers, **kw)
+            assert a.members == b.members
+            assert a.internal_value == b.internal_value
 
 
 class TestSPM:
@@ -173,6 +189,10 @@ class TestZeroOverrides:
     def test_order_probes_zero_rejected(self, two_node_net, alg):
         with pytest.raises(ParameterError, match="order_probes"):
             alg(two_node_net, eps=0.4, order_probes=0, seed=1)
+
+    def test_max_ra_zero_rejected(self, two_node_net):
+        with pytest.raises(ParameterError, match="max_ra"):
+            ra_t(two_node_net, eps=0.4, max_ra=0, seed=1)
 
 
 class TestRegistry:

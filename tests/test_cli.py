@@ -87,6 +87,42 @@ class TestRun:
         assert out == ""
         assert "l_override must be a positive integer" in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--alg", "ra-t", "--max-ra", "0"], "max_ra must be a positive integer"),
+        (["--alg", "ra-t", "--eval-sims", "0"], "at least one simulation"),
+    ])
+    def test_zero_counts_fail_cleanly(self, capsys, graph_file, intr_file,
+                                      extra, message):
+        code, out, err = run_cli(
+            capsys, "run", "--graph", graph_file, "--intrinsics-file",
+            intr_file, *(["--eval-sims", "10"] + extra))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("alg,extra", [
+        ("spm", ["--l-override", "50"]),
+        ("rpm", ["--l-override", "50"]),
+        ("ra-t", []),
+        ("ra-s", ["--k", "3"]),
+        ("maxinf", []),
+        ("highdegree", []),
+    ])
+    def test_thread_count_changes_nothing(self, capsys, graph_file, intr_file,
+                                          alg, extra):
+        reports = []
+        for threads in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "run", "--graph", graph_file, "--intrinsics-file",
+                intr_file, "--ic-p", "0.4", "--alg", alg, "--eval-sims", "300",
+                "--seed", "5", "--threads", threads, *extra)
+            assert code == 0
+            report = json.loads(out)
+            report.pop("wall_time_ms")
+            assert report["parameters"].pop("threads") == int(threads)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_deterministic_output(self, capsys, graph_file, intr_file):
         args = ("run", "--graph", graph_file, "--intrinsics-file", intr_file,
                 "--alg", "ra-t", "--eval-sims", "100", "--seed", "9")

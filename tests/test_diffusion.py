@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (NetworkError, ProfitEstimate, Realization,
-                       estimate_profit_simulation,
+from profitmax import (NetworkError, ParameterError, ProfitEstimate,
+                       Realization, estimate_profit_simulation, exact_pi,
                        load_realizations, replay_on_realization,
                        sample_realization, sample_triggering_set,
-                       save_realizations, simulate_once)
+                       save_realizations, simulate_block, simulate_once)
+from profitmax.diffusion import SIM_BLOCK
 
 from conftest import make_net
 
@@ -91,8 +92,59 @@ class TestEstimateProfit:
         assert a == b
 
     def test_positive_sample_count_required(self, two_node_net):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="at least one simulation"):
             estimate_profit_simulation(two_node_net, [0], 0, 1)
+
+    def test_independent_of_worker_count(self, lt_fork_net):
+        # the runs are split into fixed SIM_BLOCK-run blocks, not per worker
+        l = 2 * SIM_BLOCK + 77
+        a = lt_fork_net.graph.id_of(1)
+        base = estimate_profit_simulation(lt_fork_net, [a], l, 42, workers=1)
+        for workers in (2, 3):
+            assert estimate_profit_simulation(
+                lt_fork_net, [a], l, 42, workers=workers) == base
+
+
+# (edges, seed labels, intrinsics): a chain, a cycle, and two seeds whose
+# out-edges meet at one target (3 collapses two first-level edges, 4 is hit
+# on the seeds' level and again one level later).  Under ic-wc every node
+# of the chain and the cycle has in-degree 1, so its edges are certain.
+# Then a seed that points at another seed, a node below the price that
+# blocks the cascade, one that still relays because it is seeded, and the
+# empty seed set.
+KERNEL_CASES = {
+    "chain": ("1 2\n2 3\n3 4\n", [1], None),
+    "cycle": ("1 2\n2 3\n3 1\n", [1], None),
+    "two-seeds": ("1 3\n2 3\n3 4\n2 4\n4 5\n", [1, 2], None),
+    "seed-to-seed": ("1 2\n2 3\n", [1, 2], None),
+    "ineligible-target": ("1 2\n2 3\n", [1], [0.9, 0.3, 0.9]),
+    "ineligible-seed": ("1 2\n2 3\n", [1], [0.3, 0.9, 0.9]),
+    "empty": ("1 2\n2 3\n", [], None),
+}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_mean_matches_exact_pi(self, model, case):
+        edges, labels, intrinsics = KERNEL_CASES[case]
+        net = make_net(edges, model=model, ic_p=0.5, intrinsics=intrinsics)
+        seeds = [net.graph.id_of(lab) for lab in labels]
+        l = 50_000
+        counts = simulate_block(net, seeds, l, np.random.default_rng(20261018))
+        assert counts.shape == (l,)
+        assert counts.min() >= len(seeds)
+        assert counts.max() <= net.n
+        pi = exact_pi(net, seeds)
+        se = counts.std(ddof=1) / math.sqrt(l)
+        assert abs(counts.mean() - pi) <= 3.0 * se + 1e-12, (counts.mean(), pi, se)
+
+    def test_simulate_once_is_a_block_of_one(self, lt_fork_net):
+        a = lt_fork_net.graph.id_of(1)
+        for seed in range(20):
+            block = simulate_block(lt_fork_net, [a], 1, np.random.default_rng(seed))
+            assert simulate_once(lt_fork_net, [a], np.random.default_rng(seed)) \
+                == block[0]
 
 
 class TestTriggeringSets:

@@ -9,8 +9,8 @@ from scipy import stats
 from profitmax import (NetworkError, RACollection, RASet, estimate_F, exact_pi,
                        exact_profit, generate_collection, generate_ra_set,
                        load_collection, ra_t, save_collection)
-from profitmax.sampling import (RA_BLOCK, CollectionBuilder, coverage_indicator,
-                                covered_sets, sample_ra_block)
+from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
+                                coverage_indicator, covered_sets, sample_ra_block)
 
 from conftest import make_net, random_small_net
 
@@ -121,6 +121,27 @@ class TestCollection:
             brute = [j for j in range(len(coll))
                      if v in set(coll.members_of(j).tolist())]
             assert list(coll.sets_containing(v)) == brute
+
+    def test_inverted_index_beyond_16_bit_ids(self):
+        # node ids above 2^16 exercise the high digit of the radix sort,
+        # and the entries span several INDEX_CHUNKs; the reference is a
+        # stable comparison sort of the same entries
+        rng = np.random.default_rng(17)
+        n, l = 200_003, 30_000
+        sets = [np.unique(rng.integers(0, n, rng.integers(1, 6))) for _ in range(l)]
+        sets[0] = np.array([0, 65_535, 65_536, n - 1])
+        offsets = np.concatenate(([0], np.cumsum([s.size for s in sets])))
+        coll = RACollection(n, [s[0] for s in sets], offsets, np.concatenate(sets))
+        assert coll.members.size > 2 * INDEX_CHUNK
+        idx_offsets, idx_sets = coll.index()
+        assert idx_sets.dtype == np.int32
+        owner = np.repeat(np.arange(l), coll.sizes())
+        want = owner[np.argsort(coll.members, kind="mergesort")]
+        assert np.array_equal(idx_sets, want)
+        assert np.array_equal(np.diff(idx_offsets),
+                              np.bincount(coll.members, minlength=n))
+        assert list(coll.sets_containing(n - 1)) == [0] + [
+            i for i in range(1, l) if n - 1 in sets[i]]
 
     def test_coverage_counts(self):
         sets = [RASet(0, frozenset({0})), RASet(1, frozenset({0, 1})),
