@@ -5,8 +5,9 @@ oracle is realized:
 
 * spm: every marginal is estimated by a fresh batch of forward
   simulations.
-* rpm: a collection of realizations is drawn once and every marginal is
-  replayed against it.
+* rpm: a collection of realizations is drawn once; on it the estimator
+  is a coverage function over every node's reverse-reachable set in every
+  realization, which backs the same exact incremental oracle as ra_t.
 * ra_t: a reverse-sample collection of precomputed size backs an exact
   incremental oracle.
 * ra_s: reverse samples are grown on a doubling schedule and a simulation
@@ -24,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import delta0, delta1, delta2, search_rat_params, solve_ras_params
-from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
-                        replay_on_realization, sample_realization, stream_blocks,
+from .diffusion import (SIM_BLOCK, estimate_profit_simulation, stream_blocks,
                         _rng_from)
-from .exact import _popcount_u32, _reach_masks
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
-from .sampling import CollectionBuilder, generate_collection
+from .sampling import (CollectionBuilder, RACollection, generate_collection,
+                       sample_rr_block)
 
 SPM, RPM, RA_T, RA_S = "spm", "rpm", "ra-t", "ra-s"
 
@@ -111,87 +111,75 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
                 "seed": seed, "workers": workers})
 
 
-def _estimate_realization_bytes(net: TCNetwork, l: int) -> int:
-    live = 0.0
-    for v in range(net.n):
-        if not net.eligible[v]:
-            continue
-        d = net.graph.in_degree(v)
-        if d == 0:
-            continue
-        live += 1.0 if net.params.model == "lt" else d * net.prob_in[v]
-    if net.n <= 32:
-        per = 4 * net.n + 32
-    else:
-        per = 72 * net.n + 80 * live + 160
-    return int(l * per)
+# Bytes the realization collection holds per RR set (its root and offset,
+# the oracle's two counters) and per member (the member and its entry in
+# the inverted index).
+_SET_BYTES = 4 + 8 + 4 + 4
+_MEMBER_BYTES = 4 + 4
 
 
-def _realizations(net: TCNetwork, l: int, ss):
-    """l realizations, SIM_BLOCK per SeedSequence child of ss."""
+def _realization_collection(net: TCNetwork, l: int, ss, budget_mb: float):
+    """The l * n reverse-reachable sets of l realizations, SIM_BLOCK
+    realizations per SeedSequence child of ss, as one RACollection.
+
+    Every set holds at least its root, so the floor of l * n one-member
+    sets is checked against budget_mb before drawing; sets can hold up to
+    n members, so the growing total is checked after every pass.
+    """
+    budget = budget_mb * (1 << 20)
+    sets = l * net.n
+    entries = 0
+
+    def check(when):
+        projected = sets * _SET_BYTES + (sets + entries) * _MEMBER_BYTES
+        if projected > budget:
+            raise MemoryBudgetError(
+                f"{l} realizations {when} ~{projected / (1 << 20):.1f} MiB of "
+                f"reverse-reachable sets, over the {budget_mb:g} MiB budget; "
+                "lower l or raise the budget")
+
+    check("project at least")
+    sizes, members = [], []
     for child, size in stream_blocks(ss, l, SIM_BLOCK):
-        rng = _rng_from(child)
-        for _ in range(size):
-            yield sample_realization(net, rng)
-
-
-def _generate_reach_matrix(net: TCNetwork, l: int, ss) -> np.ndarray:
-    """Per-realization, per-node reachability bitmasks (networks up to 32
-    nodes).  Row i holds, for every node, the set of nodes that adopt when
-    that node alone is seeded under realization i."""
-    mat = np.empty((l, net.n), dtype=np.uint32)
-    for row, real in enumerate(_realizations(net, l, ss)):
-        mat[row] = _reach_masks(real.live_out, net.n)
-    return mat
+        for block_sizes, block_members in sample_rr_block(
+                net, size, np.random.default_rng(child)):
+            sizes.append(block_sizes)
+            members.append(block_members)
+            # every set counted in the floor already holds one member
+            entries += block_members.size - block_sizes.size
+            check("hold at least")
+    offsets = np.zeros(sets + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=offsets[1:])
+    roots = np.tile(np.arange(net.n, dtype=np.int32), l)
+    return RACollection(net.n, roots, offsets, np.concatenate(members))
 
 
 def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         seed: int = 0, workers: int = 1,
         memory_budget_mb: float = 2048.0) -> SelectionResult:
-    """Realization-replay selection: one fixed sample, marginals by replay.
+    """Realization-based selection: one fixed sample of l realizations.
 
-    The whole realization collection is held in memory for the entire
-    pass, so the projected footprint is checked against memory_budget_mb
-    before anything is generated.
+    On a fixed sample the estimator P / l * sum_r |Reach_r(S)| - C |S| is
+    a coverage function over the l * n reverse-reachable sets RR_r(w),
+    the nodes that reach w in realization r (the RR-set duality of Borgs
+    et al., SODA 2014), so CoverageOracle answers every marginal exactly
+    and incrementally.  The sets are held in memory for the whole pass
+    and checked against memory_budget_mb.
     """
     _check_eps(eps)
     big_n = _effective_big_n(net, big_n)
     n, r = net.n, net.discount_ratio
     l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
-    projected = _estimate_realization_bytes(net, l)
-    if projected > memory_budget_mb * (1 << 20):
-        raise MemoryBudgetError(
-            f"{l} realizations project to ~{projected / (1 << 20):.0f} MiB, "
-            f"over the {memory_budget_mb:.0f} MiB budget; lower l or raise the budget")
     ss = np.random.SeedSequence(seed)
     coin_ss, gen_ss = ss.spawn(2)
-    if n <= 32:
-        mat = _generate_reach_matrix(net, l, gen_ss)
-        price, coupon = net.price, net.coupon
-
-        def evaluate(s):
-            if not s:
-                return 0.0
-            orred = np.bitwise_or.reduce(mat[:, sorted(s)], axis=1)
-            mean = float(_popcount_u32(orred).astype(np.float64).mean())
-            return price * mean - coupon * len(s)
-    else:
-        reals = list(_realizations(net, l, gen_ss))
-        price, coupon = net.price, net.coupon
-
-        def evaluate(s):
-            if not s:
-                return 0.0
-            mean = sum(replay_on_realization(g, s) for g in reals) / l
-            return price * mean - coupon * len(s)
-
+    coll = _realization_collection(net, l, gen_ss, memory_budget_mb)
     shift = 2.0 * eps * net.full_profit() / n
-    oracle = FunctionOracle(evaluate, range(n), shift=shift)
+    oracle = CoverageOracle(coll, net.price, net.coupon, shift=shift)
     members = double_greedy(oracle, range(n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=RPM,
         sample_counts={"simulations": 0, "realizations": l, "ra_sets": 0},
-        l=l,
+        l=l, internal_value=oracle.current_value(),
         params={"eps": eps, "big_n": big_n, "l_override": l_override,
                 "seed": seed, "workers": workers,
                 "memory_budget_mb": memory_budget_mb})

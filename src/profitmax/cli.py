@@ -125,13 +125,17 @@ def _parse_seed_labels(text):
 
 
 def _ids_from_labels(net, labels):
-    ids = []
+    ids, seen = [], set()
     for lab in labels:
         try:
-            ids.append(net.graph.id_of(lab))
+            v = net.graph.id_of(lab)
         except KeyError:
             raise ParameterError(
                 f"node {lab} is not in the network (absent or pruned)")
+        if v in seen:
+            raise ParameterError(f"node {lab} appears more than once in the seed set")
+        seen.add(v)
+        ids.append(v)
     return ids
 
 

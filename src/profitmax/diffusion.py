@@ -224,7 +224,7 @@ def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
     """
     if l < 1:
         raise ParameterError(f"need at least one simulation, got {l}")
-    seeds = sorted(seeds)
+    seeds = sorted(set(seeds))
     total = 0
     for child, size in stream_blocks(rng_seed, l, SIM_BLOCK):
         total += int(simulate_block(net, seeds, size,
@@ -283,7 +283,12 @@ def replay_on_realization(real: Realization, seeds) -> int:
     node activates when reached from a seed, so the count is the size of
     the forward reachable set including the seeds themselves.
     """
-    live_out = real.live_out
+    return _reach_count(real.live_out, seeds)
+
+
+def _reach_count(live_out, seeds) -> int:
+    """How many nodes the seeds reach over the live edges u -> v listed in
+    live_out[u], seeds included."""
     reached = set(seeds)
     queue = list(reached)
     while queue:

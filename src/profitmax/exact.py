@@ -9,6 +9,7 @@ silent fallback to sampling.
 
 import numpy as np
 
+from .diffusion import _reach_count
 from .network import TCNetwork
 
 
@@ -128,18 +129,6 @@ def iter_realizations(net: TCNetwork):
         yield prob, live_out
 
 
-def _bfs_count(live_out, seeds) -> int:
-    reached = set(seeds)
-    queue = list(reached)
-    while queue:
-        u = queue.pop()
-        for v in live_out[u]:
-            if v not in reached:
-                reached.add(v)
-                queue.append(v)
-    return len(reached)
-
-
 def exact_pi(net: TCNetwork, seeds) -> float:
     """Exact expected adopter count by full enumeration."""
     seeds = set(seeds)
@@ -147,7 +136,7 @@ def exact_pi(net: TCNetwork, seeds) -> float:
         return 0.0
     total = 0.0
     for prob, live_out in iter_realizations(net):
-        total += prob * _bfs_count(live_out, seeds)
+        total += prob * _reach_count(live_out, seeds)
     return total
 
 

@@ -11,9 +11,10 @@ shift of 2 eps L* / n to each marginal, which compensates estimation error
 up to eps L* / n per evaluation.
 
 Two oracle flavors live here: a generic one that calls an arbitrary
-set-function evaluator four times per node, and an incremental one over an
-RA collection that answers marginals from per-set coverage counters in
-time proportional to the node's index size.
+set-function evaluator four times per node (spm), and an incremental one
+over a collection of node sets that answers marginals from per-set
+coverage counters in time proportional to the node's index size (ra-t and
+ra-s over RA sets, rpm over its realizations' reverse-reachable sets).
 """
 
 import numpy as np
@@ -55,19 +56,26 @@ class FunctionOracle:
 
 
 class CoverageOracle:
-    """Incremental marginals of the RA profit estimator F.
+    """Incremental marginals of a coverage profit estimator.
 
-    Maintains, for every RA set j, how many of its members are in X and in
+    F(S) = P * n * (sets meeting S) / |sets| - C * |S| over a collection
+    of node sets: RA sets for ra-t and ra-s, and for rpm the n
+    reverse-reachable sets of each of l realizations, where it equals the
+    realizations' mean adopter count times P, less C * |S|.
+
+    Maintains, for every set j, how many of its members are in X and in
     Y.  Adding v to X newly covers exactly the sets containing v with zero
     X-members so far; removing v from Y uncovers exactly those where v is
-    the last Y-member.  No shift: F is evaluated exactly given the
-    collection.
+    the last Y-member.  shift is added to every marginal; F itself is
+    evaluated exactly given the collection.
     """
 
-    def __init__(self, coll: RACollection, price: float, coupon: float):
+    def __init__(self, coll: RACollection, price: float, coupon: float,
+                 shift: float = 0.0):
         self.coll = coll
         self.price = price
         self.coupon = coupon
+        self.shift = shift
         self.unit = price * coll.n / len(coll)
         self.count_x = np.zeros(len(coll), dtype=np.int32)
         self.count_y = coll.sizes().astype(np.int32)
@@ -77,12 +85,12 @@ class CoverageOracle:
     def gain_add(self, v) -> float:
         idx = self.coll.sets_containing(v)
         newly = int(np.count_nonzero(self.count_x[idx] == 0))
-        return self.unit * newly - self.coupon
+        return self.unit * newly - self.coupon + self.shift
 
     def gain_remove(self, v) -> float:
         idx = self.coll.sets_containing(v)
         lost = int(np.count_nonzero(self.count_y[idx] == 1))
-        return -self.unit * lost + self.coupon
+        return -self.unit * lost + self.coupon + self.shift
 
     def apply(self, v, included: bool):
         idx = self.coll.sets_containing(v)

@@ -8,6 +8,11 @@ adopter expectation: E[x(S, R)] = pi(S) / n.  The profit estimator built
 on a collection of l RA sets is
 
     F(R_l, S) = P * n * (sum_i x(S, R_i)) / l - C * |S|
+
+rpm's sets come from the same level loop: sample_rr_block draws whole
+realizations and collects, for every node w of each, the nodes that reach
+w.  Over l realizations those l * n sets give F the value P times the mean
+adopter count of S across the realizations, less C * |S|.
 """
 
 import hashlib
@@ -16,15 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _CacheReader, _seed_sequence, _sorted_runs, stream_blocks
+from .diffusion import (SIM_STATE_BYTES, _CacheReader, _expand, _seed_sequence,
+                        _sorted_runs, stream_blocks)
 from .network import NetworkError, TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
 # own SeedSequence child, so a collection depends on its seed alone.
 RA_BLOCK = 1 << 15
 # Entries per pass of the inverted-index build, which bounds its scratch
-# memory.
-INDEX_CHUNK = 1 << 15
+# memory: about 50 bytes per entry.
+INDEX_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,39 +76,25 @@ def _in_sorted(sorted_keys, keys) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
-    """Grow count RA sets together by level-synchronous reverse BFS.
+def _grow(frontier, count: int, n: int, parents):
+    """Grow count sets together by level-synchronous reverse BFS.
 
-    A member of set i that is node v carries the key i * n + v.  Each step
-    samples the triggering sets of every set's newest members at once and
-    keeps the parents whose keys are new to their set.  Triggering sets are
-    drawn only for nodes the traversal reaches, each once per set; the
-    rest of the realization is never materialized.
+    A member of set i that is node v carries the key i * n + v; frontier
+    holds each set's first member.  parents(sets, nodes) returns the keys
+    of the parents of the newest members (any order, repeats allowed), and
+    the step keeps the ones new to their set.
 
-    Returns (roots, sizes, members): members holds set 0's nodes, then set
-    1's, and so on, each set's nodes ascending.
+    Returns (sizes, members): members holds set 0's nodes, then set 1's,
+    and so on, each set's nodes ascending.
     """
-    n = net.n
-    indptr, indices, prob_in, eligible = net.in_csr()
-    lt = net.params.model == "lt"
-    roots = gen.integers(0, n, size=count)
-    frontier = np.arange(count, dtype=np.int64) * n + roots
     levels = [frontier]
     # member keys of the sets still growing, ascending; sets that have
     # stopped never meet a candidate again, so they are left out
     growing = frontier
     while frontier.size:
         sets, nodes = np.divmod(frontier, n)
-        start = indptr[nodes]
-        deg = indptr[nodes + 1] - start
-        live = eligible[nodes] & (deg > 0)
-        sets, nodes, start, deg = sets[live], nodes[live], start[live], deg[live]
-        if lt:
-            parents = _lt_parents(gen, sets, start, deg, indices, n)
-        else:
-            parents = _ic_parents(gen, sets, start, deg, prob_in[nodes], indices, n)
-        parents = _sorted_runs(parents)[0]
-        frontier = parents[~_in_sorted(growing, parents)]
+        found = _sorted_runs(parents(sets, nodes))[0]
+        frontier = found[~_in_sorted(growing, found)]
         if not frontier.size:
             break
         levels.append(frontier)
@@ -113,8 +105,93 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     keys = np.sort(np.concatenate(levels), kind="stable")
     sets = keys // n
     sizes = np.bincount(sets, minlength=count)
-    return (roots.astype(np.int32), sizes.astype(np.int64),
-            (keys - sets * n).astype(np.int32))
+    return sizes.astype(np.int64), (keys - sets * n).astype(np.int32)
+
+
+def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
+    """Grow count RA sets together from uniform roots (see _grow).
+
+    Each step samples the triggering sets of every set's newest members at
+    once.  Triggering sets are drawn only for nodes the traversal reaches,
+    each once per set; the rest of the realization is never materialized.
+
+    Returns (roots, sizes, members) as _grow lays them out.
+    """
+    n = net.n
+    indptr, indices, prob_in, eligible = net.in_csr()
+    lt = net.params.model == "lt"
+    roots = gen.integers(0, n, size=count)
+
+    def parents(sets, nodes):
+        start = indptr[nodes]
+        deg = indptr[nodes + 1] - start
+        live = eligible[nodes] & (deg > 0)
+        sets, nodes, start, deg = sets[live], nodes[live], start[live], deg[live]
+        if lt:
+            return _lt_parents(gen, sets, start, deg, indices, n)
+        return _ic_parents(gen, sets, start, deg, prob_in[nodes], indices, n)
+
+    sizes, members = _grow(np.arange(count, dtype=np.int64) * n + roots,
+                           count, n, parents)
+    return roots.astype(np.int32), sizes, members
+
+
+def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
+    """Draw runs realizations over the in-edge CSR.  Under IC each in-edge
+    of an eligible node is live with that node's probability; under LT
+    each eligible node with in-neighbors keeps one, picked uniformly.
+
+    Returns (indptr, sources): the live in-edges of node v in realization
+    r come from sources[indptr[r * n + v]:indptr[r * n + v + 1]].
+    """
+    n = net.n
+    indptr, indices, prob_in, eligible = net.in_csr()
+    deg = np.diff(indptr)
+    if net.params.model == "lt":
+        nodes = np.flatnonzero(eligible & (deg > 0))
+        pick = (gen.random((runs, nodes.size)) * deg[nodes]).astype(np.int64)
+        np.minimum(pick, deg[nodes] - 1, out=pick)
+        keys = (np.arange(runs)[:, None] * n + nodes).reshape(-1)
+        pos = (indptr[nodes] + pick).reshape(-1)
+    else:
+        target = np.repeat(np.arange(n), deg)
+        edges = np.flatnonzero(eligible[target])
+        hit_runs, hit = np.nonzero(gen.random((runs, edges.size))
+                                   < prob_in[target[edges]])
+        pos = edges[hit]
+        keys = hit_runs * n + target[pos]
+    # keys come out ascending: run-major, then in CSR order
+    live_indptr = np.zeros(runs * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=runs * n), out=live_indptr[1:])
+    return live_indptr, indices[pos]
+
+
+def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
+    """Draw count realizations and the reverse-reachable set of every node
+    in each: set r * n + w holds the nodes that reach w over live edges
+    in realization r, w included.
+
+    A generator: it yields (sizes, members), laid out as _grow does, for
+    consecutive passes of whole realizations, so that a caller can stop
+    as soon as the sets outgrow its budget.  A pass holds as many
+    realizations as fit SIM_STATE_BYTES at 8 bytes per in-edge (the draw)
+    and per node of each of n sets (the member keys).  The passes draw
+    the same stream as one pass would.
+    """
+    n = net.n
+    rows = max(1, SIM_STATE_BYTES // (8 * (net.m + n * n)))
+    for lo in range(0, count, rows):
+        runs = min(rows, count - lo)
+        live_indptr, sources = _live_in_edges(net, runs, gen)
+
+        def parents(sets, nodes):
+            at = sets // n * n + nodes  # (realization, node)
+            start = live_indptr[at]
+            pos, owner = _expand(start, live_indptr[at + 1] - start)
+            return sets[owner] * n + sources[pos]
+
+        sets = np.arange(runs * n, dtype=np.int64)
+        yield _grow(sets * n + sets % n, runs * n, n, parents)  # root of r*n+w is w
 
 
 def generate_ra_set(net: TCNetwork, rng) -> RASet:
@@ -138,10 +215,13 @@ def coverage_indicator(seeds, ra: RASet) -> int:
     return 0
 
 
-def _stable_order(nodes) -> np.ndarray:
-    """Stable argsort of node ids: two passes over 16-bit digits, which
-    numpy sorts by radix, so the cost is linear for any node count."""
+def _stable_order(nodes, n: int) -> np.ndarray:
+    """Stable argsort of node ids below n: passes over 16-bit digits,
+    which numpy sorts by radix, so the cost is linear for any node count;
+    the second pass runs only when ids need more than 16 bits."""
     order = np.argsort((nodes & 0xFFFF).astype(np.uint16), kind="stable")
+    if n <= 1 << 16:
+        return order
     return order[np.argsort((nodes[order] >> 16).astype(np.uint16), kind="stable")]
 
 
@@ -193,7 +273,7 @@ class RACollection:
                 bounds = np.clip(self.offsets[first:last + 2], lo, hi)
                 owner = np.repeat(np.arange(first, last + 1, dtype=np.int32),
                                   np.diff(bounds))
-                order = _stable_order(self.members[lo:hi])
+                order = _stable_order(self.members[lo:hi], self.n)
                 nodes = self.members[lo:hi][order]
                 starts = np.flatnonzero(
                     np.concatenate(([True], nodes[1:] != nodes[:-1])))

@@ -99,7 +99,8 @@ class SimulationSelector(BaseSelector):
 
 
 class RealizationSelector(BaseSelector):
-    """Double greedy replaying one fixed batch of sampled realizations."""
+    """Double greedy over the reverse-reachable sets of one fixed batch of
+    sampled realizations."""
 
     algorithm = "rpm"
 

@@ -63,3 +63,16 @@ def random_small_net(rng: random.Random, n_max: int = 7, model=None):
     return make_net(random_edge_text(rng, n, m), model=model,
                     ic_p=rng.uniform(0.1, 0.9), price=price, coupon=coupon,
                     intrinsics=intr)
+
+
+def realizations_of(net, live_indptr, sources):
+    """The Realization objects of a live-edge draw laid out as
+    sampling._live_in_edges returns it."""
+    from profitmax import Realization
+
+    n = net.n
+    runs = (live_indptr.size - 1) // n
+    return [Realization.from_triggering(
+        [sources[live_indptr[r * n + v]:live_indptr[r * n + v + 1]].tolist()
+         for v in range(n)])
+        for r in range(runs)]

@@ -1,13 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from profitmax import (ALGORITHMS, MemoryBudgetError, ParameterError, delta0,
-                       delta1, delta2, node_order, ra_s, ra_t, rpm,
-                       search_rat_params, solve_ras_params, spm)
+from profitmax import (ALGORITHMS, CoverageOracle, MemoryBudgetError,
+                       ParameterError, algorithms, delta0,
+                       delta1, delta2, exact_profit, node_order, ra_s, ra_t,
+                       replay_on_realization, rpm, search_rat_params,
+                       solve_ras_params, spm)
+from profitmax.algorithms import _realization_collection
+from profitmax.diffusion import SIM_BLOCK, stream_blocks
+from profitmax.sampling import _live_in_edges, covered_sets
 
-from conftest import make_net, random_edge_text
+from conftest import make_net, random_edge_text, realizations_of
 
 
 def star_net():
@@ -42,7 +48,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("alg,kw,n", [
         (spm, {"l_override": 20}, 12),
         (rpm, {"l_override": 20}, 12),
-        (rpm, {"l_override": 20}, 40),  # past the 32-node bitmask path
+        (rpm, {"l_override": 20}, 40),  # a larger net: 800 RR sets over 40 nodes
         (ra_s, {"k": 3}, 12),
     ])
     def test_independent_of_worker_count(self, alg, kw, n):
@@ -94,6 +100,77 @@ class TestRPM:
         with pytest.raises(MemoryBudgetError, match="budget"):
             rpm(two_node_net, eps=0.4, l_override=10_000_000,
                 seed=1, memory_budget_mb=0.1)
+
+    def test_memory_floor_checked_before_drawing(self, two_node_net,
+                                                 monkeypatch):
+        # 2000 one-member sets project ~0.053 MiB, past a 0.05 MiB budget
+        def no_drawing(*args):
+            raise AssertionError("drew realizations past the floor")
+
+        monkeypatch.setattr(algorithms, "sample_rr_block", no_drawing)
+        with pytest.raises(MemoryBudgetError, match="project at least"):
+            rpm(two_node_net, eps=0.4, l_override=1000, seed=1,
+                memory_budget_mb=0.05)
+
+    def test_memory_growth_checked_while_drawing(self):
+        # a certain 50-cycle: every RR set holds all 50 nodes, so 200
+        # realizations hold 5 * 10^5 members (~4 MiB), while their floor of
+        # 10^4 one-member sets (~0.3 MiB) fits the budget
+        n = 50
+        net = make_net("".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)),
+                       ic_p=1.0)
+        with pytest.raises(MemoryBudgetError, match="hold at least"):
+            rpm(net, eps=0.4, l_override=200, seed=1, memory_budget_mb=1.0)
+        coll = _realization_collection(net, 200, np.random.SeedSequence(1), 8.0)
+        assert np.all(coll.sizes() == n)
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    @pytest.mark.parametrize("shape", ["chain", "cycle", "diamond"])
+    def test_estimator_matches_exact_profit(self, model, shape):
+        # P / l * sum_r |Reach_r(S)| - C |S| is unbiased for the profit;
+        # node 3 cannot pay full price, so it adopts only when seeded
+        edges = {"chain": "1 2\n2 3\n3 4\n", "cycle": "1 2\n2 3\n3 1\n",
+                 "diamond": "1 2\n1 3\n2 4\n3 4\n4 1\n"}[shape]
+        n = 3 if shape == "cycle" else 4
+        net = make_net(edges, model=model, ic_p=0.5,
+                       intrinsics=[0.9, 0.9, 0.3, 0.9][:n])
+        l = 20_000
+        coll = _realization_collection(net, l, np.random.SeedSequence(77), 64.0)
+        for seeds in ([0], [1], [n - 1], [0, n - 1], list(range(n))):
+            reached = covered_sets(coll, seeds).reshape(l, n).sum(axis=1)
+            got = net.price * reached.mean() - net.coupon * len(seeds)
+            se = net.price * reached.std() / math.sqrt(l)
+            want = exact_profit(net, seeds)
+            assert abs(got - want) <= 3.0 * se + 1e-12, (seeds, got, want, se)
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_marginals_equal_replay(self, model):
+        # CoverageOracle over the RR sets against the estimator evaluated
+        # by replaying the same realizations
+        rng = random.Random(5)
+        net = make_net(random_edge_text(rng, 9, 20), model=model, ic_p=0.4,
+                       intrinsics=[0.9, 0.9, 0.3, 0.9, 0.9, 0.9, 0.3, 0.9, 0.9])
+        l, n, shift = 60, net.n, 0.03
+        coll = _realization_collection(net, l, np.random.SeedSequence(8), 64.0)
+        # the same draw: l < SIM_BLOCK realizations come from one child
+        child, _ = next(stream_blocks(np.random.SeedSequence(8), l, SIM_BLOCK))
+        reals = realizations_of(net, *_live_in_edges(net, l, np.random.default_rng(child)))
+
+        def f(s):
+            reached = sum(replay_on_realization(real, s) for real in reals)
+            return net.price * reached / l - net.coupon * len(s)
+
+        oracle = CoverageOracle(coll, net.price, net.coupon, shift=shift)
+        x, y = set(), set(range(n))
+        for v in rng.sample(range(n), n):
+            assert oracle.gain_add(v) == pytest.approx(
+                f(x | {v}) - f(x) + shift, abs=1e-12)
+            assert oracle.gain_remove(v) == pytest.approx(
+                f(y - {v}) - f(y) + shift, abs=1e-12)
+            included = rng.random() < 0.5
+            oracle.apply(v, included)
+            (x.add if included else y.discard)(v)
+        assert oracle.current_value() == pytest.approx(f(x), abs=1e-12)
 
     def test_agrees_with_spm_on_deterministic_net(self, two_node_net):
         # p = 1 network: every realization is the full graph, so both

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -192,6 +195,15 @@ class TestEvaluate:
         assert "99" in err
 
 
+    def test_repeated_node_fails(self, capsys, graph_file, intr_file):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--seed-set", "2,1,2", "--eval-sims", "50")
+        assert code == 1
+        assert out == ""
+        assert "node 2 appears more than once" in err
+
+
 class TestOracle:
     def test_exact_and_optimum(self, capsys, graph_file, intr_file):
         code, out, _ = run_cli(
@@ -207,6 +219,15 @@ class TestOracle:
                                "--intrinsics-file", intr_file)
         assert code == 1
         assert "seed-set" in err or "optimum" in err
+
+
+    def test_repeated_node_fails(self, capsys, graph_file, intr_file):
+        code, out, err = run_cli(
+            capsys, "oracle", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--seed-set", "1,1")
+        assert code == 1
+        assert out == ""
+        assert "node 1 appears more than once" in err
 
 
 class TestThresholds:
@@ -247,3 +268,14 @@ class TestSweep:
         header, *rows = csv_path.read_text().splitlines()
         assert header.startswith("price,")
         assert len(rows) == 5
+
+
+def test_python_m_profitmax_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "profitmax", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: profitmax" in done.stdout
+    assert "evaluate" in done.stdout

@@ -76,6 +76,11 @@ class TestEstimateProfit:
         est = estimate_profit_simulation(two_node_net, [0, 1], 50, 7)
         assert est.mean_profit == pytest.approx(0.5, abs=1e-12)
 
+    def test_repeated_seed_charged_once(self, two_node_net):
+        once = estimate_profit_simulation(two_node_net, [0], 50, 7)
+        assert estimate_profit_simulation(two_node_net, [0, 0], 50, 7) == once
+        assert once.mean_profit == pytest.approx(0.75, abs=1e-12)
+
     def test_empty_seeds(self, two_node_net):
         est = estimate_profit_simulation(two_node_net, [], 10, 7)
         assert est.mean_profit == 0.0

@@ -9,10 +9,12 @@ from scipy import stats
 from profitmax import (NetworkError, RACollection, RASet, estimate_F, exact_pi,
                        exact_profit, generate_collection, generate_ra_set,
                        load_collection, ra_t, save_collection)
+from profitmax import sampling
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
-                                coverage_indicator, covered_sets, sample_ra_block)
+                                _live_in_edges, coverage_indicator, covered_sets,
+                                sample_ra_block, sample_rr_block)
 
-from conftest import make_net, random_small_net
+from conftest import make_net, random_edge_text, random_small_net, realizations_of
 
 
 class TestRASet:
@@ -212,6 +214,60 @@ class TestKernel:
         ra = generate_ra_set(lt_fork_net, np.random.default_rng(3))
         roots, _, members = sample_ra_block(lt_fork_net, 1, np.random.default_rng(3))
         assert ra == RASet(int(roots[0]), frozenset(members.tolist()))
+
+
+def rr_sets(net, count, seed):
+    """sample_rr_block's passes joined: (sizes, members)."""
+    parts = list(sample_rr_block(net, count, np.random.default_rng(seed)))
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
+
+
+class TestRRKernel:
+    # one eligible-below-price node (5) and a cycle through the diamond
+    EDGES = KERNEL_NETS["diamond"] + "4 1\n4 5\n5 2\n1 6\n6 4\n"
+    INTRINSICS = [0.9, 0.9, 0.9, 0.9, 0.3, 0.9]
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_sets_are_reverse_reachability(self, model):
+        # RR_r(w) holds exactly the nodes whose forward reach in
+        # realization r, replayed from the same draw, contains w
+        net = make_net(self.EDGES, model=model, ic_p=0.5,
+                       intrinsics=self.INTRINSICS)
+        l, n = 40, net.n
+        sizes, members = rr_sets(net, l, 9)
+        assert_well_formed(n, np.tile(np.arange(n), l), sizes, members)
+        reals = realizations_of(net, *_live_in_edges(net, l, np.random.default_rng(9)))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        for r, real in enumerate(reals):
+            for w in range(n):
+                i = r * n + w
+                want = [u for u in range(n)
+                        if w in _reach_set(real.live_out, u)]
+                assert members[offsets[i]:offsets[i + 1]].tolist() == want
+
+    @pytest.mark.parametrize("model", ["ic-cp", "lt"])
+    def test_passes_compose(self, model, monkeypatch):
+        # one realization per pass draws the same stream as one pass
+        rng = random.Random(3)
+        net = make_net(random_edge_text(rng, 12, 30), model=model, ic_p=0.4)
+        whole = rr_sets(net, 50, 4)
+        monkeypatch.setattr(sampling, "SIM_STATE_BYTES", 1)
+        assert len(list(sample_rr_block(net, 50, np.random.default_rng(4)))) == 50
+        split = rr_sets(net, 50, 4)
+        assert np.array_equal(whole[0], split[0])
+        assert np.array_equal(whole[1], split[1])
+
+
+def _reach_set(live_out, u):
+    """Nodes reachable from u over live_out, u included."""
+    reached, queue = {u}, [u]
+    while queue:
+        for v in live_out[queue.pop()]:
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    return reached
 
 
 class TestEstimateF:
