@@ -20,9 +20,8 @@ from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
                      delta2, delta2_star, delta3, search_rat_params,
                      solve_ras_params, thresholds_at)
 from .diffusion import (ProfitEstimate, Realization, estimate_profit_simulation,
-                        load_realizations, replay_on_realization,
-                        sample_realization, sample_triggering_set,
-                        save_realizations, simulate_block, simulate_once)
+                        replay_on_realization, sample_realization,
+                        sample_triggering_set, simulate_block, simulate_once)
 from .exact import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
                     pi_table, profit_table, realization_count)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
@@ -31,9 +30,8 @@ from .network import (CONFIG_KEYS, MODELS, DiffusionParams, Graph, NetworkError,
                       generate_intrinsics, ingest_edge_list, load_intrinsics,
                       load_network_config)
 from .report import ReportError, RunReport, build_report, validate_report
-from .sampling import (RACollection, RASet, CollectionBuilder, estimate_F,
-                       generate_collection, generate_ra_set, load_collection,
-                       save_collection)
+from .sampling import (RACollection, CollectionBuilder, estimate_F,
+                       generate_collection)
 from .selectors import (SELECTORS, BaseSelector, HighDegreeBaseline,
                         MaxCoverageBaseline, RealizationSelector,
                         ReverseSimulationSelector, ReverseThresholdSelector,
@@ -46,19 +44,18 @@ __all__ = [
     "CollectionBuilder", "CoverageOracle", "DiffusionParams", "FunctionOracle",
     "Graph", "HighDegreeBaseline", "MaxCoverageBaseline", "MemoryBudgetError",
     "MODELS", "NetworkError", "OracleSizeError", "ParameterError", "ParseError",
-    "ProfitEstimate", "RACollection", "RASParams", "RASet", "Realization",
+    "ProfitEstimate", "RACollection", "RASParams", "Realization",
     "RealizationSelector", "ReportError", "ReverseSimulationSelector",
     "ReverseThresholdSelector", "RunReport", "SELECTORS", "SelectionResult",
     "SimulationSelector", "TCNetwork", "Thresholds", "best_seed_set",
     "build_report", "build_tc_network", "delta0", "delta1", "delta1_star",
     "delta2", "delta2_star", "delta3", "double_greedy", "estimate_F",
     "estimate_profit_simulation", "exact_pi", "exact_profit",
-    "generate_collection", "generate_intrinsics", "generate_ra_set",
-    "high_degree", "ingest_edge_list", "load_collection", "load_intrinsics",
-    "load_network_config", "load_realizations", "max_inf", "node_order",
+    "generate_collection", "generate_intrinsics",
+    "high_degree", "ingest_edge_list", "load_intrinsics",
+    "load_network_config", "max_inf", "node_order",
     "pi_table", "profit_table", "ra_s", "ra_t", "realization_count",
     "replay_on_realization", "rpm", "sample_realization",
-    "sample_triggering_set", "save_collection", "save_realizations",
-    "search_rat_params", "simulate_block", "simulate_once",
+    "sample_triggering_set", "search_rat_params", "simulate_block", "simulate_once",
     "solve_ras_params", "spm", "thresholds_at", "validate_report",
 ]

@@ -13,10 +13,14 @@ oracle is realized:
 * ra_s: reverse samples are grown on a doubling schedule and a simulation
   check decides when the collection is already trustworthy.
 
-Every entry point takes an integer seed and a worker count.  Every random
-stream (RA sets, forward runs, realizations) is split into fixed-size
-blocks with one SeedSequence child each, so results depend on the seed
-alone; workers is accepted for call compatibility.
+Every entry point takes the network, its own parameters and an integer
+seed.  Every random stream (RA sets, forward runs, realizations) is split
+into fixed-size blocks with one SeedSequence child each, so results depend
+on the seed alone.  Each also takes workers, which it ignores.
+
+ALGORITHMS maps each name to its function.  The selectors and the CLI read
+an algorithm's parameters and their defaults from its signature, so the
+signature is the one place they are stated.
 """
 
 import math
@@ -78,14 +82,14 @@ def _count_or(value, name: str, default: int) -> int:
     return int(value)
 
 
-def _counting_sim_oracle(net, l, eval_parent, workers):
+def _counting_sim_oracle(net, l, eval_parent):
     """Evaluator drawing l fresh simulations per call from its own stream."""
     state = {"sims": 0}
 
     def evaluate(s):
         child = eval_parent.spawn(1)[0]
         state["sims"] += l
-        return estimate_profit_simulation(net, s, l, child, workers).mean_profit
+        return estimate_profit_simulation(net, s, l, child).mean_profit
 
     return evaluate, state
 
@@ -100,7 +104,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     shift = 2.0 * eps * net.full_profit() / n
     ss = np.random.SeedSequence(seed)
     coin_ss, eval_parent = ss.spawn(2)
-    evaluate, state = _counting_sim_oracle(net, l, eval_parent, workers)
+    evaluate, state = _counting_sim_oracle(net, l, eval_parent)
     oracle = FunctionOracle(evaluate, range(n), shift=shift)
     members = double_greedy(oracle, range(n), _rng_from(coin_ss))
     return SelectionResult(
@@ -108,7 +112,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         sample_counts={"simulations": state["sims"], "realizations": 0, "ra_sets": 0},
         l=l,
         params={"eps": eps, "big_n": big_n, "l_override": l_override,
-                "seed": seed, "workers": workers})
+                "seed": seed})
 
 
 # Bytes the realization collection holds per RR set (its root and offset,
@@ -181,11 +185,10 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         sample_counts={"simulations": 0, "realizations": l, "ra_sets": 0},
         l=l, internal_value=oracle.current_value(),
         params={"eps": eps, "big_n": big_n, "l_override": l_override,
-                "seed": seed, "workers": workers,
-                "memory_budget_mb": memory_budget_mb})
+                "seed": seed, "memory_budget_mb": memory_budget_mb})
 
 
-def node_order(net: TCNetwork, probe_count: int, rng_seed, workers: int = 1) -> list:
+def node_order(net: TCNetwork, probe_count: int, rng_seed) -> list:
     """Order nodes by estimated single-seed influence, most first.
 
     Scores each node by how many of probe_count RA sets contain it, which
@@ -194,7 +197,7 @@ def node_order(net: TCNetwork, probe_count: int, rng_seed, workers: int = 1) -> 
     """
     if probe_count < 1:
         raise ParameterError("probe_count must be positive")
-    coll = generate_collection(net, probe_count, rng_seed, workers)
+    coll = generate_collection(net, probe_count, rng_seed)
     scores = coll.coverage_counts()
     order = np.lexsort((np.arange(net.n), -scores))
     return [int(v) for v in order]
@@ -218,10 +221,10 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
     l = min(l, _count_or(max_ra, "max_ra", l))
     ss = np.random.SeedSequence(seed)
     coll_ss, probe_ss, coin_ss = ss.spawn(3)
-    coll = generate_collection(net, l, coll_ss, workers)
+    coll = generate_collection(net, l, coll_ss)
     probes = _count_or(order_probes, "order_probes",
                        _default_probe_count(net, big_n, eps, max_ra))
-    order = node_order(net, probes, probe_ss, workers)
+    order = node_order(net, probes, probe_ss)
     oracle = CoverageOracle(coll, net.price, net.coupon)
     members = double_greedy(oracle, order, _rng_from(coin_ss))
     return SelectionResult(
@@ -230,7 +233,7 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
         l=l, internal_value=oracle.current_value(),
         params={"eps": eps, "big_n": big_n, "eps1": eps1, "eps2": eps2,
                 "max_ra": max_ra, "order_probes": probes,
-                "seed": seed, "workers": workers})
+                "seed": seed})
 
 
 def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
@@ -253,7 +256,7 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     probe_ss, loop_ss = ss.spawn(2)
     probes = _count_or(order_probes, "order_probes",
                        _default_probe_count(net, big_n, eps))
-    order = node_order(net, probes, probe_ss, workers)
+    order = node_order(net, probes, probe_ss)
     builder = CollectionBuilder(net)
     l_real = params.delta2_star
     prev_f = None
@@ -273,7 +276,7 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
         if l_real >= params.delta1_star * (1.0 - 1e-9):
             stop_reason = "threshold"
             break
-        check = estimate_profit_simulation(net, members, l_star, sim_ss, workers)
+        check = estimate_profit_simulation(net, members, l_star, sim_ss)
         sims += l_star
         if value <= (1.0 + eps3) * check.mean_profit:
             stop_reason = "confirmed"
@@ -294,7 +297,7 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
                 "delta2_star": params.delta2_star},
         params={"eps": eps, "big_n": big_n, "k": k, "eps3": eps3,
                 "plateau_pct": plateau_pct, "order_probes": probes,
-                "seed": seed, "workers": workers})
+                "seed": seed})
 
 
 ALGORITHMS = {SPM: spm, RPM: rpm, RA_T: ra_t, RA_S: ra_s}

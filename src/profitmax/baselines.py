@@ -61,8 +61,7 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
     return chain
 
 
-def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
-            workers: int = 1) -> SelectionResult:
+def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResult:
     """Sweep influence-greedy seed sets over target sizes, keep the most
     profitable.
 
@@ -75,7 +74,7 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
     coll_ss, eval_parent = ss.spawn(2)
     samples = cfg.ra_samples or max(
         1, math.ceil(delta2(max(n, 2), 0.4, net.discount_ratio)))
-    coll = generate_collection(net, samples, coll_ss, workers)
+    coll = generate_collection(net, samples, coll_ss)
     if cfg.fixed_size is not None:
         targets = [min(int(cfg.fixed_size), n)]
     else:
@@ -88,7 +87,7 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
     for s in targets:
         cand = frozenset(chain[:s])
         est = estimate_profit_simulation(net, cand, cfg.eval_simulations,
-                                         eval_parent.spawn(1)[0], workers)
+                                         eval_parent.spawn(1)[0])
         sweep.append((s, est.mean_profit))
         if best is None or est.mean_profit > best[0]:
             best = (est.mean_profit, cand)
@@ -100,11 +99,10 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
         extras={"sweep": sweep},
         params={"sweep_points": cfg.sweep_points, "fixed_size": cfg.fixed_size,
                 "eval_simulations": cfg.eval_simulations, "ra_samples": samples,
-                "seed": seed, "workers": workers})
+                "seed": seed})
 
 
-def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
-                workers: int = 1) -> SelectionResult:
+def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResult:
     """Random-size prefixes of the out-degree ranking, best profit wins.
 
     Each trial draws a size uniformly from {1..n} and seeds that many of
@@ -125,7 +123,7 @@ def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
         if s not in cache:
             cand = frozenset(ranking[:s])
             est = estimate_profit_simulation(net, cand, cfg.eval_simulations,
-                                             eval_parent.spawn(1)[0], workers)
+                                             eval_parent.spawn(1)[0])
             sims += cfg.eval_simulations
             cache[s] = (est.mean_profit, cand)
         profit, cand = cache[s]
@@ -136,4 +134,12 @@ def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0,
         sample_counts={"simulations": sims, "realizations": 0, "ra_sets": 0},
         l=cfg.trials, internal_value=best[0],
         params={"trials": cfg.trials, "eval_simulations": cfg.eval_simulations,
-                "seed": seed, "workers": workers})
+                "seed": seed})
+
+
+BASELINES = {
+    MAXINF: (max_inf, ("sweep_points", "eval_simulations", "fixed_size",
+                       "ra_samples")),
+    HIGHDEGREE: (high_degree, ("trials", "eval_simulations")),
+}
+"""Each baseline's function and the BaselineConfig fields it reads."""

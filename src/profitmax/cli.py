@@ -24,18 +24,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .algorithms import MemoryBudgetError, ra_s, ra_t, rpm, spm
-from .baselines import BaselineConfig, high_degree, max_inf
+from .algorithms import MemoryBudgetError
 from .bounds import (delta0, delta1, delta1_star, delta2, delta2_star, delta3,
                      search_rat_params, solve_ras_params)
-from .diffusion import ProfitEstimate, estimate_profit_simulation
+from .diffusion import estimate_profit_simulation
 from .exact import OracleSizeError, best_seed_set, exact_pi, exact_profit, profit_table
 from .network import (DiffusionParams, NetworkError, ParameterError, build_tc_network,
                       generate_intrinsics, ingest_edge_list, load_intrinsics,
                       load_network_config)
 from .report import ReportError, build_report
-
-ALG_CHOICES = ("spm", "rpm", "ra-t", "ra-s", "maxinf", "highdegree")
+from .selectors import SELECTORS
 
 _EVAL_STREAM_TAG = 0x45564153  # keeps evaluation draws apart from selection draws
 
@@ -54,12 +52,12 @@ def _add_network_args(p: argparse.ArgumentParser):
     p.add_argument("--intrinsics-file", help="one intrinsic value per line")
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: available cores); "
-                        "results do not depend on it")
+                   help="echoed in the report (default: available cores); "
+                        "no result depends on it")
 
 
 def _add_alg_args(p: argparse.ArgumentParser):
-    p.add_argument("--alg", choices=ALG_CHOICES, required=True)
+    p.add_argument("--alg", choices=SELECTORS, required=True)
     p.add_argument("--eps", type=float, default=0.4)
     p.add_argument("--bigN", type=float, default=None,
                    help="confidence parameter N (default: node count)")
@@ -90,6 +88,7 @@ def _resolve(args):
 
 
 def _build_network(args):
+    """The network, the parameters the report echoes, and the seed."""
     model, price, frac, ic_p, seed, threads = _resolve(args)
     with open(args.graph) as fh:
         g = ingest_edge_list(fh, undirected=args.undirected)
@@ -104,7 +103,7 @@ def _build_network(args):
             "model": model, "price": price, "coupon_frac": frac,
             "ic_p": ic_p, "intrinsics_file": args.intrinsics_file,
             "rng_seed": seed, "threads": threads}
-    return net, echo, seed, threads
+    return net, echo, seed
 
 
 def _emit(text: str, out_path):
@@ -139,36 +138,26 @@ def _ids_from_labels(net, labels):
     return ids
 
 
-def _select(args, net, seed, threads):
-    alg = args.alg
-    if alg == "spm":
-        return spm(net, eps=args.eps, big_n=args.bigN, l_override=args.l_override,
-                   seed=seed, workers=threads)
-    if alg == "rpm":
-        return rpm(net, eps=args.eps, big_n=args.bigN, l_override=args.l_override,
-                   seed=seed, workers=threads)
-    if alg == "ra-t":
-        return ra_t(net, eps=args.eps, big_n=args.bigN, max_ra=args.max_ra,
-                    seed=seed, workers=threads)
-    if alg == "ra-s":
-        return ra_s(net, eps=args.eps, big_n=args.bigN, k=args.k, eps3=args.eps3,
-                    plateau_pct=args.plateau_pct, seed=seed, workers=threads)
-    if alg == "maxinf":
-        cfg = BaselineConfig(eval_simulations=args.eval_sims,
-                             fixed_size=args.fixed_size)
-        return max_inf(net, cfg, seed=seed, workers=threads)
-    if alg == "highdegree":
-        cfg = BaselineConfig(eval_simulations=args.eval_sims)
-        return high_degree(net, cfg, seed=seed, workers=threads)
-    raise ParameterError(f"unknown algorithm {alg!r}")
+# the run/sweep flags whose names differ from the parameters they set
+_FLAG_OF = {"big_n": "bigN", "eval_simulations": "eval_sims"}
 
 
-def _run_once(args, net, echo, seed, threads):
+def _select(args, net, seed):
+    """Run the --alg algorithm with each of its parameters that has a flag
+    and the resolved seed; the rest keep the algorithm's defaults."""
+    selector = SELECTORS[args.alg]
+    params = {name: getattr(args, _FLAG_OF.get(name, name))
+              for name in selector().get_params()
+              if hasattr(args, _FLAG_OF.get(name, name))}
+    params["seed"] = seed
+    return selector(**params).fit(net).selection_
+
+
+def _run_once(args, net, echo, seed):
     start = time.perf_counter()
-    result = _select(args, net, seed, threads)
+    result = _select(args, net, seed)
     eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])
-    est = estimate_profit_simulation(net, result.members, args.eval_sims,
-                                     eval_ss, threads)
+    est = estimate_profit_simulation(net, result.members, args.eval_sims, eval_ss)
     wall_ms = round((time.perf_counter() - start) * 1000.0)
     counts = dict(result.sample_counts)
     counts["simulations"] = counts.get("simulations", 0) + args.eval_sims
@@ -183,21 +172,17 @@ def _run_once(args, net, echo, seed, threads):
 
 
 def cmd_run(args) -> int:
-    net, echo, seed, threads = _build_network(args)
-    report = _run_once(args, net, echo, seed, threads)
+    report = _run_once(args, *_build_network(args))
     _emit(report.to_json(), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    net, echo, seed, threads = _build_network(args)
+    net, echo, seed = _build_network(args)
     ids = _ids_from_labels(net, _parse_seed_labels(args.seed_set))
     start = time.perf_counter()
     eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])
-    if ids:
-        est = estimate_profit_simulation(net, ids, args.eval_sims, eval_ss, threads)
-    else:
-        est = ProfitEstimate(0.0, 0.0, args.eval_sims, "simulation")
+    est = estimate_profit_simulation(net, ids, args.eval_sims, eval_ss)
     wall_ms = round((time.perf_counter() - start) * 1000.0)
     parameters = dict(echo)
     parameters.update({"seed_set": args.seed_set, "eval_sims": args.eval_sims})
@@ -208,7 +193,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    net, echo, seed, threads = _build_network(args)
+    net = _build_network(args)[0]
     out = {"network": {"n": net.n, "m": net.m, "price": net.price,
                        "coupon": net.coupon, "model": net.params.model}}
     if args.seed_set is not None:
@@ -288,8 +273,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for price in SWEEP_PRICES:
         args.price = price
-        net, echo, seed, threads = _build_network(args)
-        report = _run_once(args, net, echo, seed, threads)
+        report = _run_once(args, *_build_network(args))
         lines.append(json.dumps(report.to_dict(), sort_keys=True))
         rows.append({"price": price, "algorithm": report.algorithm,
                      "seed_count": report.seed_count,
@@ -377,10 +361,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NetworkError, ParameterError, OracleSizeError, MemoryBudgetError,
-            ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+            ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

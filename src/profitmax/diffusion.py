@@ -16,12 +16,11 @@ seeded.
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkError, ParameterError, TCNetwork
+from .network import ParameterError, TCNetwork
 
 # Forward runs per random stream.  Every block of this many runs draws from
 # its own SeedSequence child, so an estimate depends on its seed alone.
@@ -86,8 +85,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 def stream_blocks(seed, total: int, block: int):
     """Split total samples into consecutive blocks of block samples, the
     last one possibly short, and yield (SeedSequence child, size) for
-    each.  The partition depends on total and block alone, never on how
-    many workers consume it."""
+    each.  The partition depends on total and block alone."""
     ss = _seed_sequence(seed)
     for i, child in enumerate(ss.spawn(-(-total // block))):
         yield child, min(block, total - i * block)
@@ -220,7 +218,7 @@ def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
 
     The runs are split into blocks of SIM_BLOCK, each driven by its own
     SeedSequence child of rng_seed, so the estimate depends on
-    (rng_seed, l) alone; workers is accepted for call compatibility.
+    (rng_seed, l) alone; workers is ignored.
     """
     if l < 1:
         raise ParameterError(f"need at least one simulation, got {l}")
@@ -298,64 +296,3 @@ def _reach_count(live_out, seeds) -> int:
                 reached.add(v)
                 queue.append(v)
     return len(reached)
-
-
-_REAL_MAGIC = b"TCRZ"
-_REAL_VERSION = 1
-
-
-def save_realizations(path, realizations, n: int):
-    """Binary cache: magic, version byte, n, count, then each realization
-    as per-node length-prefixed triggering lists (uint32 throughout)."""
-    with open(path, "wb") as fh:
-        fh.write(_REAL_MAGIC)
-        fh.write(struct.pack("<BII", _REAL_VERSION, n, len(realizations)))
-        for real in realizations:
-            if len(real.triggering) != n:
-                raise ValueError("realization node count mismatch")
-            for t in real.triggering:
-                fh.write(struct.pack("<I", len(t)))
-                if t:
-                    fh.write(struct.pack(f"<{len(t)}I", *t))
-
-
-class _CacheReader:
-    """Bounds-checked reads over a whole cache file held in memory."""
-
-    def __init__(self, path, kind: str):
-        with open(path, "rb") as fh:
-            self.data = fh.read()
-        self.pos = 0
-        self.kind = kind
-
-    def take(self, size: int) -> bytes:
-        end = self.pos + size
-        if end > len(self.data):
-            raise NetworkError(f"truncated {self.kind} cache")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4")
-
-
-def load_realizations(path):
-    reader = _CacheReader(path, "realization")
-    if reader.data[:4] != _REAL_MAGIC:
-        raise NetworkError("not a realization cache file")
-    reader.take(4)
-    version, n, count = reader.unpack("<BII")
-    if version != _REAL_VERSION:
-        raise NetworkError(f"unsupported realization cache version {version}")
-    out = []
-    for _ in range(count):
-        trig = []
-        for _ in range(n):
-            (k,) = reader.unpack("<I")
-            trig.append(reader.unpack(f"<{k}I") if k else ())
-        out.append(Realization.from_triggering(trig))
-    return out

@@ -15,32 +15,17 @@ w.  Over l realizations those l * n sets give F the value P times the mean
 adopter count of S across the realizations, less C * |S|.
 """
 
-import hashlib
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from .diffusion import (SIM_STATE_BYTES, _CacheReader, _expand, _seed_sequence,
-                        _sorted_runs, stream_blocks)
-from .network import NetworkError, TCNetwork
+from .diffusion import SIM_STATE_BYTES, _expand, _sorted_runs, stream_blocks
+from .network import TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
 # own SeedSequence child, so a collection depends on its seed alone.
 RA_BLOCK = 1 << 15
-# Entries per pass of the inverted-index build, which bounds its scratch
-# memory: about 50 bytes per entry.
+# Entries per pass of the inverted-index build and of the member count,
+# which bounds their scratch memory: about 50 bytes per entry.
 INDEX_CHUNK = 1 << 13
-
-
-@dataclass(frozen=True)
-class RASet:
-    root: int
-    members: frozenset
-
-    def __post_init__(self):
-        if self.root not in self.members:
-            raise ValueError("RA set must contain its own root")
 
 
 def _ic_parents(gen, sets, start, deg, p, indices, n):
@@ -194,27 +179,6 @@ def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
         yield _grow(sets * n + sets % n, runs * n, n, parents)  # root of r*n+w is w
 
 
-def generate_ra_set(net: TCNetwork, rng) -> RASet:
-    """Grow one RA set: a block of one through sample_ra_block.
-
-    rng is a numpy Generator, a random.Random (advanced by the call) or
-    a seed.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(_seed_sequence(rng))
-    roots, _, members = sample_ra_block(net, 1, rng)
-    return RASet(int(roots[0]), frozenset(members.tolist()))
-
-
-def coverage_indicator(seeds, ra: RASet) -> int:
-    """1 if the seed set intersects the RA set, else 0."""
-    members = ra.members
-    for s in seeds:
-        if s in members:
-            return 1
-    return 0
-
-
 def _stable_order(nodes, n: int) -> np.ndarray:
     """Stable argsort of node ids below n: passes over 16-bit digits,
     which numpy sorts by radix, so the cost is linear for any node count;
@@ -246,10 +210,6 @@ class RACollection:
     def members_of(self, i: int) -> np.ndarray:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
 
-    def sets(self):
-        for i in range(len(self)):
-            yield RASet(int(self.roots[i]), frozenset(int(v) for v in self.members_of(i)))
-
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -258,9 +218,8 @@ class RACollection:
         idx_offsets[v+1]] are the indices of RA sets containing v, ascending,
         as int32."""
         if self._index is None:
-            counts = np.bincount(self.members, minlength=self.n)
             idx_offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=idx_offsets[1:])
+            np.cumsum(self.coverage_counts(), out=idx_offsets[1:])
             idx_sets = np.empty(self.members.size, dtype=np.int32)
             cursor = idx_offsets[:-1].copy()  # each node's next free slot
             # a counting sort: entries come in set order, so filling each
@@ -289,17 +248,13 @@ class RACollection:
         return idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
 
     def coverage_counts(self) -> np.ndarray:
-        """How many RA sets contain each node."""
-        return np.bincount(self.members, minlength=self.n)
-
-    @classmethod
-    def from_sets(cls, n: int, sets):
-        roots, offsets, members = [], [0], []
-        for ra in sets:
-            roots.append(ra.root)
-            members.extend(sorted(ra.members))
-            offsets.append(len(members))
-        return cls(n, roots, offsets, members)
+        """How many RA sets contain each node, as int64.  Counted in place
+        per INDEX_CHUNK entries: np.bincount would first copy the whole
+        int32 member array to int64."""
+        counts = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, self.members.size, INDEX_CHUNK):
+            np.add.at(counts, self.members[lo:lo + INDEX_CHUNK], 1)
+        return counts
 
 
 class CollectionBuilder:
@@ -348,8 +303,8 @@ def generate_collection(net: TCNetwork, l: int, rng_seed, workers: int = 1) -> R
     """Generate l RA sets.
 
     The stream is split into blocks of RA_BLOCK sets with one SeedSequence
-    child each, so the collection is the same for every workers value;
-    workers is accepted for call compatibility.
+    child each, so the collection depends on (rng_seed, l) alone; workers
+    is ignored.
     """
     if l < 1:
         raise ValueError("collection needs at least one RA set")
@@ -373,52 +328,3 @@ def covered_sets(coll: RACollection, seeds) -> np.ndarray:
     for v in set(seeds):
         covered[coll.sets_containing(v)] = True
     return covered
-
-
-_RA_MAGIC = b"RACL"
-_RA_VERSION = 2
-
-
-def _model_digest(net: TCNetwork) -> bytes:
-    csr = net.in_csr()
-    h = hashlib.sha256(repr((net.params.model, net.params.ic_probability, net.price,
-                             net.coupon, net.n, net.m, net.intrinsic)).encode())
-    h.update(csr.indptr.astype("<i8").tobytes())
-    h.update(csr.indices.astype("<i4").tobytes())
-    return h.digest()[:8]
-
-
-def save_collection(path, coll: RACollection, net: TCNetwork):
-    """Versioned binary cache: header (magic, version, model digest, n, l),
-    then the roots, the set sizes and all members as uint32 arrays."""
-    with open(path, "wb") as fh:
-        fh.write(_RA_MAGIC)
-        fh.write(struct.pack("<B", _RA_VERSION))
-        fh.write(_model_digest(net))
-        fh.write(struct.pack("<IQ", coll.n, len(coll)))
-        for arr in (coll.roots, coll.sizes(), coll.members):
-            fh.write(arr.astype("<u4").tobytes())
-
-
-def load_collection(path, net: TCNetwork) -> RACollection:
-    reader = _CacheReader(path, "RA collection")
-    if reader.data[:4] != _RA_MAGIC:
-        raise NetworkError("not an RA collection cache file")
-    reader.take(4)
-    (version,) = reader.unpack("<B")
-    if version != _RA_VERSION:
-        raise NetworkError(f"unsupported RA cache version {version}")
-    if reader.take(8) != _model_digest(net):
-        raise NetworkError(
-            "RA cache was generated for a different network or model")
-    n, l = reader.unpack("<IQ")
-    if n != net.n:
-        raise NetworkError("RA cache node count mismatch")
-    roots = reader.u32_array(l)
-    sizes = reader.u32_array(l).astype(np.int64)
-    members = reader.u32_array(int(sizes.sum()))
-    if (l and roots.max() >= n) or (members.size and members.max() >= n):
-        raise NetworkError("RA cache holds node ids outside the network")
-    offsets = np.zeros(l + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return RACollection(n, roots, offsets, members)

@@ -1,12 +1,19 @@
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from profitmax import validate_report
-from profitmax.cli import main
+from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams, build_tc_network,
+                       generate_intrinsics, ingest_edge_list, validate_report)
+from profitmax.cli import build_parser, main
+
+from conftest import random_edge_text
+
+EVAL_SIMS = 100
 
 
 @pytest.fixture
@@ -57,6 +64,27 @@ class TestIngestCheck:
                                str(tmp_path / "nope.txt"))
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("ingest-check", "--graph"),
+    ("run", "--graph"),
+    ("run", "--config"),
+    ("run", "--out"),
+    ("sweep", "--csv"),
+])
+def test_directory_path_fails_cleanly(capsys, graph_file, intr_file, tmp_path,
+                                      command, flag):
+    # an IsADirectoryError is an OSError: exit 1 with a message, no traceback
+    flags = {"--graph": graph_file}
+    if command != "ingest-check":
+        flags.update({"--intrinsics-file": intr_file, "--alg": "ra-t",
+                      "--max-ra": "50", "--eval-sims": "10"})
+    flags[flag] = str(tmp_path)
+    code, _, err = run_cli(capsys, command,
+                           *[tok for pair in flags.items() for tok in pair])
+    assert code == 1
+    assert err.startswith("error:") and "directory" in err
 
 
 class TestRun:
@@ -187,6 +215,32 @@ class TestEvaluate:
         assert data["seed_set"] == []
         assert data["estimated_profit"]["value"] == 0.0
 
+    def test_empty_seed_set_report(self, capsys, graph_file, intr_file):
+        # the empty set takes the same path as any other: no draws, 0 adopters
+        code, out, _ = run_cli(
+            capsys, "evaluate", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--seed-set", "", "--eval-sims", "50", "--seed", "3")
+        assert code == 0
+        data = json.loads(out)
+        validate_report(data)
+        assert data["seed_count"] == 0
+        assert data["estimated_profit"] == {
+            "value": 0.0, "mean_adopters": 0.0, "estimator_kind": "simulation",
+            "sample_count": 50}
+        assert data["sample_counts"] == {"simulations": 50, "realizations": 0,
+                                         "ra_sets": 0}
+
+    @pytest.mark.parametrize("seed_set", ["", "1"])
+    @pytest.mark.parametrize("sims", ["0", "-4"])
+    def test_nonpositive_eval_sims_fail(self, capsys, graph_file, intr_file,
+                                        seed_set, sims):
+        code, out, err = run_cli(
+            capsys, "evaluate", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--seed-set", seed_set, "--eval-sims", sims)
+        assert code == 1
+        assert out == ""
+        assert "at least one simulation" in err
+
     def test_unknown_node_fails(self, capsys, graph_file, intr_file):
         code, _, err = run_cli(
             capsys, "evaluate", "--graph", graph_file, "--intrinsics-file",
@@ -279,3 +333,50 @@ def test_python_m_profitmax_help():
     assert done.returncode == 0, done.stderr
     assert "usage: profitmax" in done.stdout
     assert "evaluate" in done.stdout
+
+
+class TestRegistry:
+    # flags for `profitmax run` and the same values as selector parameters
+    CASES = {
+        "spm": (["--eps", "0.3", "--l-override", "40"],
+                {"eps": 0.3, "l_override": 40}),
+        "rpm": (["--l-override", "60"], {"l_override": 60}),
+        "ra-t": (["--bigN", "20", "--max-ra", "5000"],
+                 {"big_n": 20.0, "max_ra": 5000}),
+        "ra-s": (["--k", "3", "--eps3", "0.2", "--plateau-pct", "3"],
+                 {"k": 3, "eps3": 0.2, "plateau_pct": 3.0}),
+        "maxinf": (["--fixed-size", "3"],
+                   {"fixed_size": 3, "eval_simulations": EVAL_SIMS}),
+        "highdegree": ([], {"eval_simulations": EVAL_SIMS}),
+    }
+
+    @pytest.mark.parametrize("alg", sorted(CASES))
+    def test_cli_picks_what_the_selector_picks(self, capsys, tmp_path, alg):
+        path = tmp_path / "graph.txt"
+        path.write_text(random_edge_text(random.Random(4), 12, 30))
+        flags, params = self.CASES[alg]
+        code, out, _ = run_cli(
+            capsys, "run", "--graph", str(path), "--model", "lt", "--seed", "6",
+            "--alg", alg, "--eval-sims", str(EVAL_SIMS), *flags)
+        assert code == 0
+        report = json.loads(out)
+        net = build_tc_network(ingest_edge_list(str(path)),
+                               DiffusionParams("lt", 0.01), 0.5, 0.9 * 0.5,
+                               generate_intrinsics(ingest_edge_list(str(path)),
+                                                   0.5, 0.9 * 0.5, 6))
+        sel = SELECTORS[alg](seed=6, **params).fit(net)
+        assert sel.selection_.produced_by == alg
+        assert report["seed_set"] == sel.seed_labels_
+        counts = dict(sel.sample_counts_)
+        counts["simulations"] += EVAL_SIMS
+        assert report["sample_counts"] == counts
+
+    def test_names_agree(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command in ("run", "sweep"):
+            alg = next(a for a in commands[command]._actions if a.dest == "alg")
+            assert list(alg.choices) == list(SELECTORS)
+        assert set(SELECTORS) == set(ALGORITHMS) | {"maxinf", "highdegree"}
+        assert set(self.CASES) == set(SELECTORS)

@@ -4,11 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (NetworkError, ParameterError, ProfitEstimate,
-                       Realization, estimate_profit_simulation, exact_pi,
-                       load_realizations, replay_on_realization,
-                       sample_realization, sample_triggering_set,
-                       save_realizations, simulate_block, simulate_once)
+from profitmax import (ParameterError, Realization, estimate_profit_simulation,
+                       exact_pi, replay_on_realization, sample_realization,
+                       sample_triggering_set, simulate_block, simulate_once)
 from profitmax.diffusion import SIM_BLOCK
 
 from conftest import make_net
@@ -239,29 +237,3 @@ class TestRealizations:
             total += replay_on_realization(sample_realization(lt_fork_net, child), [a])
         se = math.sqrt(0.25 / l)
         assert total / l == pytest.approx(1.5, abs=4 * se)
-
-    def test_save_load_round_trip(self, tmp_path, lt_fork_net):
-        reals = [sample_realization(lt_fork_net, s) for s in range(20)]
-        path = tmp_path / "reals.bin"
-        save_realizations(str(path), reals, lt_fork_net.n)
-        loaded = load_realizations(str(path))
-        assert len(loaded) == 20
-        for a, b in zip(reals, loaded):
-            assert a.triggering == b.triggering
-
-    @pytest.mark.parametrize("cut", ["header", "body"])
-    def test_load_truncated_fails_cleanly(self, tmp_path, lt_fork_net, cut):
-        reals = [sample_realization(lt_fork_net, s) for s in range(5)]
-        path = tmp_path / "reals.bin"
-        save_realizations(str(path), reals, lt_fork_net.n)
-        data = path.read_bytes()
-        # the header is 13 bytes: magic, version, n, count
-        path.write_bytes(data[:9] if cut == "header" else data[:-2])
-        with pytest.raises(NetworkError, match="truncated realization cache"):
-            load_realizations(str(path))
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a cache")
-        with pytest.raises(ValueError):
-            load_realizations(str(path))

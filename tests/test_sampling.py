@@ -1,46 +1,47 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from profitmax import (NetworkError, RACollection, RASet, estimate_F, exact_pi,
-                       exact_profit, generate_collection, generate_ra_set,
-                       load_collection, ra_t, save_collection)
+from profitmax import (RACollection, estimate_F, exact_pi, exact_profit,
+                       generate_collection, ra_t)
 from profitmax import sampling
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
-                                _live_in_edges, coverage_indicator, covered_sets,
-                                sample_ra_block, sample_rr_block)
+                                _live_in_edges, covered_sets, sample_ra_block,
+                                sample_rr_block)
 
 from conftest import make_net, random_edge_text, random_small_net, realizations_of
 
 
-class TestRASet:
-    def test_root_must_be_member(self):
-        with pytest.raises(ValueError):
-            RASet(root=0, members=frozenset({1}))
+def ra_sets(net, count, seed):
+    """count RA sets from sample_ra_block as (root, members frozenset)."""
+    roots, sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    return [(int(r), frozenset(members[lo:hi].tolist()))
+            for r, lo, hi in zip(roots, bounds[:-1], bounds[1:])]
 
+
+class TestRASet:
     def test_fork_outcomes(self, lt_fork_net):
         # under the threshold model the tip picks exactly one parent
         a = lt_fork_net.graph.id_of(1)
         b = lt_fork_net.graph.id_of(2)
         c = lt_fork_net.graph.id_of(3)
-        rng = random.Random(0)
-        for _ in range(100):
-            ra = generate_ra_set(lt_fork_net, rng)
-            assert ra.root in ra.members
-            if ra.root in (a, b):
-                assert ra.members == frozenset({ra.root})
+        for root, members in ra_sets(lt_fork_net, 100, 0):
+            assert root in members
+            if root in (a, b):
+                assert members == frozenset({root})
             else:
-                assert ra.members in (frozenset({c, a}), frozenset({c, b}))
+                assert members in (frozenset({c, a}), frozenset({c, b}))
 
     def test_root_uniform(self, lt_fork_net):
-        rng = random.Random(1)
         trials = 6000
-        counts = Counter(generate_ra_set(lt_fork_net, rng).root
-                         for _ in range(trials))
+        roots = generate_collection(lt_fork_net, trials, 1).roots
+        counts = np.bincount(roots, minlength=3)
         expected = trials / 3
         chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(3))
         assert chi2 < stats.chi2.ppf(0.999, df=2)
@@ -49,12 +50,9 @@ class TestRASet:
         # reverse sampling must induce the same (root, set) distribution
         # as materializing a full realization and reverse-reaching the root
         net = make_net("1 2\n2 3\n", ic_p=0.5)
-        rng = random.Random(2)
         trials = 9000
-        counts = Counter()
-        for _ in range(trials):
-            ra = generate_ra_set(net, rng)
-            counts[(ra.root, tuple(sorted(ra.members)))] += 1
+        counts = Counter((root, tuple(sorted(members)))
+                         for root, members in ra_sets(net, trials, 2))
         # exact law: root uniform; reverse chain halts at each edge w.p. 1/2
         expected = {
             (0, (0,)): 1 / 3,
@@ -68,17 +66,9 @@ class TestRASet:
 
     def test_ineligible_root_never_expands(self):
         net = make_net("1 2\n2 3\n", ic_p=1.0, intrinsics=[0.9, 0.3, 0.9])
-        rng = random.Random(3)
-        for _ in range(50):
-            ra = generate_ra_set(net, rng)
-            if ra.root == 1:  # cannot pay full price: empty triggering set
-                assert ra.members == frozenset({1})
-
-    def test_coverage_indicator(self):
-        ra = RASet(root=2, members=frozenset({2, 0}))
-        assert coverage_indicator([0], ra) == 1
-        assert coverage_indicator([1], ra) == 0
-        assert coverage_indicator([], ra) == 0
+        for root, members in ra_sets(net, 50, 3):
+            if root == 1:  # cannot pay full price: empty triggering set
+                assert members == frozenset({1})
 
 
 class TestCollection:
@@ -109,9 +99,9 @@ class TestCollection:
         assert a.internal_value == b.internal_value
 
     def test_from_sets_round_trip(self):
-        sets = [RASet(0, frozenset({0})), RASet(1, frozenset({0, 1}))]
-        coll = RACollection.from_sets(2, sets)
+        coll = RACollection(2, [0, 1], [0, 1, 3], [0, 0, 1])
         assert len(coll) == 2
+        assert list(coll.members_of(0)) == [0]
         assert list(coll.members_of(1)) == [0, 1]
         assert list(coll.sizes()) == [1, 2]
 
@@ -146,10 +136,31 @@ class TestCollection:
             i for i in range(1, l) if n - 1 in sets[i]]
 
     def test_coverage_counts(self):
-        sets = [RASet(0, frozenset({0})), RASet(1, frozenset({0, 1})),
-                RASet(1, frozenset({1}))]
-        coll = RACollection.from_sets(2, sets)
+        coll = RACollection(2, [0, 1, 1], [0, 1, 3, 4], [0, 0, 1, 1])
         assert list(coll.coverage_counts()) == [2, 2]
+
+    @pytest.mark.parametrize("n", [1000, 70_000])  # one and two radix passes
+    def test_index_scratch_is_bounded(self, n):
+        # 1.5M entries: counting them with one np.bincount would first copy
+        # the int32 members to int64, 12 MB of scratch for a 6 MB index
+        rng = np.random.default_rng(5)
+        offsets = np.concatenate(([0], np.cumsum(rng.integers(1, 6, 500_000))))
+        members = rng.integers(0, n, offsets[-1]).astype(np.int32)
+        coll = RACollection(n, members[offsets[:-1]], offsets, members)
+        tracemalloc.start()
+        try:
+            size = coll.coverage_counts().nbytes
+            counts_scratch = tracemalloc.get_traced_memory()[1] - size
+            tracemalloc.reset_peak()
+            idx_offsets, idx_sets = coll.index()
+            index_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts_scratch <= 16 * INDEX_CHUNK
+        assert np.array_equal(np.diff(idx_offsets), np.bincount(members, minlength=n))
+        # the result, a cursor and a count per node, and ~50 B per chunk entry
+        result = idx_offsets.nbytes + idx_sets.nbytes
+        assert index_peak <= result + 2 * idx_offsets.nbytes + 64 * INDEX_CHUNK
 
     def test_builder_matches_generate_len(self, lt_fork_net):
         builder = CollectionBuilder(lt_fork_net)
@@ -209,11 +220,6 @@ class TestKernel:
         assert_well_formed(net.n, coll.roots, coll.sizes(), coll.members)
         for i in range(0, len(coll), 37):
             assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
-
-    def test_generate_ra_set_is_a_block_of_one(self, lt_fork_net):
-        ra = generate_ra_set(lt_fork_net, np.random.default_rng(3))
-        roots, _, members = sample_ra_block(lt_fork_net, 1, np.random.default_rng(3))
-        assert ra == RASet(int(roots[0]), frozenset(members.tolist()))
 
 
 def rr_sets(net, count, seed):
@@ -298,51 +304,5 @@ class TestEstimateF:
         assert got == pytest.approx(want, abs=4 * se)
 
     def test_covered_sets_mask(self):
-        sets = [RASet(0, frozenset({0})), RASet(1, frozenset({1}))]
-        coll = RACollection.from_sets(2, sets)
+        coll = RACollection(2, [0, 1], [0, 1, 2], [0, 1])
         assert list(covered_sets(coll, [0])) == [True, False]
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path, lt_fork_net):
-        coll = generate_collection(lt_fork_net, 120, 9)
-        path = tmp_path / "ra.bin"
-        save_collection(str(path), coll, lt_fork_net)
-        loaded = load_collection(str(path), lt_fork_net)
-        assert len(loaded) == 120
-        assert np.array_equal(loaded.roots, coll.roots)
-        assert np.array_equal(loaded.members, coll.members)
-
-    def test_rejects_other_network(self, tmp_path, lt_fork_net):
-        coll = generate_collection(lt_fork_net, 10, 9)
-        path = tmp_path / "ra.bin"
-        save_collection(str(path), coll, lt_fork_net)
-        other = make_net("1 3\n2 3\n", model="lt", price=0.4, coupon=0.1)
-        with pytest.raises(ValueError, match="different network"):
-            load_collection(str(path), other)
-
-    def test_rejects_same_shape_other_edges(self, tmp_path):
-        # same model, prices, n and m; only the edges differ
-        net = make_net("1 2\n2 3\n")
-        other = make_net("1 2\n1 3\n")
-        path = tmp_path / "ra.bin"
-        save_collection(str(path), generate_collection(net, 50, 2), net)
-        with pytest.raises(NetworkError, match="different network"):
-            load_collection(str(path), other)
-
-    @pytest.mark.parametrize("cut", ["header", "body"])
-    def test_truncated_file_fails_cleanly(self, tmp_path, lt_fork_net, cut):
-        path = tmp_path / "ra.bin"
-        save_collection(str(path), generate_collection(lt_fork_net, 40, 1),
-                        lt_fork_net)
-        data = path.read_bytes()
-        # the header is 25 bytes: magic, version, digest, n, l
-        path.write_bytes(data[:20] if cut == "header" else data[:-3])
-        with pytest.raises(NetworkError, match="truncated RA collection cache"):
-            load_collection(str(path), lt_fork_net)
-
-    def test_rejects_garbage(self, tmp_path, lt_fork_net):
-        path = tmp_path / "ra.bin"
-        path.write_bytes(b"???")
-        with pytest.raises(ValueError):
-            load_collection(str(path), lt_fork_net)
