@@ -6,20 +6,52 @@ shrinking set Y.  For each node it asks an oracle for the two marginals
     a = h(X + v) - h(X)        b = h(Y - v) - h(Y)
 
 clamps both at zero and admits v with probability a' / (a' + b'),
-admitting outright when both clamp to zero.  Estimated oracles add a fixed
-shift of 2 eps L* / n to each marginal, which compensates estimation error
-up to eps L* / n per evaluation.
+admitting outright when both clamp to zero (Buchbinder, Feldman, Naor &
+Schwartz, FOCS 2012).  Estimated oracles add a fixed shift of
+2 eps L* / n to each marginal, which compensates estimation error up to
+eps L* / n per evaluation.
 
 Two oracle flavors live here: a generic one that calls an arbitrary
 set-function evaluator four times per node (spm), and an incremental one
 over a collection of node sets that answers marginals from per-set
-coverage counters in time proportional to the node's index size (ra-t and
-ra-s over RA sets, rpm over its realizations' reverse-reachable sets).
+coverage counters (ra-t and ra-s over RA sets, rpm over its realizations'
+reverse-reachable sets).
+
+The coverage oracle splits its collection when one-member sets dominate
+it, as RA sets on sparse networks do.  A set {v} is read and written by v
+alone, and is always uncovered in X and covered in Y when v comes up, so
+it adds one to both of v's marginal counts: such sets are kept as one
+count per node, and only the sets with two or more members get counters
+and an inverted index.  Those are what couple the nodes: v's marginals
+read only the counters of v's sets, and deciding v writes only those.  So
+a run of consecutive nodes in the order whose multi-member sets are
+pairwise disjoint can be decided at once, with the same result as one at
+a time: the concurrency-control scheme of Pan, Jegelka, Gonzalez, Bradley
+& Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS 2014).
+The coins are drawn in order, and only for nodes whose clamped marginals
+do not both vanish, so the batched pass is bit-identical to the
+sequential one.  Planning the runs costs a sort of the multi-member
+entries, so it is skipped where the runs are expected to be short, as on
+the dense reverse-reachable sets of small networks.
 """
 
 import numpy as np
 
-from .sampling import RACollection
+from .sampling import INDEX_CHUNK, RACollection
+
+# Batches of fewer nodes than this take one scalar step per node: a step
+# costs a handful of numpy calls, the vectorised body a few dozen.
+SCALAR_BATCH = 4
+
+
+def _admit(a: float, b: float, rand) -> bool:
+    """The double-greedy decision on marginals a and b: admit with
+    probability a' / (a' + b') of the clamped marginals, outright when
+    both vanish, in which case no coin is drawn."""
+    a_pos = a if a > 0.0 else 0.0
+    b_pos = b if b > 0.0 else 0.0
+    total = a_pos + b_pos
+    return total == 0.0 or rand() < a_pos / total
 
 
 class FunctionOracle:
@@ -55,6 +87,72 @@ class FunctionOracle:
             self.y.discard(v)
 
 
+def _split_singletons(coll: RACollection):
+    """(single, multi): how many one-member sets each node has, as int64,
+    and the sets with two or more members as their own collection.  Empty
+    sets are dropped: nothing covers them.
+
+    Walks the collection INDEX_CHUNK sets at a time, twice: once to count,
+    which fixes the size of the result, and once to copy the kept sets
+    into it.  So its scratch is bounded by the chunk and by what it keeps.
+    """
+    single = np.zeros(coll.n, dtype=np.int64)
+    chunks = range(0, len(coll), INDEX_CHUNK)
+    sets = 0
+    for lo in chunks:
+        offsets = coll.offsets[lo:lo + INDEX_CHUNK + 1]
+        sizes = np.diff(offsets)
+        np.add.at(single, coll.members[offsets[:-1][sizes == 1]], 1)
+        sets += int(np.count_nonzero(sizes > 1))
+    roots = np.empty(sets, dtype=np.int32)
+    multi_offsets = np.zeros(sets + 1, dtype=np.int64)
+    members = np.empty(coll.members.size - int(single.sum()), dtype=np.int32)
+    at = 0
+    for lo in chunks:
+        offsets = coll.offsets[lo:lo + INDEX_CHUNK + 1]
+        sizes = np.diff(offsets)
+        keep = np.flatnonzero(sizes > 1)
+        roots[at:at + keep.size] = coll.roots[lo + keep]
+        ends = multi_offsets[at + 1:at + keep.size + 1]
+        np.cumsum(sizes[keep], out=ends)
+        ends += multi_offsets[at]
+        entries = np.ones(offsets[-1] - offsets[0], dtype=bool)
+        entries[offsets[:-1][sizes == 1] - offsets[0]] = False
+        members[multi_offsets[at]:multi_offsets[at + keep.size]] = \
+            coll.members[offsets[0]:offsets[-1]][entries]
+        at += keep.size
+    return single, RACollection(coll.n, roots, multi_offsets, members)
+
+
+def _latest_conflicts(coll: RACollection) -> np.ndarray:
+    """For each node v, the largest node below v that shares a set with
+    it, or -1.
+
+    Sorts each set's members and pairs neighbours, whole sets of about
+    INDEX_CHUNK entries at a time, so the scratch is bounded by the chunk
+    and the largest set.
+    """
+    n = coll.n
+    conflict = np.full(n, -1, dtype=np.int64)
+    first = 0
+    while first < len(coll):
+        lo = coll.offsets[first]
+        last = max(first + 1, int(np.searchsorted(coll.offsets, lo + INDEX_CHUNK,
+                                                  side="right")) - 1)
+        bounds = coll.offsets[first:last + 1] - lo
+        base = np.repeat(np.arange(last - first, dtype=np.int64) * n,
+                         np.diff(bounds))
+        keys = base + coll.members[lo:lo + bounds[-1]]
+        keys.sort(kind="stable")  # keeps each set's slots; finds sorted runs
+        keys -= base
+        prev = np.empty_like(keys)
+        prev[1:] = keys[:-1]
+        prev[bounds[:-1][bounds[:-1] < keys.size]] = -1  # each set's first
+        np.maximum.at(conflict, keys, prev)
+        first = last
+    return conflict
+
+
 class CoverageOracle:
     """Incremental marginals of a coverage profit estimator.
 
@@ -63,63 +161,178 @@ class CoverageOracle:
     reverse-reachable sets of each of l realizations, where it equals the
     realizations' mean adopter count times P, less C * |S|.
 
-    Maintains, for every set j, how many of its members are in X and in
-    Y.  Adding v to X newly covers exactly the sets containing v with zero
-    X-members so far; removing v from Y uncovers exactly those where v is
-    the last Y-member.  shift is added to every marginal; F itself is
-    evaluated exactly given the collection.
+    single[v] counts the one-member sets {v} split off the collection, and
+    multi holds the other sets (all of them when the split would not pay).
+    count_x and count_y hold, for each set of multi, how many of its
+    members are in X and in Y.  Adding v to X newly covers its one-member
+    sets and the sets of multi containing v with zero X-members so far;
+    removing v from Y uncovers its one-member sets and the sets of multi
+    where v is the last Y-member.  shift is added to every marginal; F
+    itself is evaluated exactly given the collection.
+
+    greedy_pass runs the double-greedy pass over this oracle; batched says
+    whether it plans conflict-free batches or steps through the nodes one
+    at a time.
     """
 
     def __init__(self, coll: RACollection, price: float, coupon: float,
                  shift: float = 0.0):
-        self.coll = coll
         self.price = price
         self.coupon = coupon
         self.shift = shift
         self.unit = price * coll.n / len(coll)
-        self.count_x = np.zeros(len(coll), dtype=np.int32)
-        self.count_y = coll.sizes().astype(np.int32)
+        # The split is a pass over every set that saves index entries and
+        # counter updates on the one-member sets alone.  It is made when
+        # those hold at least half the entries, which is certain once
+        # 4 |sets| >= 3 |entries|, as every other set holds two or more.
+        if 4 * len(coll) >= 3 * coll.members.size:
+            self.single, self.multi = _split_singletons(coll)
+        else:
+            self.single, self.multi = np.zeros(coll.n, dtype=np.int64), coll
+        sizes = self.multi.sizes()
+        self.count_x = np.zeros(len(self.multi), dtype=np.int32)
+        self.count_y = sizes.astype(np.int32)
+        # Whether the mean batch of plan() should reach SCALAR_BATCH nodes.
+        # With c node pairs sharing a set, spread over the n^2 / 2 pairs, a
+        # run of b nodes holds about b^2 c / n^2 of them, and runs end about
+        # where that reaches one half: after n / sqrt(2 c) nodes.
+        shared = float(np.dot(sizes, sizes)) - self.multi.members.size  # 2 c
+        self.batched = coll.n ** 2 >= SCALAR_BATCH ** 2 * shared
         self.x = set()
         self.y = set(range(coll.n))
 
     def gain_add(self, v) -> float:
-        idx = self.coll.sets_containing(v)
-        newly = int(np.count_nonzero(self.count_x[idx] == 0))
-        return self.unit * newly - self.coupon + self.shift
+        return self._gains(v, self.multi.sets_containing(v))[0]
 
     def gain_remove(self, v) -> float:
-        idx = self.coll.sets_containing(v)
-        lost = int(np.count_nonzero(self.count_y[idx] == 1))
-        return -self.unit * lost + self.coupon + self.shift
+        return self._gains(v, self.multi.sets_containing(v))[1]
 
     def apply(self, v, included: bool):
-        idx = self.coll.sets_containing(v)
+        self._apply(v, self.multi.sets_containing(v), included)
+
+    def _gains(self, v, sets):
+        """(a, b) of node v, whose multi-member sets are sets."""
+        ones = int(self.single[v])
+        newly = ones + int(np.count_nonzero(self.count_x[sets] == 0))
+        lost = ones + int(np.count_nonzero(self.count_y[sets] == 1))
+        return (self.unit * newly - self.coupon + self.shift,
+                -self.unit * lost + self.coupon + self.shift)
+
+    def _apply(self, v, sets, included: bool):
         if included:
             self.x.add(v)
-            self.count_x[idx] += 1  # idx has no duplicates: one entry per set
+            self.count_x[sets] += 1  # sets has no duplicates: one entry per set
         else:
             self.y.discard(v)
-            self.count_y[idx] -= 1
+            self.count_y[sets] -= 1
 
     def current_value(self) -> float:
         """F of the growing side, from the counters."""
-        covered = int(np.count_nonzero(self.count_x))
+        x = np.fromiter(self.x, dtype=np.int64, count=len(self.x))
+        covered = int(self.single[x].sum()) + int(np.count_nonzero(self.count_x))
         return self.unit * covered - self.coupon * len(self.x)
+
+    def _permutation(self, order) -> np.ndarray:
+        """order as an int64 array.  Raises ValueError unless it is a
+        permutation of 0..n-1: a repeated node would be applied twice."""
+        n = self.multi.n
+        order = np.asarray(order, dtype=np.int64).reshape(-1)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of 0..{n - 1}")
+        return order
+
+    def plan(self, order):
+        """Split order into runs of consecutive nodes that share no
+        multi-member set.
+
+        Returns (order, cuts, offsets, sets).  order is an int64 array.
+        cuts are the points 0 = cuts[0] < ... < cuts[-1] = n of the greedy
+        split: each batch order[cuts[i]:cuts[i+1]] is conflict-free, and
+        the node after it shares a set with one of its nodes.  The
+        multi-member sets of the node at position p are
+        sets[offsets[p]:offsets[p+1]], ascending.  Raises ValueError
+        unless order is a permutation of 0..n-1.
+        """
+        order = self._permutation(order)
+        position = np.empty(order.size, dtype=np.int32)
+        position[order] = np.arange(order.size, dtype=np.int32)
+        # the multi-member sets with positions for members: its index
+        # lists the sets of each position
+        by_position = RACollection(order.size, self.multi.roots,
+                                   self.multi.offsets,
+                                   position[self.multi.members])
+        # the batch from s ends at the first later position whose latest
+        # earlier conflicting position is s or after
+        cuts = [0]
+        for p, c in enumerate(_latest_conflicts(by_position).tolist()):
+            if c >= cuts[-1]:
+                cuts.append(p)
+        cuts.append(order.size)
+        return (order, cuts) + by_position.index()
+
+    def greedy_pass(self, order, rng) -> frozenset:
+        """double_greedy over this oracle, one batch of plan(order) at a
+        time: a batch's marginals are counted over the concatenation of
+        its nodes' sets, its coins drawn in order, and its decisions
+        applied in two fancy-index updates.  Where batches are expected
+        to be short, the plan is skipped and every node takes a scalar
+        step over the node index of multi, as short batches do."""
+        if self.batched:
+            order, cuts, offsets, sets = self.plan(order)
+            starts, ends = offsets[:-1], offsets[1:]
+        else:
+            order = self._permutation(order)
+            cuts = range(order.size + 1)
+            offsets, sets = self.multi.index()
+            starts, ends = offsets[order], offsets[order + 1]
+        starts, ends = starts.tolist(), ends.tolist()
+        nodes = order.tolist()
+        single = self.single[order]
+        rand = rng.random
+        unit, coupon, shift = self.unit, self.coupon, self.shift
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            if e - s < SCALAR_BATCH:
+                for p in range(s, e):
+                    v, at = nodes[p], sets[starts[p]:ends[p]]
+                    self._apply(v, at, _admit(*self._gains(v, at), rand))
+                continue
+            # a batch of the plan: its positions' sets are contiguous
+            batch = sets[starts[s]:ends[e - 1]]
+            owner = np.repeat(np.arange(e - s), np.diff(offsets[s:e + 1]))
+            newly = single[s:e] + np.bincount(owner[self.count_x[batch] == 0],
+                                              minlength=e - s)
+            lost = single[s:e] + np.bincount(owner[self.count_y[batch] == 1],
+                                             minlength=e - s)
+            a = unit * newly - coupon + shift
+            b = -unit * lost + coupon + shift
+            a_pos = np.where(a > 0.0, a, 0.0)
+            b_pos = np.where(b > 0.0, b, 0.0)
+            total = a_pos + b_pos
+            included = total == 0.0
+            draw = np.flatnonzero(~included)
+            if draw.size:
+                coins = np.array([rand() for _ in range(draw.size)])
+                included[draw] = coins < a_pos[draw] / total[draw]
+            taken = included[owner]
+            self.count_x[batch[taken]] += 1
+            self.count_y[batch[~taken]] -= 1
+            self.x.update(order[s:e][included].tolist())
+            self.y.difference_update(order[s:e][~included].tolist())
+        return frozenset(self.x)
 
 
 def double_greedy(oracle, order, rng) -> frozenset:
     """One pass over `order`; returns the grown set X.
 
     order must be a permutation of the ground set.  rng supplies the
-    inclusion coin flips (random.Random interface).
+    inclusion coin flips (random.Random interface).  An oracle that has
+    its own greedy_pass, found by attribute so that proxies forwarding
+    attributes reach it too, runs the pass itself.
     """
+    greedy_pass = getattr(oracle, "greedy_pass", None)
+    if greedy_pass is not None:
+        return greedy_pass(order, rng)
     rand = rng.random
     for v in order:
-        a = oracle.gain_add(v)
-        b = oracle.gain_remove(v)
-        a_pos = a if a > 0.0 else 0.0
-        b_pos = b if b > 0.0 else 0.0
-        total = a_pos + b_pos
-        included = total == 0.0 or rand() < a_pos / total
-        oracle.apply(v, included)
+        oracle.apply(v, _admit(oracle.gain_add(v), oracle.gain_remove(v), rand))
     return frozenset(oracle.x)

@@ -1,13 +1,19 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitmax import (CoverageOracle, FunctionOracle, double_greedy,
-                       estimate_F, generate_collection)
+from profitmax import (MODELS, CollectionBuilder, CoverageOracle,
+                       FunctionOracle, RACollection, double_greedy, estimate_F,
+                       generate_collection, node_order)
+from profitmax.algorithms import _realization_collection
+from profitmax.greedy import SCALAR_BATCH
+from profitmax.sampling import INDEX_CHUNK
 
-from conftest import random_small_net
+from conftest import make_net, random_edge_text, random_small_net
 
 
 def run_modular(weights, rng_seed=0, shift=0.0):
@@ -114,3 +120,193 @@ class TestShift:
                          for s in range(200))
         assert kept_plain == 0
         assert 50 <= kept_shift <= 150
+
+
+class _Sequential:
+    """Only the per-node interface of an oracle, so that double_greedy
+    drives it with its sequential loop."""
+
+    def __init__(self, oracle):
+        self.gain_add = oracle.gain_add
+        self.gain_remove = oracle.gain_remove
+        self.apply = oracle.apply
+        self.x = oracle.x
+
+
+class _Forwarding:
+    """A proxy that counts marginal queries and forwards every other
+    attribute, as a tracing wrapper would."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.queries = 0
+
+    def gain_add(self, v):
+        self.queries += 1
+        return self._oracle.gain_add(v)
+
+    def gain_remove(self, v):
+        self.queries += 1
+        return self._oracle.gain_remove(v)
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def _sparse_net(rng, model, density=1):
+    """A random net of 40-160 nodes with about density * n edges and
+    probability 0.05 * density under IC: at density 1, most RA sets hold
+    only their root."""
+    n = rng.randint(40, 160)
+    price = rng.uniform(0.2, 0.9)
+    coupon = rng.uniform(0.0, price * 0.9)
+    return make_net(random_edge_text(rng, n, density * n), model=model,
+                    ic_p=0.05 * density, price=price, coupon=coupon,
+                    intrinsics=[rng.uniform(price - coupon, 1.0) for _ in range(n)])
+
+
+def _collections(net, seed):
+    """(name, collection, order) as ra-t, ra-s and rpm build them."""
+    order = node_order(net, 200, seed)
+    grown = CollectionBuilder(net)
+    grown.extend(400, seed)
+    grown.extend(1200, seed + 1)  # a second doubling round
+    rr = _realization_collection(net, 20, np.random.SeedSequence(seed), 64.0)
+    return [("ra-t", generate_collection(net, 3000, seed), order),
+            ("ra-s", grown.snapshot(), order),
+            ("rpm", rr, list(range(net.n)))]
+
+
+class TestBatchedPass:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_sequential_pass(self, model):
+        # the batched pass must leave exactly the state of the sequential
+        # loop: members, both counters, F and the coin stream
+        rng = random.Random(f"batched/{model}")
+        vectorised = 0
+        for trial in range(3):
+            net = _sparse_net(rng, model, density=1 + 2 * trial)
+            shift = rng.choice([0.0, 0.3 * net.price])
+            for name, coll, order in _collections(net, trial):
+                for batched in (True, False):
+                    fast = CoverageOracle(coll, net.price, net.coupon, shift)
+                    fast.batched = batched
+                    slow = CoverageOracle(coll, net.price, net.coupon, shift)
+                    coins_fast, coins_slow = random.Random(trial), random.Random(trial)
+                    got = double_greedy(fast, order, coins_fast)
+                    want = double_greedy(_Sequential(slow), order, coins_slow)
+                    assert got == want, (name, batched)
+                    assert fast.y == slow.y
+                    assert np.array_equal(fast.count_x, slow.count_x)
+                    assert np.array_equal(fast.count_y, slow.count_y)
+                    assert fast.current_value() == slow.current_value()
+                    assert coins_fast.getstate() == coins_slow.getstate()
+                cuts = np.diff(fast.plan(order)[1])
+                vectorised += int(np.count_nonzero(cuts >= SCALAR_BATCH))
+        assert vectorised  # some batches ran through the vectorised body
+
+    def test_vanishing_marginals_admit_without_a_coin(self):
+        # unit = coupon = 1, so a node whose one set is {v} has a = b = 0
+        # and is admitted outright: in the batch of nodes 0-6 only node 6
+        # draws a coin
+        sets = [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]]
+        offsets = np.cumsum([0] + [len(m) for m in sets])
+        coll = RACollection(8, [m[0] for m in sets], offsets, np.concatenate(sets))
+        for seed in range(10):
+            fast = CoverageOracle(coll, 1.0, 1.0)
+            fast.batched = True
+            assert fast.plan(range(8))[1] == [0, 7, 8]
+            coins_fast, coins_slow = random.Random(seed), random.Random(seed)
+            got = double_greedy(fast, range(8), coins_fast)
+            assert got == double_greedy(_Sequential(CoverageOracle(coll, 1.0, 1.0)),
+                                        range(8), coins_slow)
+            assert set(range(6)) <= got
+            assert coins_fast.getstate() == coins_slow.getstate()
+
+    def test_forwarding_proxy_reaches_batched_pass(self):
+        rng = random.Random(41)
+        net = _sparse_net(rng, "ic-cp")
+        name, coll, order = _collections(net, 5)[0]
+        proxy = _Forwarding(CoverageOracle(coll, net.price, net.coupon))
+        want = double_greedy(_Sequential(CoverageOracle(coll, net.price, net.coupon)),
+                             order, random.Random(2))
+        assert double_greedy(proxy, order, random.Random(2)) == want
+        assert proxy.queries == 0
+
+    @pytest.mark.parametrize("order", [[0, 0, 2, 3, 4], [0, 1, 2, 3],
+                                       [0, 1, 2, 3, 5], [4, 3, 2, 1, 1]],
+                             ids=["repeated", "missing", "out-of-range",
+                                  "repeated-last"])
+    def test_order_must_be_a_permutation(self, order):
+        coll = RACollection(5, [0, 1, 2], [0, 2, 4, 5], [0, 1, 1, 2, 2])
+        with pytest.raises(ValueError, match="permutation"):
+            double_greedy(CoverageOracle(coll, 1.0, 0.5), order, random.Random(0))
+
+    def test_oracle_and_plan_scratch_is_bounded(self):
+        # a million sets over 1000 nodes, 95% of them with one member; the
+        # scratch allowance is below a byte per one-member set, so no
+        # array over every set fits into it
+        rng = np.random.default_rng(3)
+        n, count = 1000, 1_000_000
+        sizes = np.where(rng.random(count) < 0.95, 1, rng.integers(2, 5, count))
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # consecutive nodes from a random start: distinct within a set
+        step = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+        members = ((np.repeat(rng.integers(0, n, count), sizes) + step) % n
+                   ).astype(np.int32)
+        coll = RACollection(n, members[offsets[:-1]], offsets, members)
+        order = rng.permutation(n)
+        del sizes, step
+        tracemalloc.start()
+        try:
+            oracle = CoverageOracle(coll, 1.0, 0.5)
+            order, cuts, plan_offsets, plan_sets = oracle.plan(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        multi = oracle.multi
+        kept = sum(a.nbytes for a in (
+            oracle.single, multi.roots, multi.offsets, multi.members,
+            oracle.count_x, oracle.count_y, order, plan_offsets, plan_sets))
+        # while it indexes them, the plan also holds the members relabelled
+        # by position; beyond that, chunk scratch, the X and Y node sets
+        # and a few arrays per node
+        scratch = 64 * INDEX_CHUNK + 256 * n
+        assert scratch < count - len(multi)
+        assert peak <= kept + multi.members.nbytes + scratch
+
+
+@st.composite
+def _collection_and_order(draw):
+    n = draw(st.integers(1, 12))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                         min_size=1, max_size=30))
+    members = [sorted(s) for s in sets]
+    offsets = np.concatenate(([0], np.cumsum([len(m) for m in members])))
+    coll = RACollection(n, [m[0] for m in members], offsets,
+                        np.concatenate(members))
+    return coll, [set(m) for m in members], draw(st.permutations(range(n)))
+
+
+class TestPlan:
+    @given(case=_collection_and_order())
+    @settings(max_examples=200, deadline=None)
+    def test_batches_are_maximal_conflict_free_runs(self, case):
+        coll, sets, order = case
+        oracle = CoverageOracle(coll, 1.0, 0.5)
+        got_order, cuts, offsets, by_position = oracle.plan(order)
+        assert got_order.tolist() == list(order)
+        assert cuts[0] == 0 and cuts[-1] == coll.n
+        assert all(a < b for a, b in zip(cuts[:-1], cuts[1:]))
+        shared = [s for s in sets if len(s) > 1]
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            batch = set(order[s:e])
+            # no multi-member set holds two nodes of one batch
+            assert all(len(m & batch) <= 1 for m in shared)
+            # and the next node shares one with the batch
+            if e < coll.n:
+                assert any(order[e] in m and m & batch for m in shared)
+        for p, v in enumerate(order):
+            assert list(by_position[offsets[p]:offsets[p + 1]]) == \
+                list(oracle.multi.sets_containing(v))
