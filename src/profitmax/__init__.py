@@ -20,8 +20,9 @@ from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
                      delta2, delta2_star, delta3, search_rat_params,
                      solve_ras_params, thresholds_at)
 from .diffusion import (ProfitEstimate, Realization, estimate_profit_simulation,
-                        replay_on_realization, sample_realization,
-                        sample_triggering_set, simulate_block, simulate_once)
+                        estimate_profits_simulation, replay_on_realization,
+                        sample_realization, sample_triggering_set,
+                        simulate_block, simulate_once, simulate_sets)
 from .exact import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
                     pi_table, profit_table, realization_count)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
@@ -50,12 +51,12 @@ __all__ = [
     "SimulationSelector", "TCNetwork", "Thresholds", "best_seed_set",
     "build_report", "build_tc_network", "delta0", "delta1", "delta1_star",
     "delta2", "delta2_star", "delta3", "double_greedy", "estimate_F",
-    "estimate_profit_simulation", "exact_pi", "exact_profit",
+    "estimate_profit_simulation", "estimate_profits_simulation", "exact_pi", "exact_profit",
     "generate_collection", "generate_intrinsics",
     "high_degree", "ingest_edge_list", "load_intrinsics",
     "load_network_config", "max_inf", "node_order",
     "pi_table", "profit_table", "ra_s", "ra_t", "realization_count",
     "replay_on_realization", "rpm", "sample_realization",
     "sample_triggering_set", "search_rat_params", "simulate_block", "simulate_once",
-    "solve_ras_params", "spm", "thresholds_at", "validate_report",
+    "simulate_sets", "solve_ras_params", "spm", "thresholds_at", "validate_report",
 ]

@@ -3,8 +3,9 @@
 All four run the same double-greedy skeleton and differ in how the profit
 oracle is realized:
 
-* spm: every marginal is estimated by a fresh batch of forward
-  simulations.
+* spm: every marginal is estimated by fresh batches of forward
+  simulations, the four sets of a node in one kernel call per block of
+  runs.
 * rpm: a collection of realizations is drawn once; on it the estimator
   is a coverage function over every node's reverse-reachable set in every
   realization, which backs the same exact incremental oracle as ra_t.
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import delta0, delta1, delta2, search_rat_params, solve_ras_params
-from .diffusion import (SIM_BLOCK, estimate_profit_simulation, stream_blocks,
-                        _rng_from)
+from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
+                        estimate_profits_simulation, stream_blocks, _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
 from .sampling import (CollectionBuilder, RACollection, generate_collection,
@@ -82,21 +83,11 @@ def _count_or(value, name: str, default: int) -> int:
     return int(value)
 
 
-def _counting_sim_oracle(net, l, eval_parent):
-    """Evaluator drawing l fresh simulations per call from its own stream."""
-    state = {"sims": 0}
-
-    def evaluate(s):
-        child = eval_parent.spawn(1)[0]
-        state["sims"] += l
-        return estimate_profit_simulation(net, s, l, child).mean_profit
-
-    return evaluate, state
-
-
 def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         seed: int = 0, workers: int = 1) -> SelectionResult:
-    """Forward-sampling selection with per-inspection simulation batches."""
+    """Forward-sampling selection: every inspection draws its own batch of
+    l simulations, from its own SeedSequence child of one evaluation
+    stream.  The four inspections of a node are one batch call."""
     _check_eps(eps)
     big_n = _effective_big_n(net, big_n)
     n, r = net.n, net.discount_ratio
@@ -104,12 +95,17 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     shift = 2.0 * eps * net.full_profit() / n
     ss = np.random.SeedSequence(seed)
     coin_ss, eval_parent = ss.spawn(2)
-    evaluate, state = _counting_sim_oracle(net, l, eval_parent)
-    oracle = FunctionOracle(evaluate, range(n), shift=shift)
+
+    def evaluate(sets):
+        return [e.mean_profit for e in estimate_profits_simulation(
+            net, sets, l, eval_parent.spawn(len(sets)))]
+
+    oracle = FunctionOracle(evaluate, range(n), shift=shift, many=True)
     members = double_greedy(oracle, range(n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=SPM,
-        sample_counts={"simulations": state["sims"], "realizations": 0, "ra_sets": 0},
+        sample_counts={"simulations": oracle.inspections * l,
+                       "realizations": 0, "ra_sets": 0},
         l=l,
         params={"eps": eps, "big_n": big_n, "l_override": l_override,
                 "seed": seed})

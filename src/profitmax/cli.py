@@ -84,6 +84,9 @@ def _resolve(args):
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     if not (0.0 <= frac < 1.0):
         raise ParameterError(f"coupon fraction must lie in [0, 1), got {frac}")
+    if seed < 0:
+        source = "--seed" if args.seed is not None else "rng-seed"
+        raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
     return model, float(price), float(frac), float(ic_p), int(seed), max(1, int(threads))
 
 

@@ -2,8 +2,14 @@
 
 Two interchangeable views of the same random process:
 
-* simulate_block runs a block of independent cascades together, level by
-  level, and reports how many nodes adopt in each run.
+* simulate_sets runs a block of independent cascades from each of several
+  seed sets together, level by level, and reports how many nodes adopt in
+  each run; simulate_block is its one-set call.  Every row has its own
+  generator and draws from it exactly the uniforms, in exactly the order,
+  that a call for its seed set alone draws, so a row never depends on the
+  other rows of its call.  That lets estimate_profits_simulation, and spm
+  through it, evaluate several seed sets per kernel call while every
+  estimate stays bit-identical to its own estimate_profit_simulation.
 * sample_realization freezes the randomness into one triggering set per
   node; replay_on_realization then resolves any seed set against that
   frozen draw with a breadth-first search.
@@ -25,12 +31,15 @@ from .network import ParameterError, TCNetwork
 # Forward runs per random stream.  Every block of this many runs draws from
 # its own SeedSequence child, so an estimate depends on its seed alone.
 SIM_BLOCK = 1 << 12
-# Dense per-run state one chunk of a block may hold: an adoption flag, a
-# first-level draw and, under LT, an exposure count per (run, node).  A
-# block runs in chunks of as many runs as fit.
+# Dense per-run state one chunk of a block may hold per seed set: an
+# adoption flag, a first-level draw and, under LT, an exposure count per
+# (run, node).  A block runs in chunks of as many runs as fit, and every
+# set of a simulate_sets call runs each chunk together, so one call holds
+# up to len(seed_sets) times this.
 SIM_STATE_BYTES = 1 << 19
-# Out-edges expanded at once within a level, which bounds the scratch
-# memory of the levels after the first.
+# Out-edges of one seed set expanded at once within a level, which bounds
+# the scratch memory of the levels after the first to len(seed_sets) times
+# this many edges.
 EDGE_STEP = 1 << 12
 
 
@@ -104,6 +113,14 @@ def _sorted_runs(keys):
     return keys[starts], np.diff(np.append(starts, keys.size))
 
 
+def _run_starts(keys):
+    """Mask of the first entry of each run of equal values in keys."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
 def _expand(start, deg):
     """Positions start[i] .. start[i] + deg[i] - 1 for every i, and for
     each position its i."""
@@ -121,83 +138,184 @@ def _steps(ends):
     return (0, *(np.flatnonzero(step[1:] != step[:-1]) + 1), ends.size)
 
 
-def simulate_block(net: TCNetwork, seeds, count: int,
-                   gen: np.random.Generator) -> np.ndarray:
-    """Run count independent cascades from seeds together; returns each
-    run's adopter count, seeds included, as an int64 array.
+def _merged_steps(frontier, ends, starts):
+    """The steps of one level of a multi-set call: (cuts, order).
+
+    frontier is grouped by set, set s holding the keys from starts[s] on
+    (starts is None for a single set), and ends are its cumulative
+    out-degrees.  Each set is cut into steps
+    as _steps cuts it alone, and merged step s is the union of every
+    set's step s.  order is None when the merged steps are the contiguous
+    slices frontier[cuts[i]:cuts[i + 1]]; otherwise they are those slices
+    of frontier[order], which groups the items by step and, within a
+    step, by set.
+    """
+    if ends[-1] <= EDGE_STEP:
+        return (0, ends.size), None
+    if starts is None:
+        return _steps(ends), None
+    bounds = frontier.searchsorted(starts)  # exact: frontier is grouped by set
+    before = np.append(0, ends)[bounds[:-1]]
+    step = (np.maximum(ends - np.repeat(before, np.diff(bounds)), 1) - 1) // EDGE_STEP
+    if not step.any():
+        return (0, ends.size), None
+    order = np.argsort(step, kind="stable")
+    step = step[order]
+    return (0, *(np.flatnonzero(step[1:] != step[:-1]) + 1), ends.size), order
+
+
+def _draw(gens, keys, starts):
+    """One uniform per key, each from the generator of its key's set:
+    keys is grouped by set, set s holding the keys from starts[s] on."""
+    if len(gens) == 1:
+        return gens[0].random(keys.size)
+    cuts = [0, *keys.searchsorted(starts[1:-1]).tolist(), keys.size]
+    return np.concatenate([gen.random(b - a) for gen, a, b
+                           in zip(gens, cuts[:-1], cuts[1:])])
+
+
+def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
+    """Run count independent cascades from each seed set together;
+    returns each run's adopter count, seeds included, as a
+    (len(seed_sets), count) int64 array.
+
+    Row i draws from gens[i] alone, and exactly the uniforms, in exactly
+    the order, that a call for seed_sets[i] alone draws, so it equals
+    simulate_block(net, seed_sets[i], count, gens[i]) bit for bit: the
+    sets share the chunking by rows and each level, and a level's steps
+    of about EDGE_STEP edges are cut per set, merged step s being the
+    union of every set's step s.
 
     Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
     KDD 2003) a cascade is reachability over one random draw, so the runs
-    advance together one level at a time.  (run r, node v) carries the key
-    r * n + v.  The seeds' level is the same in every run: their out-edges
-    are expanded once, and a non-seed target hit by k of them adopts with
-    probability 1 - (1 - p_v)^k under IC and k / d_v under LT (d_v its
-    in-degree; every LT weight is 1 / d_v).  Later levels expand each
-    run's new adopters.  An IC edge is live with its target's probability.
-    An LT node that j new in-neighbors reach, after prev earlier ones,
-    adopts with probability j / (d_v - prev): its uniform threshold,
-    given that it lies above prev / d_v, lies below (prev + j) / d_v.
+    advance together one level at a time.  (set s, run r, node v) carries
+    the key (s * runs + r) * n + v, where s counts the nonempty seed sets
+    and runs the runs of the chunk.  Each set's seed level is the same in
+    every run: its out-edges are expanded once, and a non-seed target hit
+    by k of them adopts with probability 1 - (1 - p_v)^k under IC and
+    k / d_v under LT (d_v its in-degree; every LT weight is 1 / d_v).
+    Later levels expand each run's new adopters.  An IC edge is live with
+    its target's probability.  An LT node that j new in-neighbors reach,
+    after prev earlier ones, adopts with probability j / (d_v - prev): its
+    uniform threshold, given that it lies above prev / d_v, lies below
+    (prev + j) / d_v.
     """
+    if len(gens) != len(seed_sets):
+        raise ParameterError(
+            f"need one generator per seed set, got {len(gens)} for {len(seed_sets)}")
     n = net.n
     indptr, indices = net.out_csr()
     in_indptr, _, prob_in, eligible = net.in_csr()
     lt = net.params.model == "lt"
-    seeds = _sorted_runs(np.fromiter(seeds, dtype=np.int64))[0]
-    counts = np.full(count, seeds.size, dtype=np.int64)
-    if not seeds.size:
-        return counts
-    start = indptr[seeds]
-    exposed = np.bincount(indices[_expand(start, indptr[seeds + 1] - start)[0]],
-                          minlength=n)
-    exposed[seeds] = 0
-    exposed[~eligible] = 0
-    targets = np.flatnonzero(exposed)
-    k = exposed[targets]
     if lt:
         in_deg = np.diff(in_indptr)
-        first = k / in_deg[targets]
-    else:
-        first = 1.0 - (1.0 - prob_in[targets]) ** k
+    # A node below the price never adopts unless seeded, so it starts out
+    # closed, as if adopted: one lookup then keeps out both, and each
+    # set's count is lowered by the unseeded ones after.
+    blocked = ~eligible
+    counts = np.zeros((len(seed_sets), count), dtype=np.int64)
+    # per nonempty set: its row of counts, its generator, its closed row at
+    # the start, its unseeded below-price nodes, and its first level: the
+    # targets, how many seed edges hit each and its adoption probability
+    live = []
+    for row, (seeds, gen) in enumerate(zip(seed_sets, gens)):
+        seeds = np.fromiter(seeds, dtype=np.int64)
+        if not seeds.size:
+            continue
+        seeds.sort()
+        seeds = seeds[_run_starts(seeds)]
+        start = indptr[seeds]
+        exposed = np.bincount(indices[_expand(start, indptr[seeds + 1] - start)[0]],
+                              minlength=n)
+        exposed[seeds] = 0
+        exposed[blocked] = 0
+        targets = exposed.nonzero()[0]
+        k = exposed[targets]
+        if lt:
+            first = k / in_deg[targets]
+        else:
+            first = 1.0 - (1.0 - prob_in[targets]) ** k
+        init = blocked.copy()
+        init[seeds] = True
+        live.append((row, gen, init, np.count_nonzero(init) - seeds.size,
+                     targets, k, first))
+    if not live:
+        return counts
+    sets = len(live)
+    gens = [gen for _, gen, *_ in live]
+    # Chunk rows are per set, so one call holds up to sets chunks' state.
     rows = max(1, SIM_STATE_BYTES // (n * (9 + 4 * lt)))
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
-        adopted = np.zeros((runs, n), dtype=bool)
-        adopted[:, seeds] = True
-        flat = adopted.reshape(-1)
-        hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
-        frontier = hit_runs * n + targets[hit_cols]
+        closed = np.empty((sets, runs, n), dtype=bool)
+        if lt:
+            seen = np.zeros((sets, runs, n), dtype=np.int32)  # adopted in-neighbors
+        parts = []
+        for s, (_, gen, init, _, targets, k, first) in enumerate(live):
+            closed[s] = init
+            hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
+            if s:
+                hit_runs += s * runs
+            parts.append(hit_runs * n + targets[hit_cols])
+            if lt:
+                seen[s][:, targets] = k
+        frontier = parts[0] if sets == 1 else np.concatenate(parts)
+        flat = closed.reshape(-1)
         flat[frontier] = True
         if lt:
-            seen = np.zeros((runs, n), dtype=np.int32)  # adopted in-neighbors
-            seen[:, targets] = k
             seen = seen.reshape(-1)
+        starts = None if sets == 1 else np.arange(sets + 1) * (runs * n)
         while frontier.size:
-            frontier_runs, nodes = np.divmod(frontier, n)
+            nodes = frontier % n
+            base = frontier - nodes  # the key of (set, run, node 0)
             start = indptr[nodes]
             deg = indptr[nodes + 1] - start
-            cuts = _steps(np.cumsum(deg))
+            ends = deg.cumsum()
+            cuts, order = _merged_steps(frontier, ends, starts)
+            if order is not None:
+                base, start, deg = base[order], start[order], deg[order]
+                ends = deg.cumsum()
             found = []
-            # a level in steps of about EDGE_STEP out-edges: a node that
-            # adopts in one step is closed to the next, and an LT node
+            # a level in steps of about EDGE_STEP out-edges per set: a node
+            # that adopts in one step is closed to the next, and an LT node
             # carries its exposure count over, so the steps compose exactly
             for a, b in zip(cuts[:-1], cuts[1:]):
-                pos, owner = _expand(start[a:b], deg[a:b])
+                d = deg[a:b]
+                before = ends[a - 1] if a else 0
+                pos = np.arange(ends[b - 1] - before) + (
+                    start[a:b] - (ends[a:b] - d - before)).repeat(d)
                 v = indices[pos]
-                keys = frontier_runs[a:b][owner] * n + v
-                still_open = eligible[v] & ~flat[keys]
-                keys, v = keys[still_open], v[still_open]
+                keys = base[a:b].repeat(d) + v
+                still_open = ~flat[keys]
+                keys = keys[still_open]
                 if lt:
                     keys, j = _sorted_runs(keys)
                     prev = seen[keys]
-                    new = keys[gen.random(keys.size) < j / (in_deg[keys % n] - prev)]
+                    new = keys[_draw(gens, keys, starts)
+                               < j / (in_deg[keys % n] - prev)]
                     seen[keys] = prev + j
                 else:
-                    new = _sorted_runs(keys[gen.random(keys.size) < prob_in[v]])[0]
+                    new = keys[_draw(gens, keys, starts) < prob_in[v[still_open]]]
+                    new.sort()
+                    if new.size > 1:
+                        new = new[_run_starts(new)]
                 flat[new] = True
                 found.append(new)
-            frontier = np.concatenate(found)
-        counts[lo:lo + runs] = np.count_nonzero(adopted, axis=1)
+            frontier = found[0] if len(found) == 1 else np.concatenate(found)
+            if order is not None:  # back to grouped by set, each set's steps in order
+                frontier = frontier[np.argsort(frontier // (runs * n), kind="stable")]
+        adopters = np.count_nonzero(closed, axis=2)
+        for s, (row, _, _, unseeded_blocked, *_) in enumerate(live):
+            counts[row, lo:lo + runs] = adopters[s] - unseeded_blocked
     return counts
+
+
+def simulate_block(net: TCNetwork, seeds, count: int,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Run count independent cascades from seeds together; returns each
+    run's adopter count, seeds included, as an int64 array.  The one-set
+    call of simulate_sets."""
+    return simulate_sets(net, [seeds], count, [gen])[0]
 
 
 def simulate_once(net: TCNetwork, seeds, rng) -> int:
@@ -220,16 +338,31 @@ def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
     SeedSequence child of rng_seed, so the estimate depends on
     (rng_seed, l) alone; workers is ignored.
     """
+    return estimate_profits_simulation(net, [seeds], l, [rng_seed])[0]
+
+
+def estimate_profits_simulation(net: TCNetwork, seed_sets, l: int,
+                                rng_seeds) -> list:
+    """estimate_profit_simulation(net, seed_sets[i], l, rng_seeds[i]) for
+    every i, bit for bit, with one simulate_sets call per block of runs.
+
+    Every set keeps its own stream, split into blocks of SIM_BLOCK runs as
+    for it alone; the sets share l, and so the block sizes.
+    """
     if l < 1:
         raise ParameterError(f"need at least one simulation, got {l}")
-    seeds = sorted(set(seeds))
-    total = 0
-    for child, size in stream_blocks(rng_seed, l, SIM_BLOCK):
-        total += int(simulate_block(net, seeds, size,
-                                    np.random.default_rng(child)).sum())
-    mean_adopters = total / l
-    profit = net.price * mean_adopters - net.coupon * len(seeds)
-    return ProfitEstimate(profit, mean_adopters, l, "simulation")
+    if len(rng_seeds) != len(seed_sets):
+        raise ParameterError(
+            f"need one seed per seed set, got {len(rng_seeds)} for {len(seed_sets)}")
+    seed_sets = [sorted(set(seeds)) for seeds in seed_sets]
+    totals = [0] * len(seed_sets)
+    for blocks in zip(*(stream_blocks(seed, l, SIM_BLOCK) for seed in rng_seeds)):
+        gens = [np.random.default_rng(child) for child, _ in blocks]
+        sums = simulate_sets(net, seed_sets, blocks[0][1], gens).sum(axis=1)
+        totals = [t + s for t, s in zip(totals, sums.tolist())]
+    return [ProfitEstimate(net.price * (t / l) - net.coupon * len(seeds),
+                           t / l, l, "simulation")
+            for seeds, t in zip(seed_sets, totals)]
 
 
 def sample_triggering_set(net: TCNetwork, v: int, rng) -> tuple:

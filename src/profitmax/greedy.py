@@ -11,8 +11,9 @@ Schwartz, FOCS 2012).  Estimated oracles add a fixed shift of
 2 eps L* / n to each marginal, which compensates estimation error up to
 eps L* / n per evaluation.
 
-Two oracle flavors live here: a generic one that calls an arbitrary
-set-function evaluator four times per node (spm), and an incremental one
+Two oracle flavors live here: a generic one that evaluates four sets per
+node with an arbitrary set-function evaluator, one set per call or, as
+spm's simulations do, all four in one call, and an incremental one
 over a collection of node sets that answers marginals from per-set
 coverage counters (ra-t and ra-s over RA sets, rpm over its realizations'
 reverse-reachable sets).
@@ -57,28 +58,34 @@ def _admit(a: float, b: float, rand) -> bool:
 class FunctionOracle:
     """Marginals via direct evaluation of a set function.
 
-    evaluate(S) must accept a frozenset.  Each marginal costs two
+    evaluate(S) must accept a frozenset; with many=True it instead takes a
+    list of frozensets and returns their values in order, and gains asks
+    it for all four sets of a node in one call.  Each marginal costs two
     evaluations, so a full double-greedy pass inspects 4 n sets; when the
     evaluator is a sampler it draws fresh samples per inspection by
     design.  shift is added to every marginal.
     """
 
-    def __init__(self, evaluate, universe, shift: float = 0.0):
+    def __init__(self, evaluate, universe, shift: float = 0.0,
+                 many: bool = False):
         self.evaluate = evaluate
+        self.many = many
         self.x = set()
         self.y = set(universe)
         self.shift = shift
         self.inspections = 0
 
-    def _value(self, s) -> float:
-        self.inspections += 1
-        return self.evaluate(frozenset(s))
-
-    def gain_add(self, v) -> float:
-        return self._value(self.x | {v}) - self._value(self.x) + self.shift
-
-    def gain_remove(self, v) -> float:
-        return self._value(self.y - {v}) - self._value(self.y) + self.shift
+    def gains(self, v):
+        """(h(X + v) - h(X), h(Y - v) - h(Y)), each plus shift, from the
+        four sets evaluated in that order."""
+        sets = [frozenset(self.x | {v}), frozenset(self.x),
+                frozenset(self.y - {v}), frozenset(self.y)]
+        self.inspections += 4
+        if self.many:
+            xv, x, yv, y = self.evaluate(sets)
+        else:
+            xv, x, yv, y = map(self.evaluate, sets)
+        return xv - x + self.shift, yv - y + self.shift
 
     def apply(self, v, included: bool):
         if included:
@@ -201,11 +208,8 @@ class CoverageOracle:
         self.x = set()
         self.y = set(range(coll.n))
 
-    def gain_add(self, v) -> float:
-        return self._gains(v, self.multi.sets_containing(v))[0]
-
-    def gain_remove(self, v) -> float:
-        return self._gains(v, self.multi.sets_containing(v))[1]
+    def gains(self, v):
+        return self._gains(v, self.multi.sets_containing(v))
 
     def apply(self, v, included: bool):
         self._apply(v, self.multi.sets_containing(v), included)
@@ -325,14 +329,15 @@ def double_greedy(oracle, order, rng) -> frozenset:
     """One pass over `order`; returns the grown set X.
 
     order must be a permutation of the ground set.  rng supplies the
-    inclusion coin flips (random.Random interface).  An oracle that has
-    its own greedy_pass, found by attribute so that proxies forwarding
-    attributes reach it too, runs the pass itself.
+    inclusion coin flips (random.Random interface).  gains(v) returns
+    both marginals of node v at once.  An oracle that has its own
+    greedy_pass, found by attribute so that proxies forwarding attributes
+    reach it too, runs the pass itself.
     """
     greedy_pass = getattr(oracle, "greedy_pass", None)
     if greedy_pass is not None:
         return greedy_pass(order, rng)
     rand = rng.random
     for v in order:
-        oracle.apply(v, _admit(oracle.gain_add(v), oracle.gain_remove(v), rand))
+        oracle.apply(v, _admit(*oracle.gains(v), rand))
     return frozenset(oracle.x)

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (ALGORITHMS, CoverageOracle, MemoryBudgetError,
-                       ParameterError, algorithms, delta0,
-                       delta1, delta2, exact_profit, node_order, ra_s, ra_t,
-                       replay_on_realization, rpm, search_rat_params,
-                       solve_ras_params, spm)
+from profitmax import (ALGORITHMS, CoverageOracle, FunctionOracle,
+                       MemoryBudgetError, ParameterError, algorithms, delta0,
+                       delta1, delta2, diffusion, double_greedy,
+                       estimate_profit_simulation, exact_profit, node_order,
+                       ra_s, ra_t, replay_on_realization, rpm,
+                       search_rat_params, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
 from profitmax.sampling import _live_in_edges, covered_sets
@@ -61,7 +62,71 @@ class TestDeterminism:
             assert a.internal_value == b.internal_value
 
 
+def _reference_spm(net, eps, l, seed):
+    """spm as one estimate_profit_simulation per inspection, each on its
+    own spawn(1) child of the evaluation stream: (members, sample_counts)."""
+    n = net.n
+    coin_ss, eval_parent = np.random.SeedSequence(seed).spawn(2)
+    sims = 0
+
+    def evaluate(s):
+        nonlocal sims
+        sims += l
+        child = eval_parent.spawn(1)[0]
+        return estimate_profit_simulation(net, s, l, child).mean_profit
+
+    oracle = FunctionOracle(evaluate, range(n),
+                            shift=2.0 * eps * net.full_profit() / n)
+    members = double_greedy(oracle, range(n), random.Random(
+        int(coin_ss.generate_state(2, np.uint64)[0])))
+    return members, {"simulations": sims, "realizations": 0, "ra_sets": 0}
+
+
 class TestSPM:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_matches_one_estimate_per_inspection(self, model):
+        rng = random.Random(model)
+        for trial in range(4):
+            n = rng.randint(5, 25)
+            intrinsics = [rng.choice([0.9, 0.9, 0.3]) for _ in range(n)]
+            net = make_net(random_edge_text(rng, n, rng.randint(n, 3 * n)),
+                           model=model, ic_p=rng.uniform(0.1, 0.6),
+                           intrinsics=intrinsics)
+            l = rng.choice([1, 7, 40])
+            for seed in (trial, 1000 + trial):
+                got = spm(net, eps=0.4, l_override=l, seed=seed)
+                members, counts = _reference_spm(net, 0.4, l, seed)
+                assert got.members == members
+                assert got.sample_counts == counts
+                assert counts["simulations"] == 4 * net.n * l
+
+    @pytest.mark.parametrize("model,members", [
+        ("ic-cp", {1, 2, 7, 10, 12}), ("ic-wc", {1, 4, 8, 9, 10, 12, 13}),
+        ("lt", {1, 2, 3, 8, 11, 13})])
+    def test_members_are_pinned(self, model, members):
+        # spm's selections as drawn before its four inspections of a node
+        # became one call
+        rng = random.Random(20261018)
+        intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
+        net = make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
+                       intrinsics=intrinsics)
+        assert spm(net, eps=0.4, l_override=30, seed=3).members == members
+
+    @pytest.mark.parametrize("l,blocks", [(30, 1), (SIM_BLOCK, 1),
+                                          (SIM_BLOCK + 1, 2)])
+    def test_one_kernel_call_per_node_and_block(self, monkeypatch, l, blocks):
+        net = make_net("1 2\n2 3\n3 1\n1 4\n", ic_p=0.5)
+        calls = []
+        kernel = diffusion.simulate_sets
+
+        def counting(net, seed_sets, count, gens):
+            calls.append(len(seed_sets))
+            return kernel(net, seed_sets, count, gens)
+
+        monkeypatch.setattr(diffusion, "simulate_sets", counting)
+        spm(net, eps=0.4, l_override=l, seed=2)
+        assert calls == [4] * (net.n * blocks)
+
     def test_default_sample_count_follows_threshold(self, two_node_net):
         res = spm(two_node_net, eps=0.4, seed=1)
         l = math.ceil(delta0(2, 2.0, 0.4, 0.5))
@@ -163,10 +228,9 @@ class TestRPM:
         oracle = CoverageOracle(coll, net.price, net.coupon, shift=shift)
         x, y = set(), set(range(n))
         for v in rng.sample(range(n), n):
-            assert oracle.gain_add(v) == pytest.approx(
-                f(x | {v}) - f(x) + shift, abs=1e-12)
-            assert oracle.gain_remove(v) == pytest.approx(
-                f(y - {v}) - f(y) + shift, abs=1e-12)
+            a, b = oracle.gains(v)
+            assert a == pytest.approx(f(x | {v}) - f(x) + shift, abs=1e-12)
+            assert b == pytest.approx(f(y - {v}) - f(y) + shift, abs=1e-12)
             included = rng.random() < 0.5
             oracle.apply(v, included)
             (x.add if included else y.discard)(v)

@@ -87,6 +87,35 @@ def test_directory_path_fails_cleanly(capsys, graph_file, intr_file, tmp_path,
     assert err.startswith("error:") and "directory" in err
 
 
+NEGATIVE_SEED_ARGS = {
+    "run": ["--alg", "ra-t", "--max-ra", "50", "--eval-sims", "10"],
+    "evaluate": ["--seed-set", "1", "--eval-sims", "10"],
+    "oracle": ["--optimum"],
+    "sweep": ["--alg", "ra-t", "--max-ra", "50", "--eval-sims", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_ARGS))
+def test_negative_seed_fails_cleanly(capsys, graph_file, command):
+    # generated intrinsics would hand -1 to numpy, which raises ValueError
+    code, out, err = run_cli(capsys, command, "--graph", graph_file,
+                             "--seed", "-1", *NEGATIVE_SEED_ARGS[command])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err and "-1" in err
+
+
+def test_negative_config_seed_fails_cleanly(capsys, graph_file, tmp_path):
+    conf = tmp_path / "net.conf"
+    conf.write_text("rng-seed = -4\n")
+    code, out, err = run_cli(capsys, "run", "--graph", graph_file,
+                             "--config", str(conf),
+                             *NEGATIVE_SEED_ARGS["run"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "rng-seed" in err and "-4" in err
+
+
 class TestRun:
     @pytest.mark.parametrize("alg,extra", [
         ("spm", ["--l-override", "50"]),

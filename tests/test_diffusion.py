@@ -4,12 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (ParameterError, Realization, estimate_profit_simulation,
+from profitmax import (ParameterError, Realization, diffusion,
+                       estimate_profit_simulation, estimate_profits_simulation,
                        exact_pi, replay_on_realization, sample_realization,
-                       sample_triggering_set, simulate_block, simulate_once)
+                       sample_triggering_set, simulate_block, simulate_once,
+                       simulate_sets)
 from profitmax.diffusion import SIM_BLOCK
 
-from conftest import make_net
+from conftest import make_net, random_edge_text
 
 
 class TestSimulateOnce:
@@ -148,6 +150,141 @@ class TestKernel:
             block = simulate_block(lt_fork_net, [a], 1, np.random.default_rng(seed))
             assert simulate_once(lt_fork_net, [a], np.random.default_rng(seed)) \
                 == block[0]
+
+
+def _row_sets(rng, n):
+    """Seed sets for the rows of one call: fresh ones, an empty one, a
+    repeat of an earlier row, and one that overlaps an earlier row."""
+    sets = [rng.sample(range(n), rng.randint(1, 3)), []]
+    sets.append(list(sets[0]))
+    sets.append(sets[0][:1] + rng.sample(range(n), 2))
+    for _ in range(rng.randint(0, 3)):
+        sets.append(rng.sample(range(n), rng.randint(1, 4)))
+    rng.shuffle(sets)
+    return sets
+
+
+def _golden_net(model):
+    """A fixed 14-node net with about 40 edges and one node below the
+    price."""
+    rng = random.Random(20261018)
+    intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
+    return make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
+                    intrinsics=intrinsics)
+
+
+class TestMultiSetKernel:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_rows_equal_separate_calls(self, model, monkeypatch):
+        # small steps and chunks, so that levels split into steps per set
+        # and blocks into chunks, and the merged steps need the re-sort
+        monkeypatch.setattr(diffusion, "EDGE_STEP", 4)
+        monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
+        merged = diffusion._merged_steps
+        resorted = []
+
+        def spy(*args):
+            cuts, order = merged(*args)
+            resorted.append(order is not None)
+            return cuts, order
+
+        monkeypatch.setattr(diffusion, "_merged_steps", spy)
+        rng = random.Random(model)
+        for _ in range(12):
+            n = rng.randint(6, 30)
+            intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(n)]
+            net = make_net(random_edge_text(rng, n, rng.randint(n, 4 * n)),
+                           model=model, ic_p=rng.uniform(0.2, 0.8),
+                           intrinsics=intrinsics)
+            sets = _row_sets(rng, net.n)
+            count = rng.randint(1, 60)
+            seeds = [rng.randrange(1 << 30) for _ in sets]
+            gens = [np.random.default_rng(s) for s in seeds]
+            rows = simulate_sets(net, sets, count, gens)
+            assert rows.shape == (len(sets), count)
+            assert rows.dtype == np.int64
+            for row, s, seed, gen in zip(rows, sets, seeds, gens):
+                alone = np.random.default_rng(seed)
+                assert np.array_equal(row, simulate_block(net, s, count, alone))
+                # and each row drew exactly as many uniforms as alone
+                assert gen.bit_generator.state == alone.bit_generator.state
+        assert any(resorted)
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_row_means_match_exact_pi(self, model):
+        edges, _, _ = KERNEL_CASES["two-seeds"]
+        net = make_net(edges, model=model, ic_p=0.5,
+                       intrinsics=[0.9, 0.9, 0.9, 0.3, 0.9])
+        ids = net.graph.id_of
+        sets = [[ids(1), ids(2)], [ids(1)], [], [ids(3)], [ids(1), ids(2)],
+                [ids(2), ids(4)]]
+        l = 50_000
+        gens = [np.random.default_rng([20261018, i]) for i in range(len(sets))]
+        rows = simulate_sets(net, sets, l, gens)
+        for row, seeds in zip(rows, sets):
+            pi = exact_pi(net, seeds)
+            se = row.std(ddof=1) / math.sqrt(l)
+            assert abs(row.mean() - pi) <= 3.0 * se + 1e-12, (seeds, row.mean(), pi, se)
+
+    def test_rows_with_the_same_seeds_are_independent(self, lt_fork_net):
+        a = lt_fork_net.graph.id_of(1)
+        l = 20_000
+        rows = simulate_sets(lt_fork_net, [[a], [a]], l,
+                             [np.random.default_rng(1), np.random.default_rng(2)])
+        assert not np.array_equal(rows[0], rows[1])
+        corr = np.corrcoef(rows[0], rows[1])[0, 1]
+        assert abs(corr) <= 4.0 / math.sqrt(l)
+
+    def test_no_sets(self, two_node_net):
+        assert simulate_sets(two_node_net, [], 5, []).shape == (0, 5)
+
+    def test_one_generator_per_set(self, two_node_net):
+        with pytest.raises(ParameterError, match="one generator per seed set"):
+            simulate_sets(two_node_net, [[0], [1]], 5, [np.random.default_rng(0)])
+
+    def test_one_stream_seed_per_set(self, two_node_net):
+        with pytest.raises(ParameterError, match="one seed per seed set"):
+            estimate_profits_simulation(two_node_net, [[0], [1]], 5, [3])
+        with pytest.raises(ParameterError, match="one seed per seed set"):
+            estimate_profits_simulation(two_node_net, [[0]], 5, [])
+
+    # simulate_block(net, [0, 5, 9], 24, default_rng(77)) on _golden_net,
+    # as the kernel drew before it took several seed sets; the small
+    # sizes split levels into steps and blocks into chunks
+    GOLDEN = {
+        ("ic-cp", False): [7, 12, 8, 11, 7, 11, 4, 6, 10, 8, 6, 3, 7, 13, 3,
+                           8, 10, 5, 11, 9, 10, 5, 8, 12],
+        ("ic-wc", False): [13, 5, 8, 10, 11, 8, 5, 9, 10, 12, 7, 5, 6, 8, 9,
+                           13, 9, 8, 11, 9, 12, 7, 11, 8],
+        ("lt", False): [10, 10, 9, 5, 13, 13, 6, 13, 8, 9, 6, 4, 13, 13, 4,
+                        13, 11, 7, 10, 13, 9, 13, 13, 13],
+        ("ic-cp", True): [9, 9, 11, 11, 6, 5, 8, 12, 9, 7, 8, 4, 9, 6, 4, 4,
+                          3, 8, 11, 9, 12, 12, 10, 10],
+        ("ic-wc", True): [12, 6, 7, 13, 6, 7, 12, 4, 10, 5, 6, 7, 10, 7, 7, 6,
+                          10, 10, 10, 11, 11, 5, 12, 6],
+        ("lt", True): [13, 7, 13, 6, 7, 8, 4, 6, 9, 13, 13, 7, 13, 13, 13, 13,
+                       13, 13, 10, 13, 10, 13, 8, 13],
+    }
+
+    @pytest.mark.parametrize("model,small", sorted(GOLDEN),
+                             ids=[f"{m}-{'small' if s else 'default'}"
+                                  for m, s in sorted(GOLDEN)])
+    def test_draws_are_pinned(self, model, small, monkeypatch):
+        # every estimate, and spm's seed sets, rest on these exact draws
+        if small:
+            monkeypatch.setattr(diffusion, "EDGE_STEP", 4)
+            monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
+        got = simulate_block(_golden_net(model), [0, 5, 9], 24,
+                             np.random.default_rng(77))
+        assert got.tolist() == self.GOLDEN[model, small]
+
+    def test_estimates_equal_separate_estimates(self, lt_fork_net):
+        sets = [[0], [0, 1], [], [2, 0, 2]]
+        l = SIM_BLOCK + 300  # two blocks per set
+        got = estimate_profits_simulation(
+            lt_fork_net, sets, l, [[5, i] for i in range(len(sets))])
+        assert got == [estimate_profit_simulation(lt_fork_net, s, l, [5, i])
+                       for i, s in enumerate(sets)]
 
 
 class TestTriggeringSets:

@@ -91,8 +91,9 @@ class TestCoverageOracle:
         for v in range(net.n):
             add_fd = estimate_F(coll, x | {v}, net) - estimate_F(coll, x, net)
             rem_fd = estimate_F(coll, y - {v}, net) - estimate_F(coll, y, net)
-            assert oracle.gain_add(v) == pytest.approx(add_fd, abs=1e-9)
-            assert oracle.gain_remove(v) == pytest.approx(rem_fd, abs=1e-9)
+            a, b = oracle.gains(v)
+            assert a == pytest.approx(add_fd, abs=1e-9)
+            assert b == pytest.approx(rem_fd, abs=1e-9)
             include = v % 2 == 0
             oracle.apply(v, include)
             if include:
@@ -127,8 +128,7 @@ class _Sequential:
     drives it with its sequential loop."""
 
     def __init__(self, oracle):
-        self.gain_add = oracle.gain_add
-        self.gain_remove = oracle.gain_remove
+        self.gains = oracle.gains
         self.apply = oracle.apply
         self.x = oracle.x
 
@@ -141,13 +141,9 @@ class _Forwarding:
         self._oracle = oracle
         self.queries = 0
 
-    def gain_add(self, v):
+    def gains(self, v):
         self.queries += 1
-        return self._oracle.gain_add(v)
-
-    def gain_remove(self, v):
-        self.queries += 1
-        return self._oracle.gain_remove(v)
+        return self._oracle.gains(v)
 
     def __getattr__(self, name):
         return getattr(self._oracle, name)
