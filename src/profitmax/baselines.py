@@ -6,7 +6,6 @@ looked at.
 """
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .algorithms import SelectionResult
 from .bounds import delta2
-from .diffusion import estimate_profit_simulation
+from .diffusion import _rng_from, estimate_profit_simulation
 from .network import ParameterError, TCNetwork
 from .sampling import generate_collection
 
@@ -110,11 +109,10 @@ def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> Selection
     across trials, so evaluations are cached per size.
     """
     n = net.n
-    degrees = np.array([net.graph.out_degree(v) for v in range(n)])
-    ranking = [int(v) for v in np.lexsort((np.arange(n), -degrees))]
-    ss = np.random.SeedSequence(seed)
-    size_ss, eval_parent = ss.spawn(2)
-    rng = random.Random(int(size_ss.generate_state(2, np.uint64)[0]))
+    degrees = np.diff(net.graph.out_indptr)
+    ranking = np.lexsort((np.arange(n), -degrees)).tolist()
+    size_ss, eval_parent = np.random.SeedSequence(seed).spawn(2)
+    rng = _rng_from(size_ss)
     cache = {}
     best = None
     sims = 0

@@ -9,6 +9,7 @@ respective estimator.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .network import ParameterError
@@ -21,7 +22,8 @@ def _require(cond: bool, msg: str):
 
 def _check_common(n, big_n, r):
     _require(n >= 1, f"node count must be >= 1, got {n}")
-    _require(big_n > 1.0, f"confidence parameter N must exceed 1, got {big_n}")
+    _require(1.0 < big_n < math.inf,
+             f"confidence parameter N must be finite and exceed 1, got {big_n}")
     _require(0.0 < r <= 1.0, f"discount ratio must lie in (0, 1], got {r}")
 
 
@@ -154,6 +156,8 @@ def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
     _check_common(n, big_n, r)
     _require(0.0 < eps < 0.5, f"eps must lie in (0, 0.5), got {eps}")
     _require(k >= 1, f"k must be a positive integer, got {k}")
+    _require(k < sys.float_info.max_exp, f"k must be below "
+             f"{sys.float_info.max_exp} so that 2^k is a finite float, got {k}")
     _require(eps3 > 0.0, f"eps3 must be positive, got {eps3}")
 
     def eps2_of(eps1):

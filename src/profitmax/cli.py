@@ -72,6 +72,14 @@ def _add_alg_args(p: argparse.ArgumentParser):
                    help="single seed size for maxinf instead of the sweep")
 
 
+def _check_pricing(price, frac):
+    """The ranges of --price and --coupon-frac, as every command checks them."""
+    if not (0.0 < price <= 1.0):
+        raise ParameterError(f"price must lie in (0, 1], got {price}")
+    if not (0.0 <= frac < 1.0):
+        raise ParameterError(f"coupon fraction must lie in [0, 1), got {frac}")
+
+
 def _resolve(args):
     """Merge config file values under explicit flags, then apply defaults."""
     cfg = load_network_config(args.config) if args.config else {}
@@ -82,8 +90,7 @@ def _resolve(args):
     ic_p = args.ic_p if args.ic_p is not None else cfg.get("ic-probability", 0.01)
     seed = args.seed if args.seed is not None else cfg.get("rng-seed", 0)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if not (0.0 <= frac < 1.0):
-        raise ParameterError(f"coupon fraction must lie in [0, 1), got {frac}")
+    _check_pricing(price, frac)
     if seed < 0:
         source = "--seed" if args.seed is not None else "rng-seed"
         raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
@@ -254,11 +261,12 @@ def cmd_ingest_check(args) -> int:
     with open(args.graph) as fh:
         g = ingest_edge_list(fh, undirected=args.undirected)
     out = {"nodes": g.n, "edges": g.m,
-           "max_out_degree": max(g.out_degree(v) for v in range(g.n)),
-           "max_in_degree": max(g.in_degree(v) for v in range(g.n))}
+           "max_out_degree": int(np.diff(g.out_indptr).max()),
+           "max_in_degree": int(np.diff(g.in_indptr).max())}
     if args.price is not None and args.intrinsics_file:
         frac = args.coupon_frac if args.coupon_frac is not None else 0.9
         price = args.price
+        _check_pricing(price, frac)
         coupon = frac * price
         intr = load_intrinsics(args.intrinsics_file, g.n)
         pruned = sum(1 for v in range(g.n) if intr[v] + coupon < price)

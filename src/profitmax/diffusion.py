@@ -204,15 +204,15 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
         raise ParameterError(
             f"need one generator per seed set, got {len(gens)} for {len(seed_sets)}")
     n = net.n
-    indptr, indices = net.out_csr()
-    in_indptr, _, prob_in, eligible = net.in_csr()
+    g = net.graph
+    indptr, indices, prob_in = g.out_indptr, g.out_indices, net.prob_in
     lt = net.params.model == "lt"
     if lt:
-        in_deg = np.diff(in_indptr)
+        in_deg = np.diff(g.in_indptr)
     # A node below the price never adopts unless seeded, so it starts out
     # closed, as if adopted: one lookup then keeps out both, and each
     # set's count is lowered by the unseeded ones after.
-    blocked = ~eligible
+    blocked = ~net.eligible
     counts = np.zeros((len(seed_sets), count), dtype=np.int64)
     # per nonempty set: its row of counts, its generator, its closed row at
     # the start, its unseeded below-price nodes, and its first level: the
@@ -373,19 +373,17 @@ def sample_triggering_set(net: TCNetwork, v: int, rng) -> tuple:
     at most one, in-neighbor u with probability w_uv, none with the
     remaining mass.
     """
-    if not net.eligible[v]:
+    g = net.graph
+    parents = tuple(g.in_indices[g.in_indptr[v]:g.in_indptr[v + 1]].tolist())
+    if not net.eligible[v] or not parents:
         return ()
-    in_adj = net.graph.in_adj[v]
-    if not in_adj:
-        return ()
-    p = net.prob_in[v]
+    p = float(net.prob_in[v])
+    d = len(parents)
     if net.params.model == "lt":
         # weights are equal (1/in-degree) and sum to exactly 1
-        d = len(in_adj)
-        return (in_adj[min(d - 1, int(rng.random() * d))],)
+        return (parents[min(d - 1, int(rng.random() * d))],)
     if p >= 1.0:
-        return in_adj
-    d = len(in_adj)
+        return parents
     if p < 0.2:
         # geometric gap skipping to avoid one uniform draw per edge
         picked = []
@@ -395,9 +393,9 @@ def sample_triggering_set(net: TCNetwork, v: int, rng) -> tuple:
             j += 1 + int(math.log(1.0 - rng.random()) / log1p)
             if j > d:
                 break
-            picked.append(in_adj[j - 1])
+            picked.append(parents[j - 1])
         return tuple(picked)
-    return tuple(u for u in in_adj if rng.random() < p)
+    return tuple(u for u in parents if rng.random() < p)
 
 
 def sample_realization(net: TCNetwork, rng_seed) -> Realization:

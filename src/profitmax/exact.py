@@ -36,12 +36,11 @@ except AttributeError:  # numpy < 2.0
 def _live_edges(net: TCNetwork):
     """Edges whose presence is random: all edges into organically eligible
     nodes.  Edges into priced-out nodes never fire (empty triggering set)."""
-    edges = []
-    for v in range(net.n):
-        if net.eligible[v]:
-            for u in net.graph.in_adj[v]:
-                edges.append((u, v, net.prob_in[v]))
-    return edges
+    g = net.graph
+    targets = np.repeat(np.arange(net.n), np.diff(g.in_indptr))
+    live = net.eligible[targets]
+    return list(zip(g.in_indices[live].tolist(), targets[live].tolist(),
+                    net.prob_in[targets[live]].tolist()))
 
 
 def _lt_choices(net: TCNetwork):
@@ -51,12 +50,12 @@ def _lt_choices(net: TCNetwork):
     w each) or nobody with the leftover mass; with 1/in-degree weights the
     leftover is zero and is dropped from the option list.
     """
+    g = net.graph
+    indptr = g.in_indptr
     choices = []
-    for v in range(net.n):
-        if not net.eligible[v] or not net.graph.in_adj[v]:
-            continue
-        w = net.prob_in[v]
-        opts = [(w, u) for u in net.graph.in_adj[v]]
+    for v in np.flatnonzero(net.eligible & (np.diff(indptr) > 0)).tolist():
+        w = float(net.prob_in[v])
+        opts = [(w, u) for u in g.in_indices[indptr[v]:indptr[v + 1]].tolist()]
         leftover = 1.0 - w * len(opts)
         if leftover > 1e-12:
             opts.append((leftover, None))

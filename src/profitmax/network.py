@@ -5,12 +5,18 @@ value C and per-node intrinsic values I_v.  Nodes that cannot adopt even
 with a coupon (P > I_v + C) are removed up front, so every retained node is
 a feasible seed.  A retained node can adopt organically (without holding a
 coupon) only when I_v >= P.
+
+A Graph is its compressed sparse row (CSR) arrays, one pair per direction:
+the out-neighbors of u are out_indices[out_indptr[u]:out_indptr[u + 1]]
+and the in-neighbors of v are in_indices[in_indptr[v]:in_indptr[v + 1]],
+both ascending.  The sampling and simulation kernels read these arrays
+directly.
 """
 
-import itertools
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,49 +36,58 @@ class ParameterError(ValueError):
 
 
 class Graph:
-    """Immutable directed graph over dense node ids 0..n-1.
+    """Immutable directed graph over dense node ids 0..n-1 in CSR form.
+
+    Built from parallel arrays of edge sources and targets: self-loops are
+    dropped, then the edges are sorted by (source, target) and repeats
+    kept once, so m counts distinct edges.  out_indptr and in_indptr are
+    int64 arrays of n + 1 offsets, out_indices and in_indices int32 arrays
+    of m node ids; each node's neighbors are ascending in both directions.
 
     labels[i] is the original id of node i as it appeared in the input;
     for programmatically built graphs labels default to the ids themselves.
     """
 
-    __slots__ = ("n", "m", "out_adj", "in_adj", "labels", "_label_to_id")
+    __slots__ = ("n", "m", "out_indptr", "out_indices", "in_indptr",
+                 "in_indices", "labels", "_label_to_id")
 
-    def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[list] = None):
+    def __init__(self, n: int, sources, targets, labels: Optional[list] = None):
         if n < 1:
             raise NetworkError("graph must contain at least one node")
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise NetworkError(f"edge ({u},{v}) out of range for n={n}")
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out_adj[u].append(v)
-            in_adj[v].append(u)
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise NetworkError("sources and targets must be equal-length 1-d sequences")
+        proper = src != dst
+        src, dst = src[proper], dst[proper]
+        # viewed as unsigned, a negative id exceeds n too, so one maximum
+        # per side checks both ends of the range
+        if src.size and max(src.view(np.uint64).max(), dst.view(np.uint64).max()) >= n:
+            bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))[0]
+            raise NetworkError(f"edge ({src[bad]},{dst[bad]}) out of range for n={n}")
+        keys = src * n + dst
+        keys.sort()
+        if keys.size > 1:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        src, dst = keys // n, keys % n
+        bounds = np.arange(n + 1)
         self.n = n
-        self.m = len(seen)
-        self.out_adj = tuple(tuple(sorted(a)) for a in out_adj)
-        self.in_adj = tuple(tuple(sorted(a)) for a in in_adj)
+        self.m = keys.size
+        self.out_indptr = np.searchsorted(keys, bounds * n)
+        self.out_indices = dst.astype(np.int32)
+        # a stable sort by target keeps each node's in-neighbors ascending
+        order = np.argsort(dst, kind="stable")
+        self.in_indptr = np.searchsorted(dst[order], bounds)
+        self.in_indices = src[order].astype(np.int32)
         if labels is None:
-            labels = list(range(n))
-        if len(labels) != n:
-            raise NetworkError("labels length must equal n")
+            labels = range(n)
         self.labels = tuple(labels)
+        if len(self.labels) != n:
+            raise NetworkError("labels length must equal n")
         self._label_to_id = {lab: i for i, lab in enumerate(self.labels)}
 
     def id_of(self, label):
         return self._label_to_id[label]
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -90,9 +105,8 @@ def ingest_edge_list(source, undirected: bool = False) -> Graph:
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             return ingest_edge_list(fh, undirected=undirected)
-    labels = []
-    label_to_id = {}
-    edges = []
+    label_to_id = {}  # insertion-ordered, so its keys list the labels by id
+    ids = []  # u0, v0, u1, v1, ...
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -104,17 +118,14 @@ def ingest_edge_list(source, undirected: bool = False) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer node id in {line!r}") from None
-        for lab in (a, b):
-            if lab not in label_to_id:
-                label_to_id[lab] = len(labels)
-                labels.append(lab)
-        u, v = label_to_id[a], label_to_id[b]
-        edges.append((u, v))
-        if undirected:
-            edges.append((v, u))
-    if not labels:
+        ids.append(label_to_id.setdefault(a, len(label_to_id)))
+        ids.append(label_to_id.setdefault(b, len(label_to_id)))
+    if not label_to_id:
         raise ParseError("no edges found: empty graph")
-    return Graph(len(labels), edges, labels)
+    pairs = np.fromiter(ids, dtype=np.int64, count=len(ids)).reshape(-1, 2)
+    if undirected:
+        pairs = np.concatenate((pairs, pairs[:, ::-1]))
+    return Graph(len(label_to_id), pairs[:, 0], pairs[:, 1], list(label_to_id))
 
 
 @dataclass(frozen=True)
@@ -137,48 +148,19 @@ class DiffusionParams:
             raise ParameterError("ic probability must lie in (0, 1]")
 
 
-class InCSR(NamedTuple):
-    """In-edge arrays of a TCNetwork in compressed sparse row form.
-
-    The in-neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending;
-    prob_in and eligible are the network's per-node tuples as arrays.
-    """
-
-    indptr: np.ndarray  # int64, n + 1
-    indices: np.ndarray  # int32, m
-    prob_in: np.ndarray  # float64, n
-    eligible: np.ndarray  # bool, n
-
-
-class OutCSR(NamedTuple):
-    """Out-edge arrays of a TCNetwork: the out-neighbors of u are
-    indices[indptr[u]:indptr[u + 1]], ascending."""
-
-    indptr: np.ndarray  # int64, n + 1
-    indices: np.ndarray  # int32, m
-
-
-def _csr(adj, n: int, m: int):
-    """(indptr, indices) of adjacency tuples adj with m entries in all."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=m)
-    return indptr, indices
-
-
 class TCNetwork:
     """A pruned coupon network ready for seed selection.
 
     Construction happens through build_tc_network; this class assumes its
     inputs already satisfy the pruning predicate P <= I_v + C for every
-    node.  prob_in[v] is the edge probability (IC) or edge weight (LT)
-    shared by all edges entering v; it is derived from the pruned graph so
-    LT weights always sum to at most 1 per node.
+    node.  intrinsic, eligible (I_v >= P) and prob_in are float64, bool and
+    float64 arrays of n entries.  prob_in[v] is the edge probability (IC)
+    or edge weight (LT) shared by all edges entering v; it is derived from
+    the pruned graph so LT weights always sum to at most 1 per node.
     """
 
     __slots__ = ("graph", "params", "price", "coupon", "intrinsic",
-                 "discount_ratio", "eligible", "prob_in", "pruned_labels",
-                 "_in_csr", "_out_csr")
+                 "discount_ratio", "eligible", "prob_in", "pruned_labels")
 
     def __init__(self, graph: Graph, params: DiffusionParams, price: float,
                  coupon: float, intrinsic, pruned_labels=()):
@@ -186,36 +168,17 @@ class TCNetwork:
         self.params = params
         self.price = float(price)
         self.coupon = float(coupon)
-        self.intrinsic = tuple(float(x) for x in intrinsic)
+        self.intrinsic = np.asarray(intrinsic, dtype=np.float64)
         self.discount_ratio = (self.price - self.coupon) / self.price
-        self.eligible = tuple(iv >= self.price for iv in self.intrinsic)
+        self.eligible = self.intrinsic >= self.price
         self.pruned_labels = tuple(pruned_labels)
         if params.model == "ic-cp":
-            self.prob_in = tuple(params.ic_probability for _ in range(graph.n))
+            self.prob_in = np.full(graph.n, params.ic_probability)
         else:
             # both weighted cascade and linear threshold use 1/in-degree
-            self.prob_in = tuple(
-                0.0 if graph.in_degree(v) == 0 else 1.0 / graph.in_degree(v)
-                for v in range(graph.n)
-            )
-        self._in_csr = None
-        self._out_csr = None
-
-    def in_csr(self) -> InCSR:
-        """The in-edge arrays the sampling kernels run on, built on first
-        use and kept for the network's lifetime."""
-        if self._in_csr is None:
-            self._in_csr = InCSR(*_csr(self.graph.in_adj, self.n, self.m),
-                                 np.array(self.prob_in, dtype=np.float64),
-                                 np.array(self.eligible, dtype=bool))
-        return self._in_csr
-
-    def out_csr(self) -> OutCSR:
-        """The out-edge arrays forward simulation runs on, built on first
-        use and kept for the network's lifetime."""
-        if self._out_csr is None:
-            self._out_csr = OutCSR(*_csr(self.graph.out_adj, self.n, self.m))
-        return self._out_csr
+            deg = np.diff(graph.in_indptr)
+            self.prob_in = np.zeros(graph.n)
+            np.divide(1.0, deg, out=self.prob_in, where=deg > 0)
 
     @property
     def n(self) -> int:
@@ -224,12 +187,6 @@ class TCNetwork:
     @property
     def m(self) -> int:
         return self.graph.m
-
-    def adopter_eligible(self, v: int) -> bool:
-        return self.eligible[v]
-
-    def label_of(self, v: int):
-        return self.graph.labels[v]
 
     def labels_of(self, nodes) -> list:
         return sorted(self.graph.labels[v] for v in nodes)
@@ -250,29 +207,30 @@ def build_tc_network(g: Graph, params: DiffusionParams, price: float,
     A node with price > intrinsic + coupon would decline even a couponed
     offer, so it is removed together with its incident edges before any
     sampling or optimization sees the network.  Remaining ids are dense
-    again; original labels are kept for reporting.
+    again, in their old order; original labels are kept for reporting.
     """
     if not (0.0 < price <= 1.0):
         raise ParameterError("price must lie in (0, 1]")
     if not (0.0 <= coupon < price):
         raise ParameterError("coupon must lie in [0, price)")
-    intrinsics = list(intrinsics)
-    if len(intrinsics) != g.n:
+    intrinsics = np.asarray(intrinsics, dtype=np.float64)
+    if intrinsics.shape != (g.n,):
         raise NetworkError(
-            f"intrinsics length {len(intrinsics)} does not match node count {g.n}")
-    keep = [v for v in range(g.n) if intrinsics[v] + coupon >= price]
-    if not keep:
+            f"intrinsics length {intrinsics.size} does not match node count {g.n}")
+    keep = intrinsics + coupon >= price
+    kept = int(np.count_nonzero(keep))
+    if not kept:
         raise NetworkError("empty feasible network: every node was pruned")
-    pruned = [g.labels[v] for v in range(g.n) if intrinsics[v] + coupon < price]
-    if len(keep) == g.n:
-        sub, kept_intr = g, intrinsics
-    else:
-        remap = {old: new for new, old in enumerate(keep)}
-        edges = [(remap[u], remap[v])
-                 for u in keep for v in g.out_adj[u] if v in remap]
-        sub = Graph(len(keep), edges, [g.labels[v] for v in keep])
-        kept_intr = [intrinsics[v] for v in keep]
-    return TCNetwork(sub, params, price, coupon, kept_intr, pruned)
+    if kept == g.n:
+        return TCNetwork(g, params, price, coupon, intrinsics)
+    labels = np.array(g.labels, dtype=object)
+    remap = np.cumsum(keep) - 1  # the new id of every kept node
+    sources = np.repeat(np.arange(g.n), np.diff(g.out_indptr))
+    live = keep[sources] & keep[g.out_indices]
+    sub = Graph(kept, remap[sources[live]], remap[g.out_indices[live]],
+                labels[keep].tolist())
+    return TCNetwork(sub, params, price, coupon, intrinsics[keep],
+                     labels[~keep].tolist())
 
 
 def generate_intrinsics(g: Graph, price: float, coupon: float, rng_seed: int) -> list:
@@ -284,7 +242,7 @@ def generate_intrinsics(g: Graph, price: float, coupon: float, rng_seed: int) ->
     if not (0.0 <= coupon < price <= 1.0):
         raise ParameterError("need 0 <= coupon < price <= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-    return [float(x) for x in rng.uniform(price - coupon, 1.0, size=g.n)]
+    return rng.uniform(price - coupon, 1.0, size=g.n).tolist()
 
 
 def load_intrinsics(path, n: int) -> list:
@@ -296,9 +254,12 @@ def load_intrinsics(path, n: int) -> list:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ParseError(f"line {lineno}: not a decimal: {line!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: not a finite decimal: {line!r}")
+            values.append(value)
     if len(values) != n:
         raise NetworkError(
             f"intrinsics file holds {len(values)} values but the graph has {n} nodes")

@@ -103,7 +103,8 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     Returns (roots, sizes, members) as _grow lays them out.
     """
     n = net.n
-    indptr, indices, prob_in, eligible = net.in_csr()
+    indptr, indices = net.graph.in_indptr, net.graph.in_indices
+    prob_in, eligible = net.prob_in, net.eligible
     lt = net.params.model == "lt"
     roots = gen.integers(0, n, size=count)
 
@@ -130,7 +131,8 @@ def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
     r come from sources[indptr[r * n + v]:indptr[r * n + v + 1]].
     """
     n = net.n
-    indptr, indices, prob_in, eligible = net.in_csr()
+    indptr, indices = net.graph.in_indptr, net.graph.in_indices
+    prob_in, eligible = net.prob_in, net.eligible
     deg = np.diff(indptr)
     if net.params.model == "lt":
         nodes = np.flatnonzero(eligible & (deg > 0))

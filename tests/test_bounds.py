@@ -156,3 +156,29 @@ class TestRASSolver:
             else:
                 hi = mid
         assert p.eps1 == pytest.approx(0.5 * (lo + hi), rel=1e-6)
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("call", [
+        lambda big_n: delta0(10, big_n, 0.4, 0.1),
+        lambda big_n: delta1(10, big_n, 0.2, 0.1),
+        lambda big_n: delta2(big_n, 0.2, 0.1),
+        lambda big_n: delta3(big_n, 0.2, 0.1),
+        lambda big_n: search_rat_params(10, big_n, 0.4, 0.1),
+        lambda big_n: solve_ras_params(10, big_n, 0.4, 0.1, 5, 0.1),
+    ], ids=["delta0", "delta1", "delta2", "delta3", "rat", "ras"])
+    def test_infinite_big_n_rejected(self, call):
+        # an infinite N makes every threshold infinite, and its ceiling
+        # is no sample count
+        with pytest.raises(ParameterError, match="finite"):
+            call(math.inf)
+
+    @pytest.mark.parametrize("k", [1024, 5000])
+    def test_k_beyond_float_range_rejected(self, k):
+        with pytest.raises(ParameterError, match="k must be below 1024"):
+            solve_ras_params(10, 10.0, 0.4, 0.1, k, 0.1)
+
+    def test_largest_k_fails_as_a_parameter_error(self):
+        # 2^1023 is a float; the solver then finds no bracket
+        with pytest.raises(ParameterError, match="no root bracketed"):
+            solve_ras_params(10, 10.0, 0.4, 0.1, 1023, 0.1)

@@ -65,6 +65,53 @@ class TestIngestCheck:
         assert code == 1
         assert "error:" in err
 
+    def test_pinned_output(self, capsys, tmp_path):
+        # repeats, a self-loop and a reversed pair over labels 7, 3, 9, 1
+        graph = tmp_path / "pinned.txt"
+        graph.write_text("7 3\n3 9\n7 3\n9 9\n9 7\n3 7\n1 3\n7 9\n")
+        intr = tmp_path / "pinned-intr.txt"
+        intr.write_text("0.9\n0.3\n0.2\n0.8\n")
+        code, out, _ = run_cli(capsys, "ingest-check", "--graph", str(graph),
+                               "--price", "0.5", "--coupon-frac", "0.5",
+                               "--intrinsics-file", str(intr))
+        assert code == 0
+        assert out == json.dumps({"edges": 6, "max_in_degree": 2,
+                                  "max_out_degree": 2, "nodes": 4,
+                                  "pruned_nodes": 1, "retained_nodes": 3},
+                                 indent=2, sort_keys=True) + "\n"
+        code, out, _ = run_cli(capsys, "ingest-check", "--graph", str(graph),
+                               "--undirected")
+        assert json.loads(out) == {"edges": 8, "max_in_degree": 3,
+                                   "max_out_degree": 3, "nodes": 4}
+
+    @pytest.mark.parametrize("price,frac,message", [
+        ("0.5", "3", "coupon fraction must lie in [0, 1)"),
+        ("0.5", "-0.1", "coupon fraction must lie in [0, 1)"),
+        ("1.5", "0.5", "price must lie in (0, 1]"),
+        ("0", "0.5", "price must lie in (0, 1]"),
+    ])
+    def test_pricing_range_checked_like_run(self, capsys, graph_file, intr_file,
+                                            price, frac, message):
+        for command, extra in (("ingest-check", []),
+                               ("run", ["--alg", "ra-t", "--eval-sims", "10"])):
+            code, out, err = run_cli(
+                capsys, command, "--graph", graph_file, "--price", price,
+                "--coupon-frac", frac, "--intrinsics-file", intr_file, *extra)
+            assert code == 1
+            assert out == ""
+            assert message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_intrinsic_fails_cleanly(self, capsys, graph_file,
+                                                tmp_path, value):
+        intr = tmp_path / "bad.txt"
+        intr.write_text(f"0.9\n0.9\n{value}\n0.9\n")
+        code, out, err = run_cli(capsys, "ingest-check", "--graph", graph_file,
+                                 "--price", "0.5", "--intrinsics-file", str(intr))
+        assert code == 1
+        assert out == ""
+        assert "line 3" in err
+
 
 @pytest.mark.parametrize("command,flag", [
     ("ingest-check", "--graph"),
@@ -334,6 +381,39 @@ class TestThresholds:
                                "--eps", "0.05", "--eps3", "0.2")
         assert code == 0
         assert "error" in json.loads(out)["ras"]
+
+    def test_infinite_big_n_fails_cleanly(self, capsys):
+        code, out, err = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.1",
+                                 "--eps", "0.4", "--bigN", "inf")
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_huge_k_reported_inline(self, capsys):
+        code, out, _ = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.1",
+                               "--eps", "0.4", "--k", "1024")
+        assert code == 0
+        data = json.loads(out)
+        assert "k must be below 1024" in data["ras"]["error"]
+        assert data["rat"]["l"] >= 1
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("run", ["--alg", "ra-t", "--bigN", "inf"], "must be finite"),
+    ("run", ["--alg", "ra-s", "--bigN", "inf"], "must be finite"),
+    ("run", ["--alg", "spm", "--l-override", "5", "--bigN", "inf"], "must be finite"),
+    ("sweep", ["--alg", "ra-t", "--bigN", "inf"], "must be finite"),
+    ("run", ["--alg", "ra-s", "--k", "1024"], "k must be below 1024"),
+    ("sweep", ["--alg", "ra-s", "--k", "4096"], "k must be below 1024"),
+])
+def test_overflowing_numeric_flags_fail_cleanly(capsys, graph_file, intr_file,
+                                                command, extra, message):
+    code, out, err = run_cli(capsys, command, "--graph", graph_file,
+                             "--intrinsics-file", intr_file, "--eval-sims", "10",
+                             *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 class TestSweep:

@@ -302,7 +302,8 @@ class TestTriggeringSets:
     def test_lt_picks_exactly_one_in_neighbor(self, lt_fork_net):
         rng = random.Random(1)
         c = lt_fork_net.graph.id_of(3)
-        parents = set(lt_fork_net.graph.in_adj[c])
+        g = lt_fork_net.graph
+        parents = set(g.in_indices[g.in_indptr[c]:g.in_indptr[c + 1]].tolist())
         seen = set()
         for _ in range(200):
             t = sample_triggering_set(lt_fork_net, c, rng)

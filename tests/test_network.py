@@ -1,9 +1,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from profitmax import (CONFIG_KEYS, DiffusionParams, NetworkError,
+from profitmax import (CONFIG_KEYS, MODELS, DiffusionParams, Graph, NetworkError,
                        ParameterError, ParseError, build_tc_network,
                        generate_intrinsics, ingest_edge_list, load_intrinsics,
                        load_network_config)
@@ -16,8 +19,8 @@ class TestIngest:
         g = make_graph("# comment\n1 2\n2 3\n\n3 1\n")
         assert g.n == 3
         assert g.m == 3
-        assert g.out_adj[0] == (1,)
-        assert g.in_adj[0] == (2,)
+        assert g.out_indices[g.out_indptr[0]:g.out_indptr[1]].tolist() == [1]
+        assert g.in_indices[g.in_indptr[0]:g.in_indptr[1]].tolist() == [2]
 
     def test_labels_keep_first_seen_order(self):
         g = make_graph("10 7\n7 3\n")
@@ -36,7 +39,7 @@ class TestIngest:
     def test_undirected_doubles_edges(self):
         g = make_graph("1 2\n", undirected=True)
         assert g.m == 2
-        assert g.out_adj[1] == (0,)
+        assert g.out_indices[g.out_indptr[1]:g.out_indptr[2]].tolist() == [0]
 
     def test_tab_separated(self):
         g = make_graph("1\t2\n")
@@ -52,8 +55,75 @@ class TestIngest:
 
     def test_degrees(self):
         g = make_graph("1 2\n1 3\n2 3\n")
-        assert g.out_degree(0) == 2
-        assert g.in_degree(g.id_of(3)) == 2
+        assert np.diff(g.out_indptr)[0] == 2
+        assert np.diff(g.in_indptr)[g.id_of(3)] == 2
+
+
+def reference_csr(n, edges):
+    """(indptr, indices) of both directions of a set of (u, v) pairs,
+    built with plain Python: neighbors ascending, each edge once."""
+    out = []
+    for adj in ([sorted(v for u, v in edges if u == w) for w in range(n)],
+                [sorted(u for u, v in edges if v == w) for w in range(n)]):
+        indptr = [0]
+        for nbrs in adj:
+            indptr.append(indptr[-1] + len(nbrs))
+        out.append((indptr, [x for nbrs in adj for x in nbrs]))
+    return out
+
+
+def assert_csr(g, n, edges):
+    (out_ptr, out_idx), (in_ptr, in_idx) = reference_csr(n, edges)
+    assert g.n == n
+    assert g.m == len(edges)
+    assert g.out_indptr.tolist() == out_ptr
+    assert g.out_indices.tolist() == out_idx
+    assert g.in_indptr.tolist() == in_ptr
+    assert g.in_indices.tolist() == in_idx
+    assert g.out_indptr.dtype == g.in_indptr.dtype == np.int64
+    assert g.out_indices.dtype == g.in_indices.dtype == np.int32
+
+
+class TestGraph:
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-5, 12), st.integers(-5, 12)),
+                          min_size=1, max_size=40),
+           undirected=st.booleans())
+    def test_ingest_matches_reference_adjacency(self, pairs, undirected):
+        # repeats and self-loops come from the small label range
+        text = "".join(f"{a} {b}\n" for a, b in pairs)
+        g = make_graph(text, undirected)
+        labels = list(dict.fromkeys(lab for pair in pairs for lab in pair))
+        ids = {lab: i for i, lab in enumerate(labels)}
+        edges = {(ids[a], ids[b]) for a, b in pairs if a != b}
+        if undirected:
+            edges |= {(v, u) for u, v in edges}
+        assert_csr(g, len(labels), edges)
+        assert g.labels == tuple(labels)
+        assert all(g.id_of(lab) == i for i, lab in enumerate(labels))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_constructor_matches_reference_adjacency(self, data, n):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=50))
+        g = Graph(n, [u for u, _ in pairs], [v for _, v in pairs])
+        assert_csr(g, n, {(u, v) for u, v in pairs if u != v})
+        assert g.labels == tuple(range(n))
+
+    @pytest.mark.parametrize("sources,targets", [
+        ([0, 3], [1, 0]), ([0], [3]), ([-1], [2]), ([1, 0], [0, -4])])
+    def test_out_of_range_ids_rejected(self, sources, targets):
+        with pytest.raises(NetworkError, match="out of range for n=3"):
+            Graph(3, sources, targets)
+
+    def test_shape_checked(self):
+        with pytest.raises(NetworkError):
+            Graph(0, [], [])
+        with pytest.raises(NetworkError, match="equal-length"):
+            Graph(3, [0, 1], [1])
+        with pytest.raises(NetworkError, match="labels length"):
+            Graph(3, [0], [1], labels=[5, 6])
 
 
 class TestDiffusionParams:
@@ -105,8 +175,8 @@ class TestBuild:
     def test_adopter_eligibility_needs_full_price(self):
         # v2 affords with the coupon but not without: not adopter-eligible
         net = make_net("1 2\n", price=0.5, coupon=0.25, intrinsics=[0.9, 0.3])
-        assert net.adopter_eligible(0)
-        assert not net.adopter_eligible(1)
+        assert net.eligible[0]
+        assert not net.eligible[1]
 
     def test_prob_in_constant_model(self):
         net = make_net("1 2\n2 3\n", ic_p=0.37)
@@ -130,6 +200,39 @@ class TestBuild:
         net = make_net("1 2\n", price=0.5, coupon=0.2)
         assert net.full_profit() == pytest.approx(0.6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 9), model=st.sampled_from(MODELS))
+    def test_pruned_network_matches_reference_remap(self, data, n, model):
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                   min_size=1, max_size=30))
+        g = make_graph("".join(f"{a} {b}\n" for a, b in pairs))
+        intr = data.draw(st.lists(st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+                                  min_size=g.n, max_size=g.n))
+        price, coupon = 0.5, 0.25
+        keep = [v for v in range(g.n) if intr[v] + coupon >= price]
+        params = DiffusionParams(model, 0.3)
+        if not keep:
+            with pytest.raises(NetworkError, match="every node was pruned"):
+                build_tc_network(g, params, price, coupon, intr)
+            return
+        remap = {old: new for new, old in enumerate(keep)}
+        edges = {(remap[u], remap[v])
+                 for u in keep
+                 for v in g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]].tolist()
+                 if v in remap}
+        net = build_tc_network(g, params, price, coupon, intr)
+        assert_csr(net.graph, len(keep), edges)
+        assert net.graph.labels == tuple(g.labels[v] for v in keep)
+        assert net.pruned_labels == tuple(g.labels[v] for v in range(g.n)
+                                          if v not in remap)
+        assert net.intrinsic.tolist() == [intr[v] for v in keep]
+        assert net.eligible.tolist() == [intr[v] >= price for v in keep]
+        in_deg = [sum(1 for _, v in edges if v == w) for w in range(len(keep))]
+        if model == "ic-cp":
+            assert net.prob_in.tolist() == [0.3] * len(keep)
+        else:
+            assert net.prob_in.tolist() == [1.0 / d if d else 0.0 for d in in_deg]
+
     def test_labels_round_trip(self):
         net = make_net("5 9\n9 4\n")
         ids = [net.graph.id_of(lab) for lab in (5, 9, 4)]
@@ -151,6 +254,13 @@ class TestIntrinsics:
         path.write_text("0.5\n0.75\n# note\n1.0\n")
         vals = load_intrinsics(str(path), 3)
         assert vals == [0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_load_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "intr.txt"
+        path.write_text(f"0.5\n# note\n{value}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_intrinsics(str(path), 2)
 
     def test_load_count_mismatch(self, tmp_path):
         path = tmp_path / "intr.txt"

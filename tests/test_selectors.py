@@ -42,7 +42,7 @@ class TestFit:
         est = cls(seed=3, **kw).fit(two_node_net)
         assert isinstance(est.seed_set_, frozenset)
         assert est.seed_labels_ == sorted(
-            two_node_net.label_of(v) for v in est.seed_set_)
+            two_node_net.graph.labels[v] for v in est.seed_set_)
         assert set(est.sample_counts_) == {"simulations", "realizations",
                                            "ra_sets"}
         assert est.fit_time_ms_ >= 0
