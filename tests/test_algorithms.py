@@ -1,14 +1,15 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from profitmax import (ALGORITHMS, CoverageOracle, FunctionOracle,
+from profitmax import (ALGORITHMS, BaselineConfig, CoverageOracle, FunctionOracle,
                        MemoryBudgetError, ParameterError, algorithms, delta0,
                        delta1, delta2, diffusion, double_greedy,
-                       estimate_profit_simulation, exact_profit, node_order,
-                       ra_s, ra_t, replay_on_realization, rpm,
+                       estimate_profit_simulation, exact_profit, max_inf,
+                       node_order, ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
@@ -341,3 +342,49 @@ class TestRegistry:
         assert set(ALGORITHMS) == {"spm", "rpm", "ra-t", "ra-s"}
         for name, fn in ALGORITHMS.items():
             assert callable(fn)
+
+
+def pinned_net(kind):
+    """A sparse ic-cp net whose RA sets mostly have one member, and two LT
+    nets whose sets mostly have several."""
+    rng = random.Random(kind)
+    n, m, model, p = {"sparse-ic-cp": (1000, 1500, "ic-cp", 0.05),
+                      "dense-lt": (14, 80, "lt", 1.0),
+                      "sparse-lt": (2000, 2600, "lt", 1.0)}[kind]
+    intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(n)]
+    return make_net(random_edge_text(rng, n, m), model=model, ic_p=p,
+                    coupon=0.4, intrinsics=intrinsics)
+
+
+PINNED_RUNS = {
+    "ra-t": lambda net: ra_t(net, max_ra=20000, seed=3),
+    "ra-s": lambda net: ra_s(net, k=3, seed=3),
+    "rpm": lambda net: rpm(net, l_override=20, seed=3),
+    "maxinf": lambda net: max_inf(
+        net, BaselineConfig(sweep_points=5, eval_simulations=200), seed=3),
+}
+
+
+class TestPinnedSelections:
+    # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
+    # reason), pinned while RA collections still stored one-member sets
+    # whole; the nets cover split and unsplit, batched and scalar oracles
+    @pytest.mark.parametrize("kind,alg,pinned", [
+        ("sparse-ic-cp", "ra-t", (797, "4e52f5cec1af3a65", 113.85000000000002, 20000, None)),
+        ("sparse-ic-cp", "ra-s", (925, "4089184cd834b099", 102.40981625026342, 90177, "confirmed")),
+        ("sparse-ic-cp", "rpm", (931, "4152ea485e875f13", 99.19999999999999, 20, None)),
+        ("sparse-ic-cp", "maxinf", (100, "1684030a22f3d007", 13.085, 2159, None)),
+        ("dense-lt", "ra-t", (4, "04270b3451062138", 4.413022508038585, 6220, None)),
+        ("dense-lt", "ra-s", (5, "7c83e8130b1924fc", 4.391111111111111, 1575, "confirmed")),
+        ("dense-lt", "rpm", (6, "aeea848eec2ac308", 4.275, 20, None)),
+        ("dense-lt", "maxinf", (2, "9393911cbd0ddb23", 3.3449999999999998, 825, None)),
+        ("sparse-lt", "ra-t", (889, "3aa531108d7a8f4c", 604.6, 20000, None)),
+        ("sparse-lt", "ra-s", (950, "15ebfa29e4198df9", 609.5313292969349, 84729, "confirmed")),
+        ("sparse-lt", "rpm", (1099, "9ca9875592df35cd", 560.4, 20, None)),
+        ("sparse-lt", "maxinf", (200, "d3996e945c573276", 344.64, 2376, None)),
+    ])
+    def test_members_are_pinned(self, kind, alg, pinned):
+        res = PINNED_RUNS[alg](pinned_net(kind))
+        digest = hashlib.sha256(repr(sorted(res.members)).encode()).hexdigest()
+        assert (len(res.members), digest[:16], res.internal_value, res.l,
+                res.extras.get("stop_reason")) == pinned
