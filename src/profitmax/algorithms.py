@@ -34,8 +34,7 @@ from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
                         estimate_profits_simulation, stream_blocks, _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
-from .sampling import (CollectionBuilder, RACollection, generate_collection,
-                       sample_rr_block)
+from .sampling import CollectionBuilder, generate_collection, sample_rr_block
 
 SPM, RPM, RA_T, RA_S = "spm", "rpm", "ra-t", "ra-s"
 
@@ -111,9 +110,9 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
                 "seed": seed})
 
 
-# Bytes the realization collection holds per RR set (its root and offset,
-# the oracle's two counters) and per member (the member and its entry in
-# the inverted index).
+# Bytes an RR set would take stored whole (a root and offset, the oracle's
+# two counters) and per member (the member and its index entry): an upper
+# bound, as one-member sets are kept as a count per node instead.
 _SET_BYTES = 4 + 8 + 4 + 4
 _MEMBER_BYTES = 4 + 4
 
@@ -139,19 +138,14 @@ def _realization_collection(net: TCNetwork, l: int, ss, budget_mb: float):
                 "lower l or raise the budget")
 
     check("project at least")
-    sizes, members = [], []
+    builder = CollectionBuilder(net)
     for child, size in stream_blocks(ss, l, SIM_BLOCK):
-        for block_sizes, block_members in sample_rr_block(
-                net, size, np.random.default_rng(child)):
-            sizes.append(block_sizes)
-            members.append(block_members)
+        for sizes, members in sample_rr_block(net, size, np.random.default_rng(child)):
             # every set counted in the floor already holds one member
-            entries += block_members.size - block_sizes.size
+            entries += members.size - sizes.size
             check("hold at least")
-    offsets = np.zeros(sets + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(sizes), out=offsets[1:])
-    roots = np.tile(np.arange(net.n, dtype=np.int32), l)
-    return RACollection(net.n, roots, offsets, np.concatenate(members))
+            builder.add(sizes, members)
+    return builder.snapshot()
 
 
 def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
@@ -244,6 +238,8 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     unconditionally once the martingale threshold delta1_star is reached.
     """
     _check_eps(eps)
+    if not (plateau_pct >= 0.0 and math.isfinite(plateau_pct)):
+        raise ParameterError(f"plateau_pct must be a finite percentage >= 0, got {plateau_pct}")
     big_n = _effective_big_n(net, big_n)
     n, r = net.n, net.discount_ratio
     params = solve_ras_params(n, big_n, eps, r, k, eps3)

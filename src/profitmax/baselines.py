@@ -44,13 +44,15 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
     """Greedy maximum coverage: picks `length` nodes, highest marginal
     coverage first, smaller id on ties.  Exhausted coverage falls back to
     id order so the chain always reaches the requested length."""
-    gains = coll.coverage_counts().astype(np.int64)
-    covered = np.zeros(len(coll), dtype=bool)
+    gains = coll.coverage_counts()
+    # v's one-member sets count toward gains[v] alone, which v consumes
+    idx_offsets, idx_sets = coll.index()
+    covered = np.zeros(coll.offsets.size - 1, dtype=bool)
     chain = []
     for _ in range(length):
         v = int(np.argmax(gains))  # first occurrence, so smallest id wins ties
         chain.append(v)
-        idx = coll.sets_containing(v)
+        idx = idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
         fresh = idx[~covered[idx]]
         covered[fresh] = True
         for j in fresh:

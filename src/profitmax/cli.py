@@ -285,7 +285,7 @@ def cmd_sweep(args) -> int:
     for price in SWEEP_PRICES:
         args.price = price
         report = _run_once(args, *_build_network(args))
-        lines.append(json.dumps(report.to_dict(), sort_keys=True))
+        lines.append(report.to_json(indent=None))
         rows.append({"price": price, "algorithm": report.algorithm,
                      "seed_count": report.seed_count,
                      "estimated_profit": report.estimated_profit["value"],

@@ -18,17 +18,16 @@ over a collection of node sets that answers marginals from per-set
 coverage counters (ra-t and ra-s over RA sets, rpm over its realizations'
 reverse-reachable sets).
 
-The coverage oracle splits its collection when one-member sets dominate
-it, as RA sets on sparse networks do.  A set {v} is read and written by v
-alone, and is always uncovered in X and covered in Y when v comes up, so
-it adds one to both of v's marginal counts: such sets are kept as one
-count per node, and only the sets with two or more members get counters
-and an inverted index.  Those are what couple the nodes: v's marginals
-read only the counters of v's sets, and deciding v writes only those.  So
-a run of consecutive nodes in the order whose multi-member sets are
-pairwise disjoint can be decided at once, with the same result as one at
-a time: the concurrency-control scheme of Pan, Jegelka, Gonzalez, Bradley
-& Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS 2014).
+The coverage oracle reads a collection's one-member sets as the count
+per node it keeps them in.  A set {v} is read and written by v alone, and
+is always uncovered in X and covered in Y when v comes up, so it adds one
+to both of v's marginal counts; only the sets with two or more members
+get counters.  Those are what couple the nodes: v's marginals read only
+the counters of v's sets, and deciding v writes only those.  So a run of
+consecutive nodes in the order whose multi-member sets are pairwise
+disjoint can be decided at once, with the same result as one at a time:
+the concurrency-control scheme of Pan, Jegelka, Gonzalez, Bradley &
+Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS 2014).
 The coins are drawn in order, and only for nodes whose clamped marginals
 do not both vanish, so the batched pass is bit-identical to the
 sequential one.  Planning the runs costs a sort of the multi-member
@@ -94,43 +93,6 @@ class FunctionOracle:
             self.y.discard(v)
 
 
-def _split_singletons(coll: RACollection):
-    """(single, multi): how many one-member sets each node has, as int64,
-    and the sets with two or more members as their own collection.  Empty
-    sets are dropped: nothing covers them.
-
-    Walks the collection INDEX_CHUNK sets at a time, twice: once to count,
-    which fixes the size of the result, and once to copy the kept sets
-    into it.  So its scratch is bounded by the chunk and by what it keeps.
-    """
-    single = np.zeros(coll.n, dtype=np.int64)
-    chunks = range(0, len(coll), INDEX_CHUNK)
-    sets = 0
-    for lo in chunks:
-        offsets = coll.offsets[lo:lo + INDEX_CHUNK + 1]
-        sizes = np.diff(offsets)
-        np.add.at(single, coll.members[offsets[:-1][sizes == 1]], 1)
-        sets += int(np.count_nonzero(sizes > 1))
-    roots = np.empty(sets, dtype=np.int32)
-    multi_offsets = np.zeros(sets + 1, dtype=np.int64)
-    members = np.empty(coll.members.size - int(single.sum()), dtype=np.int32)
-    at = 0
-    for lo in chunks:
-        offsets = coll.offsets[lo:lo + INDEX_CHUNK + 1]
-        sizes = np.diff(offsets)
-        keep = np.flatnonzero(sizes > 1)
-        roots[at:at + keep.size] = coll.roots[lo + keep]
-        ends = multi_offsets[at + 1:at + keep.size + 1]
-        np.cumsum(sizes[keep], out=ends)
-        ends += multi_offsets[at]
-        entries = np.ones(offsets[-1] - offsets[0], dtype=bool)
-        entries[offsets[:-1][sizes == 1] - offsets[0]] = False
-        members[multi_offsets[at]:multi_offsets[at + keep.size]] = \
-            coll.members[offsets[0]:offsets[-1]][entries]
-        at += keep.size
-    return single, RACollection(coll.n, roots, multi_offsets, members)
-
-
 def _latest_conflicts(coll: RACollection) -> np.ndarray:
     """For each node v, the largest node below v that shares a set with
     it, or -1.
@@ -168,14 +130,13 @@ class CoverageOracle:
     reverse-reachable sets of each of l realizations, where it equals the
     realizations' mean adopter count times P, less C * |S|.
 
-    single[v] counts the one-member sets {v} split off the collection, and
-    multi holds the other sets (all of them when the split would not pay).
-    count_x and count_y hold, for each set of multi, how many of its
-    members are in X and in Y.  Adding v to X newly covers its one-member
-    sets and the sets of multi containing v with zero X-members so far;
-    removing v from Y uncovers its one-member sets and the sets of multi
-    where v is the last Y-member.  shift is added to every marginal; F
-    itself is evaluated exactly given the collection.
+    single[v] counts the one-member sets {v} of the collection, and
+    count_x and count_y hold, for each of its sets with two or more
+    members, how many of them are in X and in Y.  Adding v to X newly
+    covers its one-member sets and the other sets containing v with zero
+    X-members so far; removing v from Y uncovers its one-member sets and
+    the other sets where v is the last Y-member.  shift is added to every
+    marginal; F itself is evaluated exactly given the collection.
 
     greedy_pass runs the double-greedy pass over this oracle; batched says
     whether it plans conflict-free batches or steps through the nodes one
@@ -184,35 +145,32 @@ class CoverageOracle:
 
     def __init__(self, coll: RACollection, price: float, coupon: float,
                  shift: float = 0.0):
-        self.price = price
         self.coupon = coupon
         self.shift = shift
         self.unit = price * coll.n / len(coll)
-        # The split is a pass over every set that saves index entries and
-        # counter updates on the one-member sets alone.  It is made when
-        # those hold at least half the entries, which is certain once
-        # 4 |sets| >= 3 |entries|, as every other set holds two or more.
-        if 4 * len(coll) >= 3 * coll.members.size:
-            self.single, self.multi = _split_singletons(coll)
-        else:
-            self.single, self.multi = np.zeros(coll.n, dtype=np.int64), coll
-        sizes = self.multi.sizes()
-        self.count_x = np.zeros(len(self.multi), dtype=np.int32)
+        self.coll = coll
+        self.single = coll.single
+        sizes = coll.sizes()
+        self.count_x = np.zeros(sizes.size, dtype=np.int32)
         self.count_y = sizes.astype(np.int32)
         # Whether the mean batch of plan() should reach SCALAR_BATCH nodes.
         # With c node pairs sharing a set, spread over the n^2 / 2 pairs, a
         # run of b nodes holds about b^2 c / n^2 of them, and runs end about
         # where that reaches one half: after n / sqrt(2 c) nodes.
-        shared = float(np.dot(sizes, sizes)) - self.multi.members.size  # 2 c
+        shared = float(np.dot(sizes, sizes)) - coll.members.size  # 2 c
         self.batched = coll.n ** 2 >= SCALAR_BATCH ** 2 * shared
         self.x = set()
         self.y = set(range(coll.n))
 
+    def _sets_of(self, v):
+        offsets, sets = self.coll.index()  # of the multi-member sets
+        return sets[offsets[v]:offsets[v + 1]]
+
     def gains(self, v):
-        return self._gains(v, self.multi.sets_containing(v))
+        return self._gains(v, self._sets_of(v))
 
     def apply(self, v, included: bool):
-        self._apply(v, self.multi.sets_containing(v), included)
+        self._apply(v, self._sets_of(v), included)
 
     def _gains(self, v, sets):
         """(a, b) of node v, whose multi-member sets are sets."""
@@ -239,7 +197,7 @@ class CoverageOracle:
     def _permutation(self, order) -> np.ndarray:
         """order as an int64 array.  Raises ValueError unless it is a
         permutation of 0..n-1: a repeated node would be applied twice."""
-        n = self.multi.n
+        n = self.coll.n
         order = np.asarray(order, dtype=np.int64).reshape(-1)
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order must be a permutation of 0..{n - 1}")
@@ -262,9 +220,9 @@ class CoverageOracle:
         position[order] = np.arange(order.size, dtype=np.int32)
         # the multi-member sets with positions for members: its index
         # lists the sets of each position
-        by_position = RACollection(order.size, self.multi.roots,
-                                   self.multi.offsets,
-                                   position[self.multi.members])
+        by_position = RACollection(order.size, np.zeros(order.size, np.int64),
+                                   self.coll.offsets,
+                                   position[self.coll.members])
         # the batch from s ends at the first later position whose latest
         # earlier conflicting position is s or after
         cuts = [0]
@@ -280,14 +238,14 @@ class CoverageOracle:
         its nodes' sets, its coins drawn in order, and its decisions
         applied in two fancy-index updates.  Where batches are expected
         to be short, the plan is skipped and every node takes a scalar
-        step over the node index of multi, as short batches do."""
+        step over the collection's node index, as short batches do."""
         if self.batched:
             order, cuts, offsets, sets = self.plan(order)
             starts, ends = offsets[:-1], offsets[1:]
         else:
             order = self._permutation(order)
             cuts = range(order.size + 1)
-            offsets, sets = self.multi.index()
+            offsets, sets = self.coll.index()
             starts, ends = offsets[order], offsets[order + 1]
         starts, ends = starts.tolist(), ends.tolist()
         nodes = order.tolist()

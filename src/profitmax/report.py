@@ -2,11 +2,12 @@
 
 One report per algorithm run, serialized as a single JSON object.  The
 schema is fixed: validation rejects unknown fields in strict mode and
-checks that the reported profit is arithmetically consistent with the
-reported adopter mean and seed count.
+numbers JSON cannot hold (nan, infinities), and checks that the reported
+profit is consistent with the reported adopter mean and seed count.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -37,7 +38,9 @@ class RunReport:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        data = self.to_dict()
+        _check_finite(data, "report")
+        return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict, strict: bool = True) -> "RunReport":
@@ -59,10 +62,21 @@ def _check_keys(data: dict, required: set, where: str, strict: bool):
             raise ReportError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _check_finite(value, where: str):
+    """Raise ReportError at the first nan or infinity inside value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ReportError(f"{where} must be finite, got {value}")
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _check_finite(item, f"{where}.{key}")
+
+
 def validate_report(data: dict, strict: bool = True):
     """Schema and consistency check; raises ReportError on any problem."""
     if not isinstance(data, dict):
         raise ReportError("report must be a JSON object")
+    _check_finite(data, "report")
     _check_keys(data, _TOP_KEYS, "report", strict)
     if not isinstance(data["algorithm"], str):
         raise ReportError("algorithm must be a string")

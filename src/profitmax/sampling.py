@@ -13,6 +13,11 @@ rpm's sets come from the same level loop: sample_rr_block draws whole
 realizations and collects, for every node w of each, the nodes that reach
 w.  Over l realizations those l * n sets give F the value P times the mean
 adopter count of S across the realizations, less C * |S|.
+
+A one-member set {v} meets S exactly when v is in S, so collections keep
+such sets, most RA sets on sparse networks, as a count per node from the
+start: split_block divides each kernel block into those counts and the
+sets of two or more members, and only the latter are stored whole.
 """
 
 import numpy as np
@@ -122,6 +127,16 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     return roots.astype(np.int32), sizes, members
 
 
+def split_block(n: int, sizes, members):
+    """(single, sizes, members) of a block of sets laid out as _grow lays
+    them out: single counts, per node, the sets of one member, whose one
+    member is their root; sizes (int32) and members describe the sets of
+    two or more members, in their order."""
+    one = sizes == 1
+    single = np.bincount(members[(np.cumsum(sizes) - sizes)[one]], minlength=n)
+    return single, sizes[~one].astype(np.int32), members[np.repeat(~one, sizes)]
+
+
 def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
     """Draw runs realizations over the in-edge CSR.  Under IC each in-edge
     of an eligible node is live with that node's probability; under LT
@@ -192,22 +207,25 @@ def _stable_order(nodes, n: int) -> np.ndarray:
 
 
 class RACollection:
-    """A flat, append-only store of RA sets with an inverted index.
+    """A flat store of RA sets with an inverted index.
 
-    Member lists live in one int32 array sliced by offsets, which keeps
-    millions of small sets cheap.  The inverted index (node -> indices of
-    sets containing it) is built on first use and reused afterwards.
+    single[v] counts the sets {v}.  The other sets are stored: their
+    member lists live in one int32 array sliced by offsets, which keeps
+    millions of small sets cheap.  len() counts every set; sizes,
+    members_of and the inverted index (node -> stored sets containing it,
+    built on first use) describe the stored sets, numbered before the
+    one-member sets, which sets_containing numbers node after node.
     """
 
-    def __init__(self, n: int, roots, offsets, members):
+    def __init__(self, n: int, single, offsets, members):
         self.n = n
-        self.roots = np.asarray(roots, dtype=np.int32)
+        self.single = np.asarray(single, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.members = np.asarray(members, dtype=np.int32)
         self._index = None
 
     def __len__(self):
-        return len(self.roots)
+        return self.offsets.size - 1 + int(self.single.sum())
 
     def members_of(self, i: int) -> np.ndarray:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
@@ -217,11 +235,11 @@ class RACollection:
 
     def index(self):
         """(idx_offsets, idx_sets): for node v, idx_sets[idx_offsets[v]:
-        idx_offsets[v+1]] are the indices of RA sets containing v, ascending,
-        as int32."""
+        idx_offsets[v+1]] are the indices of stored sets containing v,
+        ascending, as int32."""
         if self._index is None:
             idx_offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self.coverage_counts(), out=idx_offsets[1:])
+            np.cumsum(self.coverage_counts() - self.single, out=idx_offsets[1:])
             idx_sets = np.empty(self.members.size, dtype=np.int32)
             cursor = idx_offsets[:-1].copy()  # each node's next free slot
             # a counting sort: entries come in set order, so filling each
@@ -246,29 +264,42 @@ class RACollection:
         return self._index
 
     def sets_containing(self, v: int) -> np.ndarray:
+        """Every set containing v, ascending: stored, then one-member."""
         idx_offsets, idx_sets = self.index()
-        return idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
+        first = self.offsets.size - 1 + int(self.single[:v].sum())
+        return np.concatenate((idx_sets[idx_offsets[v]:idx_offsets[v + 1]],
+                               np.arange(first, first + self.single[v])))
 
     def coverage_counts(self) -> np.ndarray:
-        """How many RA sets contain each node, as int64.  Counted in place
-        per INDEX_CHUNK entries: np.bincount would first copy the whole
-        int32 member array to int64."""
-        counts = np.zeros(self.n, dtype=np.int64)
+        """How many sets contain each node, as int64.  The stored members
+        are counted in place per INDEX_CHUNK entries: np.bincount would
+        first copy the whole int32 member array to int64."""
+        counts = self.single.copy()
         for lo in range(0, self.members.size, INDEX_CHUNK):
             np.add.at(counts, self.members[lo:lo + INDEX_CHUNK], 1)
         return counts
 
 
 class CollectionBuilder:
-    """Accumulates RA sets across growth rounds as kernel output chunks."""
+    """Accumulates RA or RR sets kernel block by block, across growth rounds,
+    as a running count of one-member sets per node and split blocks."""
 
     def __init__(self, net: TCNetwork):
         self.net = net
-        self._chunks = []  # (roots, sizes, members) per block
+        self._single = np.zeros(net.n, dtype=np.int64)
+        # (sizes, members) of the multi-member sets per block
+        self._chunks = [(np.empty(0, np.int32), np.empty(0, np.int32))]
         self._count = 0
 
     def __len__(self):
         return self._count
+
+    def add(self, sizes, members):
+        """Store one kernel block of sets laid out as _grow lays them out."""
+        self._count += sizes.size
+        single, sizes, members = split_block(self.net.n, sizes, members)
+        self._single = self._single + single  # earlier snapshots hold the old one
+        self._chunks.append((sizes, members))
 
     def extend(self, count: int, rng):
         """Append count RA sets.  rng (a SeedSequence, a random.Random or a
@@ -276,29 +307,24 @@ class CollectionBuilder:
         if count <= 0:
             return
         for child, size in stream_blocks(rng, count, RA_BLOCK):
-            self._chunks.append(
-                sample_ra_block(self.net, size, np.random.default_rng(child)))
-        self._count += count
+            self.add(*sample_ra_block(self.net, size, np.random.default_rng(child))[1:])
 
     def _merged(self):
         # merge once; later snapshots only append the newer chunks
-        if len(self._chunks) != 1:
-            if not self._chunks:
-                return (np.empty(0, np.int32), np.empty(0, np.int64),
-                        np.empty(0, np.int32))
+        if len(self._chunks) > 1:
             self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
         return self._chunks[0]
 
     @property
     def members(self) -> np.ndarray:
-        """Members of every set so far, set after set."""
-        return self._merged()[2]
+        """Members of every multi-member set so far, set after set."""
+        return self._merged()[1]
 
     def snapshot(self) -> RACollection:
-        roots, sizes, members = self._merged()
-        offsets = np.zeros(len(roots) + 1, dtype=np.int64)
+        sizes, members = self._merged()
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        return RACollection(self.net.n, roots, offsets, members)
+        return RACollection(self.net.n, self._single, offsets, members)
 
 
 def generate_collection(net: TCNetwork, l: int, rng_seed, workers: int = 1) -> RACollection:

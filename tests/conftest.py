@@ -1,9 +1,12 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
-from profitmax import DiffusionParams, build_tc_network, ingest_edge_list
+from profitmax import (DiffusionParams, Graph, RACollection, build_tc_network,
+                       ingest_edge_list)
+from profitmax.sampling import split_block
 
 
 def make_graph(edge_text: str, undirected: bool = False):
@@ -76,3 +79,25 @@ def realizations_of(net, live_indptr, sources):
         [sources[live_indptr[r * n + v]:live_indptr[r * n + v + 1]].tolist()
          for v in range(n)])
         for r in range(runs)]
+
+
+def collection_of(n, sets):
+    """An RACollection of the given node lists, split as the samplers split
+    their kernel blocks: the sets of two or more members keep their order."""
+    sizes = np.array([len(s) for s in sets], dtype=np.int64)
+    members = np.concatenate([np.asarray(s, dtype=np.int32) for s in sets])
+    single, sizes, members = split_block(n, sizes, members)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return RACollection(n, single, offsets, members)
+
+
+def rat_large_net():
+    """A network shaped like the benchmark's rat-large graph: 7000 nodes and
+    100k random edges under ic-cp at p = 0.01, price 0.5 and coupon 0.45,
+    built from arrays rather than parsed.  Most of its RA sets hold their
+    root alone."""
+    rng = np.random.default_rng(7)
+    n, m = 7000, 100_000
+    graph = Graph(n, rng.integers(0, n, m), rng.integers(0, n, m))
+    return build_tc_network(graph, DiffusionParams(model="ic-cp", ic_probability=0.01),
+                            0.5, 0.45, rng.uniform(0.05, 1.0, n))

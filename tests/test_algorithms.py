@@ -13,7 +13,7 @@ from profitmax import (ALGORITHMS, BaselineConfig, CoverageOracle, FunctionOracl
                        search_rat_params, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
-from profitmax.sampling import _live_in_edges, covered_sets
+from profitmax.sampling import _live_in_edges, covered_sets, sample_rr_block
 
 from conftest import make_net, random_edge_text, realizations_of
 
@@ -202,8 +202,20 @@ class TestRPM:
                        intrinsics=[0.9, 0.9, 0.3, 0.9][:n])
         l = 20_000
         coll = _realization_collection(net, l, np.random.SeedSequence(77), 64.0)
+        # the kernel's sets of the same draw: set r * n + w is RR_r(w)
+        blocks = [block for child, size in stream_blocks(
+                      np.random.SeedSequence(77), l, SIM_BLOCK)
+                  for block in sample_rr_block(net, size, np.random.default_rng(child))]
+        sizes = np.concatenate([block[0] for block in blocks])
+        members = np.concatenate([block[1] for block in blocks])
+        assert np.array_equal(coll.coverage_counts(),
+                              np.bincount(members, minlength=n))
+        owner = np.repeat(np.arange(l * n), sizes)
         for seeds in ([0], [1], [n - 1], [0, n - 1], list(range(n))):
-            reached = covered_sets(coll, seeds).reshape(l, n).sum(axis=1)
+            covered = np.zeros(l * n, dtype=bool)
+            covered[owner[np.isin(members, seeds)]] = True
+            reached = covered.reshape(l, n).sum(axis=1)
+            assert covered_sets(coll, seeds).sum() == reached.sum()
             got = net.price * reached.mean() - net.coupon * len(seeds)
             se = net.price * reached.std() / math.sqrt(l)
             want = exact_profit(net, seeds)
@@ -318,6 +330,12 @@ class TestRAS:
     def test_k_must_be_positive(self, two_node_net):
         with pytest.raises(ParameterError):
             ra_s(two_node_net, eps=0.4, k=0)
+
+    @pytest.mark.parametrize("plateau_pct", [math.nan, math.inf, -1.0])
+    def test_plateau_pct_must_be_finite_and_nonnegative(self, two_node_net,
+                                                        plateau_pct):
+        with pytest.raises(ParameterError, match="plateau_pct"):
+            ra_s(two_node_net, eps=0.4, k=3, plateau_pct=plateau_pct)
 
 
 class TestZeroOverrides:

@@ -164,6 +164,23 @@ def test_negative_config_seed_fails_cleanly(capsys, graph_file, tmp_path):
 
 
 class TestRun:
+    @pytest.mark.parametrize("alg,value,message", [
+        ("ra-s", "nan", "plateau_pct must be a finite"),
+        ("ra-s", "inf", "plateau_pct must be a finite"),
+        ("ra-s", "-1", "plateau_pct must be a finite"),
+        # algorithms that ignore the flag still echo it in the report
+        ("ra-t", "nan", "report.parameters.plateau_pct must be finite"),
+    ])
+    def test_non_finite_plateau_fails_cleanly(self, capsys, graph_file,
+                                              intr_file, alg, value, message):
+        code, out, err = run_cli(
+            capsys, "run", "--graph", graph_file, "--intrinsics-file",
+            intr_file, "--alg", alg, "--k", "3", "--eval-sims", "10",
+            "--plateau-pct", value)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("alg,extra", [
         ("spm", ["--l-override", "50"]),
         ("rpm", ["--l-override", "50"]),

@@ -11,9 +11,10 @@ from profitmax import (MODELS, CollectionBuilder, CoverageOracle,
                        generate_collection, node_order)
 from profitmax.algorithms import _realization_collection
 from profitmax.greedy import SCALAR_BATCH
-from profitmax.sampling import INDEX_CHUNK
+from profitmax.sampling import INDEX_CHUNK, split_block
 
-from conftest import make_net, random_edge_text, random_small_net
+from conftest import (collection_of, make_net, random_edge_text, random_small_net,
+                      rat_large_net)
 
 
 def run_modular(weights, rng_seed=0, shift=0.0):
@@ -205,9 +206,7 @@ class TestBatchedPass:
         # unit = coupon = 1, so a node whose one set is {v} has a = b = 0
         # and is admitted outright: in the batch of nodes 0-6 only node 6
         # draws a coin
-        sets = [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]]
-        offsets = np.cumsum([0] + [len(m) for m in sets])
-        coll = RACollection(8, [m[0] for m in sets], offsets, np.concatenate(sets))
+        coll = collection_of(8, [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]])
         for seed in range(10):
             fast = CoverageOracle(coll, 1.0, 1.0)
             fast.batched = True
@@ -234,7 +233,7 @@ class TestBatchedPass:
                              ids=["repeated", "missing", "out-of-range",
                                   "repeated-last"])
     def test_order_must_be_a_permutation(self, order):
-        coll = RACollection(5, [0, 1, 2], [0, 2, 4, 5], [0, 1, 1, 2, 2])
+        coll = collection_of(5, [[0, 1], [1, 2], [2]])
         with pytest.raises(ValueError, match="permutation"):
             double_greedy(CoverageOracle(coll, 1.0, 0.5), order, random.Random(0))
 
@@ -251,7 +250,9 @@ class TestBatchedPass:
         step = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
         members = ((np.repeat(rng.integers(0, n, count), sizes) + step) % n
                    ).astype(np.int32)
-        coll = RACollection(n, members[offsets[:-1]], offsets, members)
+        single, sizes, members = split_block(n, sizes, members)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        coll = RACollection(n, single, offsets, members)
         order = rng.permutation(n)
         del sizes, step
         tracemalloc.start()
@@ -261,16 +262,31 @@ class TestBatchedPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        multi = oracle.multi
         kept = sum(a.nbytes for a in (
-            oracle.single, multi.roots, multi.offsets, multi.members,
             oracle.count_x, oracle.count_y, order, plan_offsets, plan_sets))
         # while it indexes them, the plan also holds the members relabelled
         # by position; beyond that, chunk scratch, the X and Y node sets
         # and a few arrays per node
         scratch = 64 * INDEX_CHUNK + 256 * n
-        assert scratch < count - len(multi)
-        assert peak <= kept + multi.members.nbytes + scratch
+        assert scratch < coll.single.sum()
+        assert peak <= kept + coll.members.nbytes + scratch
+
+    def test_construction_holds_counters_only(self):
+        # the one-member sets of a rat-large-shaped collection arrive as
+        # counts, so the oracle copies no part of the collection
+        net = rat_large_net()
+        coll = generate_collection(net, 600_000, 7)
+        tracemalloc.start()
+        try:
+            oracle = CoverageOracle(coll, net.price, net.coupon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle.single is coll.single
+        # its two int32 counters and one int64 size per stored set, and the
+        # Y node set: a hash table resized as it fills, and an int per node
+        assert peak <= 4 * oracle.count_y.nbytes + 160 * net.n
+        assert peak < 2 << 20
 
 
 @st.composite
@@ -278,11 +294,8 @@ def _collection_and_order(draw):
     n = draw(st.integers(1, 12))
     sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
                          min_size=1, max_size=30))
-    members = [sorted(s) for s in sets]
-    offsets = np.concatenate(([0], np.cumsum([len(m) for m in members])))
-    coll = RACollection(n, [m[0] for m in members], offsets,
-                        np.concatenate(members))
-    return coll, [set(m) for m in members], draw(st.permutations(range(n)))
+    coll = collection_of(n, [sorted(s) for s in sets])
+    return coll, sets, draw(st.permutations(range(n)))
 
 
 class TestPlan:
@@ -305,4 +318,4 @@ class TestPlan:
                 assert any(order[e] in m and m & batch for m in shared)
         for p, v in enumerate(order):
             assert list(by_position[offsets[p]:offsets[p + 1]]) == \
-                list(oracle.multi.sets_containing(v))
+                list(oracle._sets_of(v))

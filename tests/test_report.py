@@ -82,3 +82,27 @@ class TestValidation:
     def test_non_object_rejected(self):
         with pytest.raises(ReportError):
             validate_report([1, 2, 3])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_to_json_rejects_non_finite(self, two_node_net, value):
+        rep = sample_report(two_node_net)
+        rep.parameters["plateau_pct"] = value
+        with pytest.raises(ReportError, match="parameters.plateau_pct"):
+            rep.to_json()
+
+    @pytest.mark.parametrize("path", [("parameters", "eps"),
+                                      ("estimated_profit", "mean_adopters"),
+                                      ("network_summary", "price")])
+    def test_validate_rejects_non_finite(self, two_node_net, path):
+        data = sample_report(two_node_net).to_dict()
+        data[path[0]][path[1]] = float("nan")
+        with pytest.raises(ReportError, match="finite"):
+            validate_report(data)
+
+    def test_validate_rejects_non_finite_in_lists(self, two_node_net):
+        data = sample_report(two_node_net).to_dict()
+        data["parameters"]["sweep"] = [[1, 0.5], [2, float("inf")]]
+        with pytest.raises(ReportError, match=r"sweep\.1\.1 must"):
+            validate_report(data)

@@ -10,11 +10,13 @@ from scipy import stats
 from profitmax import (RACollection, estimate_F, exact_pi, exact_profit,
                        generate_collection, ra_t)
 from profitmax import sampling
+from profitmax.diffusion import stream_blocks
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
                                 _live_in_edges, covered_sets, sample_ra_block,
                                 sample_rr_block)
 
-from conftest import make_net, random_edge_text, random_small_net, realizations_of
+from conftest import (collection_of, make_net, random_edge_text, random_small_net,
+                      rat_large_net, realizations_of)
 
 
 def ra_sets(net, count, seed):
@@ -40,7 +42,7 @@ class TestRASet:
 
     def test_root_uniform(self, lt_fork_net):
         trials = 6000
-        roots = generate_collection(lt_fork_net, trials, 1).roots
+        roots = sample_ra_block(lt_fork_net, trials, np.random.default_rng(1))[0]
         counts = np.bincount(roots, minlength=3)
         expected = trials / 3
         chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(3))
@@ -76,7 +78,7 @@ class TestCollection:
         a = generate_collection(lt_fork_net, 200, 5)
         b = generate_collection(lt_fork_net, 200, 5)
         assert len(a) == len(b) == 200
-        assert np.array_equal(a.roots, b.roots)
+        assert np.array_equal(a.single, b.single)
         assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.offsets, b.offsets)
 
@@ -87,7 +89,7 @@ class TestCollection:
         assert len(base) == l
         for workers in (2, 3):
             other = generate_collection(lt_fork_net, l, 5, workers=workers)
-            assert np.array_equal(base.roots, other.roots)
+            assert np.array_equal(base.single, other.single)
             assert np.array_equal(base.offsets, other.offsets)
             assert np.array_equal(base.members, other.members)
 
@@ -99,19 +101,24 @@ class TestCollection:
         assert a.internal_value == b.internal_value
 
     def test_from_sets_round_trip(self):
-        coll = RACollection(2, [0, 1], [0, 1, 3], [0, 0, 1])
+        coll = collection_of(2, [[0], [0, 1]])
         assert len(coll) == 2
-        assert list(coll.members_of(0)) == [0]
-        assert list(coll.members_of(1)) == [0, 1]
-        assert list(coll.sizes()) == [1, 2]
+        assert list(coll.single) == [1, 0]
+        assert list(coll.members_of(0)) == [0, 1]
+        assert list(coll.sizes()) == [2]
 
     def test_inverted_index_matches_bruteforce(self):
         rng = random.Random(7)
         net = random_small_net(rng, n_max=6)
         coll = generate_collection(net, 300, 11)
+        stored = len(coll.sizes())
+        assert stored < len(coll)
         for v in range(net.n):
-            brute = [j for j in range(len(coll))
+            brute = [j for j in range(stored)
                      if v in set(coll.members_of(j).tolist())]
+            # then v's one-member sets, numbered node after node
+            first = stored + int(coll.single[:v].sum())
+            brute += range(first, first + int(coll.single[v]))
             assert list(coll.sets_containing(v)) == brute
 
     def test_inverted_index_beyond_16_bit_ids(self):
@@ -123,7 +130,7 @@ class TestCollection:
         sets = [np.unique(rng.integers(0, n, rng.integers(1, 6))) for _ in range(l)]
         sets[0] = np.array([0, 65_535, 65_536, n - 1])
         offsets = np.concatenate(([0], np.cumsum([s.size for s in sets])))
-        coll = RACollection(n, [s[0] for s in sets], offsets, np.concatenate(sets))
+        coll = RACollection(n, np.zeros(n), offsets, np.concatenate(sets))
         assert coll.members.size > 2 * INDEX_CHUNK
         idx_offsets, idx_sets = coll.index()
         assert idx_sets.dtype == np.int32
@@ -136,7 +143,7 @@ class TestCollection:
             i for i in range(1, l) if n - 1 in sets[i]]
 
     def test_coverage_counts(self):
-        coll = RACollection(2, [0, 1, 1], [0, 1, 3, 4], [0, 0, 1, 1])
+        coll = collection_of(2, [[0], [0, 1], [1]])
         assert list(coll.coverage_counts()) == [2, 2]
 
     @pytest.mark.parametrize("n", [1000, 70_000])  # one and two radix passes
@@ -146,7 +153,7 @@ class TestCollection:
         rng = np.random.default_rng(5)
         offsets = np.concatenate(([0], np.cumsum(rng.integers(1, 6, 500_000))))
         members = rng.integers(0, n, offsets[-1]).astype(np.int32)
-        coll = RACollection(n, members[offsets[:-1]], offsets, members)
+        coll = RACollection(n, np.zeros(n), offsets, members)
         tracemalloc.start()
         try:
             size = coll.coverage_counts().nbytes
@@ -172,6 +179,33 @@ class TestCollection:
         assert len(builder) == 80
         assert np.array_equal(builder.members, snap.members)
         assert len(snap.members) == snap.sizes().sum()
+
+
+class TestCollectionMemory:
+    def test_generate_peak_is_result_plus_one_block(self):
+        # on a rat-large-shaped net, 93% of the 600,000 RA sets hold their
+        # root alone: kept as counts, the collection never holds them whole
+        net = rat_large_net()
+        l, seed = 600_000, 7
+        tracemalloc.start()
+        try:
+            # the kernel's own peak, its output included, on each block
+            # generate_collection draws
+            scratch = 0
+            for child, size in stream_blocks(seed, l, RA_BLOCK):
+                tracemalloc.reset_peak()
+                sample_ra_block(net, size, np.random.default_rng(child))
+                scratch = max(scratch, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            coll = generate_collection(net, l, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = coll.single.nbytes + coll.offsets.nbytes + coll.members.nbytes
+        assert len(coll) == l
+        assert coll.single.sum() > 0.9 * l
+        assert peak <= result + scratch
+        assert peak < 6 << 20
 
 
 # A multi-level chain, a cycle and two paths to one ancestor (the diamond:
@@ -216,9 +250,21 @@ class TestKernel:
         # node 5 cannot pay full price, so it never expands
         net = make_net(KERNEL_NETS["diamond"] + "4 1\n4 5\n5 2\n", model=model,
                        ic_p=0.7, intrinsics=[0.9, 0.9, 0.9, 0.9, 0.3])
-        coll = generate_collection(net, RA_BLOCK + 500, 4)
-        assert_well_formed(net.n, coll.roots, coll.sizes(), coll.members)
-        for i in range(0, len(coll), 37):
+        l = RA_BLOCK + 500
+        coll = generate_collection(net, l, 4)
+        # the collection is the kernel's blocks, one-member sets counted
+        single, sizes, members = np.zeros(net.n), [], []
+        for child, size in stream_blocks(4, l, RA_BLOCK):
+            roots, block_sizes, block_members = sample_ra_block(
+                net, size, np.random.default_rng(child))
+            assert_well_formed(net.n, roots, block_sizes, block_members)
+            single += np.bincount(roots[block_sizes == 1], minlength=net.n)
+            sizes.append(block_sizes[block_sizes > 1])
+            members.append(block_members[np.repeat(block_sizes > 1, block_sizes)])
+        assert np.array_equal(coll.single, single)
+        assert np.array_equal(coll.sizes(), np.concatenate(sizes))
+        assert np.array_equal(coll.members, np.concatenate(members))
+        for i in range(0, len(coll.sizes()), 37):
             assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
 
 
@@ -285,8 +331,9 @@ class TestEstimateF:
             for _ in range(4):
                 seeds = [v for v in range(net.n) if rng.random() < 0.4]
                 covered = sum(
-                    1 for j in range(len(coll))
+                    1 for j in range(len(coll.sizes()))
                     if set(seeds) & set(coll.members_of(j).tolist()))
+                covered += int(coll.single[seeds].sum())
                 want = net.price * net.n * covered / len(coll) \
                     - net.coupon * len(set(seeds))
                 assert estimate_F(coll, seeds, net) == pytest.approx(want, abs=1e-12)
@@ -304,5 +351,5 @@ class TestEstimateF:
         assert got == pytest.approx(want, abs=4 * se)
 
     def test_covered_sets_mask(self):
-        coll = RACollection(2, [0, 1], [0, 1, 2], [0, 1])
+        coll = collection_of(2, [[0], [1]])
         assert list(covered_sets(coll, [0])) == [True, False]
