@@ -6,7 +6,7 @@ import pytest
 
 from profitmax import (DiffusionParams, Graph, RACollection, build_tc_network,
                        ingest_edge_list)
-from profitmax.sampling import split_block
+from profitmax.sampling import sample_ra_block, sample_rr_block, split_block
 
 
 def make_graph(edge_text: str, undirected: bool = False):
@@ -79,6 +79,21 @@ def realizations_of(net, live_indptr, sources):
         [sources[live_indptr[r * n + v]:live_indptr[r * n + v + 1]].tolist()
          for v in range(n)])
         for r in range(runs)]
+
+
+def ra_block(net, count, seed):
+    """sample_ra_block's count sets drawn from default_rng(seed), as
+    (single, sizes, members): single counts the one-member sets per node,
+    sizes and members describe the others in the order they were drawn."""
+    sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))[1:]
+    return split_block(net.n, sizes, members)
+
+
+def rr_passes(net, count, seed):
+    """sample_rr_block's passes over count realizations drawn from
+    default_rng(seed), each as (single, sizes, members)."""
+    return [split_block(net.n, sizes, members) for sizes, members
+            in sample_rr_block(net, count, np.random.default_rng(seed))]
 
 
 def collection_of(n, sets):

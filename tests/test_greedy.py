@@ -11,10 +11,10 @@ from profitmax import (MODELS, CollectionBuilder, CoverageOracle,
                        generate_collection, node_order)
 from profitmax.algorithms import _realization_collection
 from profitmax.greedy import SCALAR_BATCH
-from profitmax.sampling import INDEX_CHUNK, split_block
+from profitmax.sampling import INDEX_CHUNK
 
 from conftest import (collection_of, make_net, random_edge_text, random_small_net,
-                      rat_large_net)
+                      rat_large_net, split_block)
 
 
 def run_modular(weights, rng_seed=0, shift=0.0):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -15,8 +16,8 @@ from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
                                 _live_in_edges, covered_sets, sample_ra_block,
                                 sample_rr_block)
 
-from conftest import (collection_of, make_net, random_edge_text, random_small_net,
-                      rat_large_net, realizations_of)
+from conftest import (collection_of, make_net, ra_block, random_edge_text,
+                      random_small_net, rat_large_net, realizations_of, rr_passes)
 
 
 def ra_sets(net, count, seed):
@@ -309,6 +310,58 @@ class TestRRKernel:
         split = rr_sets(net, 50, 4)
         assert np.array_equal(whole[0], split[0])
         assert np.array_equal(whole[1], split[1])
+
+
+
+def pin_net(name):
+    """The nets whose kernel output is pinned: rat-large's shape, a p = 1
+    complete 12-node digraph and every KERNEL_NETS shape under each model."""
+    if name == "rat-large":
+        return rat_large_net()
+    if name == "complete-12":
+        return make_net("".join(f"{u} {v}\n" for u in range(1, 13)
+                                for v in range(1, 13) if u != v), ic_p=1.0)
+    shape, model = name.split("/")
+    return make_net(KERNEL_NETS[shape], model=model, ic_p=0.5)
+
+
+def kernel_digest(blocks):
+    """A digest of a sequence of (single, sizes, members) blocks."""
+    h = hashlib.sha256()
+    for block in blocks:
+        for part in block:
+            part = np.asarray(part, dtype=np.int64)
+            h.update(np.int64(part.size).tobytes() + part.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestKernelPins:
+    # digests of each kernel's output in the split layout, pinned while the
+    # kernels still grew every set through the whole traversal; counts
+    # span one full RA_BLOCK on rat-large and several RR passes
+    @pytest.mark.parametrize("name,pinned", [
+        ("rat-large", "ee4907ddf8511587"),
+        ("complete-12", "25f15c2f9ac7586d"),
+        ("chain/ic-cp", "f29d154bfebf0a4e"), ("chain/ic-wc", "90640b79ac6f8f1f"), ("chain/lt", "90640b79ac6f8f1f"),
+        ("cycle/ic-cp", "8d0818a9d4667976"), ("cycle/ic-wc", "dbf327eaf70d2a0b"), ("cycle/lt", "dbf327eaf70d2a0b"),
+        ("diamond/ic-cp", "05ac7997092eca5b"), ("diamond/ic-wc", "2bba8800455c48eb"), ("diamond/lt", "685df6052239fef5"),
+    ])
+    def test_ra_block_is_pinned(self, name, pinned):
+        net = pin_net(name)
+        count = RA_BLOCK if name == "rat-large" else 3000
+        assert kernel_digest([ra_block(net, count, 20261019)]) == pinned
+
+    @pytest.mark.parametrize("name,pinned", [
+        ("rat-large", "25986418ccf38d03"),
+        ("complete-12", "b7418e6c19265118"),
+        ("chain/ic-cp", "19d4635e38178743"), ("chain/ic-wc", "f8e84c8538a96153"), ("chain/lt", "f8e84c8538a96153"),
+        ("cycle/ic-cp", "1b571603effdec7b"), ("cycle/ic-wc", "2516da34cbc23870"), ("cycle/lt", "2516da34cbc23870"),
+        ("diamond/ic-cp", "7c813d64bf0b91fd"), ("diamond/ic-wc", "ff5b09aa4369617b"), ("diamond/lt", "c98fb2d1b2bead86"),
+    ])
+    def test_rr_passes_are_pinned(self, name, pinned):
+        net = pin_net(name)
+        count = 3 if name == "rat-large" else 300
+        assert kernel_digest(rr_passes(net, count, 20261019)) == pinned
 
 
 def _reach_set(live_out, u):
