@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import delta0, delta1, delta2, search_rat_params, solve_ras_params
-from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
+from .diffusion import (SIM_BLOCK, check_sample_cap, estimate_profit_simulation,
                         estimate_profits_simulation, stream_blocks, _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
@@ -79,6 +79,7 @@ def _count_or(value, name: str, default: int) -> int:
         return default
     if int(value) != value or value < 1:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    check_sample_cap(value, name)
     return int(value)
 
 
@@ -140,11 +141,12 @@ def _realization_collection(net: TCNetwork, l: int, ss, budget_mb: float):
     check("project at least")
     builder = CollectionBuilder(net)
     for child, size in stream_blocks(ss, l, SIM_BLOCK):
-        for sizes, members in sample_rr_block(net, size, np.random.default_rng(child)):
+        for single, sizes, members in sample_rr_block(
+                net, size, np.random.default_rng(child)):
             # every set counted in the floor already holds one member
             entries += members.size - sizes.size
             check("hold at least")
-            builder.add(sizes, members)
+            builder.add(single, sizes, members)
     return builder.snapshot()
 
 

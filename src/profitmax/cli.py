@@ -27,7 +27,7 @@ from . import __version__
 from .algorithms import MemoryBudgetError
 from .bounds import (delta0, delta1, delta1_star, delta2, delta2_star, delta3,
                      search_rat_params, solve_ras_params)
-from .diffusion import estimate_profit_simulation
+from .diffusion import check_sample_cap, estimate_profit_simulation
 from .exact import OracleSizeError, best_seed_set, exact_pi, exact_profit, profit_table
 from .network import (DiffusionParams, NetworkError, ParameterError, build_tc_network,
                       generate_intrinsics, ingest_edge_list, load_intrinsics,
@@ -164,6 +164,7 @@ def _select(args, net, seed):
 
 
 def _run_once(args, net, echo, seed):
+    check_sample_cap(args.eval_sims, "eval_sims")  # before selecting
     start = time.perf_counter()
     result = _select(args, net, seed)
     eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])

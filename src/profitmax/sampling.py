@@ -15,9 +15,10 @@ w.  Over l realizations those l * n sets give F the value P times the mean
 adopter count of S across the realizations, less C * |S|.
 
 A one-member set {v} meets S exactly when v is in S, so collections keep
-such sets, most RA sets on sparse networks, as a count per node from the
-start: split_block divides each kernel block into those counts and the
-sets of two or more members, and only the latter are stored whole.
+such sets, most RA sets on sparse networks, as a count per node.  The
+kernels settle them at the first level of the traversal: a root that draws
+no parent is counted and leaves it, and only the sets of two or more
+members are grown on and returned, and stored, whole.
 """
 
 import numpy as np
@@ -35,18 +36,21 @@ INDEX_CHUNK = 1 << 13
 
 def _ic_parents(gen, sets, start, deg, p, indices, n):
     """Keys of the live in-edges' sources: each in-edge of a frontier node
-    is live independently with that node's probability.  Geometric skips
-    jump from one live edge to the next, so the draws follow the hits
-    rather than the in-degree."""
+    is live independently with that node's probability, p, a scalar when
+    every node shares it.  Geometric skips jump from one live edge to the
+    next, so the draws follow the hits rather than the in-degree."""
+    per_node = np.ndim(p) > 0
     found = []
-    pos = gen.geometric(p)  # 1-based position of the next live in-edge
+    pos = gen.geometric(p, size=sets.size)  # 1-based position of the next live in-edge
     while True:
-        hit = pos <= deg
-        sets, start, deg, p, pos = sets[hit], start[hit], deg[hit], p[hit], pos[hit]
+        hit = np.flatnonzero(pos <= deg)  # index arrays: cheaper than masks
+        sets, start, deg, pos = sets[hit], start[hit], deg[hit], pos[hit]
+        if per_node:
+            p = p[hit]
         if not sets.size:
             break
         found.append(sets * n + indices[start + pos - 1])
-        pos += gen.geometric(p)
+        pos += gen.geometric(p, size=sets.size)
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
@@ -66,21 +70,37 @@ def _in_sorted(sorted_keys, keys) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def _grow(frontier, count: int, n: int, parents):
-    """Grow count sets together by level-synchronous reverse BFS.
+def _grow(roots, n: int, parents):
+    """Grow one set from each root together by level-synchronous reverse BFS.
 
-    A member of set i that is node v carries the key i * n + v; frontier
-    holds each set's first member.  parents(sets, nodes) returns the keys
-    of the parents of the newest members (any order, repeats allowed), and
-    the step keeps the ones new to their set.
+    A member of set i that is node v carries the key i * n + v.
+    parents(sets, nodes) returns the keys of the parents of the newest
+    members (any order, repeats allowed), and the step keeps the ones new
+    to their set.
 
-    Returns (sizes, members): members holds set 0's nodes, then set 1's,
-    and so on, each set's nodes ascending.
+    The first level settles the one-member sets: a root that draws no
+    parent is only counted, and its set leaves the traversal.  A Graph
+    keeps no self-loops or repeated edges, so the first level's parents
+    are distinct and new to their sets.  The other sets grow on under
+    their original ids, which parents reads, and draw what they would
+    draw if every set were grown.
+
+    Returns (single, sizes, members): single (int64) counts, per node, the
+    sets holding their root alone; sizes and members (int32) describe the
+    sets of two or more members, in their original order: members holds
+    the first one's nodes, then the second one's, each set's ascending.
     """
-    levels = [frontier]
+    count = roots.size
+    frontier = np.sort(parents(np.arange(count), roots))
+    grown = np.zeros(count, dtype=bool)
+    grown[frontier // n] = True
+    kept = np.flatnonzero(grown)
+    # every root less the kept ones: cheaper than masking out the kept
+    single = np.bincount(roots, minlength=n) - np.bincount(roots[kept], minlength=n)
+    levels = [kept * n + roots[kept], frontier]
     # member keys of the sets still growing, ascending; sets that have
     # stopped never meet a candidate again, so they are left out
-    growing = frontier
+    growing = np.sort(np.concatenate(levels))
     while frontier.size:
         sets, nodes = np.divmod(frontier, n)
         found = _sorted_runs(parents(sets, nodes))[0]
@@ -94,8 +114,8 @@ def _grow(frontier, count: int, n: int, parents):
                           kind="stable")
     keys = np.sort(np.concatenate(levels), kind="stable")
     sets = keys // n
-    sizes = np.bincount(sets, minlength=count)
-    return sizes.astype(np.int64), (keys - sets * n).astype(np.int32)
+    sizes = np.bincount(sets, minlength=count)[kept]
+    return single, sizes.astype(np.int32), (keys - sets * n).astype(np.int32)
 
 
 def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
@@ -104,37 +124,31 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     Each step samples the triggering sets of every set's newest members at
     once.  Triggering sets are drawn only for nodes the traversal reaches,
     each once per set; the rest of the realization is never materialized.
+    In-degrees and the nodes that can draw a parent at all (eligible, with
+    in-neighbors) are looked up once per block.
 
-    Returns (roots, sizes, members) as _grow lays them out.
+    Returns (single, sizes, members) as _grow lays them out.
     """
     n = net.n
     indptr, indices = net.graph.in_indptr, net.graph.in_indices
-    prob_in, eligible = net.prob_in, net.eligible
+    in_deg = np.diff(indptr)
+    expands = net.eligible & (in_deg > 0)
     lt = net.params.model == "lt"
+    # under ic-cp every node shares one probability; a scalar draws the
+    # same stream as the per-node array
+    prob = net.params.ic_probability if net.params.model == "ic-cp" else net.prob_in
     roots = gen.integers(0, n, size=count)
 
     def parents(sets, nodes):
-        start = indptr[nodes]
-        deg = indptr[nodes + 1] - start
-        live = eligible[nodes] & (deg > 0)
-        sets, nodes, start, deg = sets[live], nodes[live], start[live], deg[live]
+        live = np.flatnonzero(expands[nodes])
+        sets, nodes = sets[live], nodes[live]
+        start, deg = indptr[nodes], in_deg[nodes]
         if lt:
             return _lt_parents(gen, sets, start, deg, indices, n)
-        return _ic_parents(gen, sets, start, deg, prob_in[nodes], indices, n)
+        p = prob if np.ndim(prob) == 0 else prob[nodes]
+        return _ic_parents(gen, sets, start, deg, p, indices, n)
 
-    sizes, members = _grow(np.arange(count, dtype=np.int64) * n + roots,
-                           count, n, parents)
-    return roots.astype(np.int32), sizes, members
-
-
-def split_block(n: int, sizes, members):
-    """(single, sizes, members) of a block of sets laid out as _grow lays
-    them out: single counts, per node, the sets of one member, whose one
-    member is their root; sizes (int32) and members describe the sets of
-    two or more members, in their order."""
-    one = sizes == 1
-    single = np.bincount(members[(np.cumsum(sizes) - sizes)[one]], minlength=n)
-    return single, sizes[~one].astype(np.int32), members[np.repeat(~one, sizes)]
+    return _grow(roots, n, parents)
 
 
 def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
@@ -170,12 +184,13 @@ def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
 
 def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
     """Draw count realizations and the reverse-reachable set of every node
-    in each: set r * n + w holds the nodes that reach w over live edges
-    in realization r, w included.
+    in each: RR_r(w) holds the nodes that reach w over live edges in
+    realization r, w included.
 
-    A generator: it yields (sizes, members), laid out as _grow does, for
-    consecutive passes of whole realizations, so that a caller can stop
-    as soon as the sets outgrow its budget.  A pass holds as many
+    A generator: it yields (single, sizes, members), laid out as _grow
+    does, for consecutive passes of whole realizations: single counts the
+    sets {w} at w, and the larger sets follow in (r, w) order.  A caller
+    can stop as soon as the sets outgrow its budget.  A pass holds as many
     realizations as fit SIM_STATE_BYTES at 8 bytes per in-edge (the draw)
     and per node of each of n sets (the member keys).  The passes draw
     the same stream as one pass would.
@@ -192,8 +207,7 @@ def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
             pos, owner = _expand(start, live_indptr[at + 1] - start)
             return sets[owner] * n + sources[pos]
 
-        sets = np.arange(runs * n, dtype=np.int64)
-        yield _grow(sets * n + sets % n, runs * n, n, parents)  # root of r*n+w is w
+        yield _grow(np.tile(np.arange(n), runs), n, parents)  # root of r*n+w is w
 
 
 def _stable_order(nodes, n: int) -> np.ndarray:
@@ -294,10 +308,9 @@ class CollectionBuilder:
     def __len__(self):
         return self._count
 
-    def add(self, sizes, members):
+    def add(self, single, sizes, members):
         """Store one kernel block of sets laid out as _grow lays them out."""
-        self._count += sizes.size
-        single, sizes, members = split_block(self.net.n, sizes, members)
+        self._count += int(single.sum()) + sizes.size
         self._single = self._single + single  # earlier snapshots hold the old one
         self._chunks.append((sizes, members))
 
@@ -307,7 +320,7 @@ class CollectionBuilder:
         if count <= 0:
             return
         for child, size in stream_blocks(rng, count, RA_BLOCK):
-            self.add(*sample_ra_block(self.net, size, np.random.default_rng(child))[1:])
+            self.add(*sample_ra_block(self.net, size, np.random.default_rng(child)))
 
     def _merged(self):
         # merge once; later snapshots only append the newer chunks

@@ -6,7 +6,7 @@ import pytest
 
 from profitmax import (DiffusionParams, Graph, RACollection, build_tc_network,
                        ingest_edge_list)
-from profitmax.sampling import sample_ra_block, sample_rr_block, split_block
+from profitmax.sampling import sample_ra_block, sample_rr_block
 
 
 def make_graph(edge_text: str, undirected: bool = False):
@@ -85,15 +85,23 @@ def ra_block(net, count, seed):
     """sample_ra_block's count sets drawn from default_rng(seed), as
     (single, sizes, members): single counts the one-member sets per node,
     sizes and members describe the others in the order they were drawn."""
-    sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))[1:]
-    return split_block(net.n, sizes, members)
+    return sample_ra_block(net, count, np.random.default_rng(seed))
 
 
 def rr_passes(net, count, seed):
     """sample_rr_block's passes over count realizations drawn from
     default_rng(seed), each as (single, sizes, members)."""
-    return [split_block(net.n, sizes, members) for sizes, members
-            in sample_rr_block(net, count, np.random.default_rng(seed))]
+    return list(sample_rr_block(net, count, np.random.default_rng(seed)))
+
+
+def split_block(n: int, sizes, members):
+    """(single, sizes, members) of sets given whole as sizes and members
+    (each set's nodes in turn), in the layout the samplers return: single
+    counts, per node, the sets of one member; sizes (int32) and members
+    describe the sets of two or more members, in their order."""
+    one = sizes == 1
+    single = np.bincount(members[(np.cumsum(sizes) - sizes)[one]], minlength=n)
+    return single, sizes[~one].astype(np.int32), members[np.repeat(~one, sizes)]
 
 
 def collection_of(n, sets):

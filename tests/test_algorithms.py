@@ -156,6 +156,20 @@ class TestSPM:
         assert res.params["eps"] == 0.4
 
 
+def _reach_matrices(n, live_indptr, sources):
+    """reach[r, u, w]: whether u reaches w over the live edges of
+    realization r, laid out as sampling._live_in_edges returns them."""
+    runs = (live_indptr.size - 1) // n
+    at = np.repeat(np.arange(runs * n), np.diff(live_indptr))  # r * n + target
+    step = np.zeros((runs, n, n), dtype=np.int64)
+    step[:, np.arange(n), np.arange(n)] = 1
+    step[at // n, sources, at % n] = 1
+    reach = step
+    for _ in range(n):
+        reach = np.minimum(reach @ step, 1)
+    return reach.astype(bool)
+
+
 class TestRPM:
     def test_realization_counts(self, two_node_net):
         res = rpm(two_node_net, eps=0.4, l_override=80, seed=1)
@@ -202,19 +216,20 @@ class TestRPM:
                        intrinsics=[0.9, 0.9, 0.3, 0.9][:n])
         l = 20_000
         coll = _realization_collection(net, l, np.random.SeedSequence(77), 64.0)
-        # the kernel's sets of the same draw: set r * n + w is RR_r(w)
+        # the kernel's sets of the same draw
         blocks = [block for child, size in stream_blocks(
                       np.random.SeedSequence(77), l, SIM_BLOCK)
                   for block in sample_rr_block(net, size, np.random.default_rng(child))]
-        sizes = np.concatenate([block[0] for block in blocks])
-        members = np.concatenate([block[1] for block in blocks])
-        assert np.array_equal(coll.coverage_counts(),
-                              np.bincount(members, minlength=n))
-        owner = np.repeat(np.arange(l * n), sizes)
+        assert np.array_equal(coll.coverage_counts(), sum(
+            single + np.bincount(members, minlength=n)
+            for single, _, members in blocks))
+        # reach[r, u, w]: u reaches w in realization r of the same draw,
+        # by transitive closure of its live edges
+        reach = np.concatenate([
+            _reach_matrices(n, *_live_in_edges(net, size, np.random.default_rng(child)))
+            for child, size in stream_blocks(np.random.SeedSequence(77), l, SIM_BLOCK)])
         for seeds in ([0], [1], [n - 1], [0, n - 1], list(range(n))):
-            covered = np.zeros(l * n, dtype=bool)
-            covered[owner[np.isin(members, seeds)]] = True
-            reached = covered.reshape(l, n).sum(axis=1)
+            reached = reach[:, seeds, :].any(axis=1).sum(axis=1)
             assert covered_sets(coll, seeds).sum() == reached.sum()
             got = net.price * reached.mean() - net.coupon * len(seeds)
             se = net.price * reached.std() / math.sqrt(l)

@@ -450,6 +450,26 @@ class TestSweep:
         assert len(rows) == 5
 
 
+@pytest.mark.parametrize("extra", [
+    ["run", "--alg", "spm", "--l-override", "99999999999999999999"],
+    ["run", "--alg", "spm", "--eval-sims", "99999999999999"],
+    ["evaluate", "--seed-set", "1", "--eval-sims", "99999999999999"],
+])
+def test_huge_sample_counts_fail_fast(graph_file, intr_file, extra):
+    # past MAX_SAMPLES a count is refused before any sampling starts
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "profitmax", *extra, "--graph", graph_file,
+         "--intrinsics-file", intr_file], capture_output=True, text=True,
+        env=env, timeout=20)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "must be at most" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_python_m_profitmax_help():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)

@@ -9,7 +9,7 @@ from profitmax import (ParameterError, Realization, diffusion,
                        exact_pi, replay_on_realization, sample_realization,
                        sample_triggering_set, simulate_block, simulate_once,
                        simulate_sets)
-from profitmax.diffusion import SIM_BLOCK
+from profitmax.diffusion import MAX_SAMPLES, SIM_BLOCK, stream_blocks
 
 from conftest import make_net, random_edge_text
 
@@ -99,6 +99,18 @@ class TestEstimateProfit:
     def test_positive_sample_count_required(self, two_node_net):
         with pytest.raises(ParameterError, match="at least one simulation"):
             estimate_profit_simulation(two_node_net, [0], 0, 1)
+
+    def test_stream_blocks_spawn_as_one_spawn(self):
+        # children spawned block by block are those of one spawn of all
+        blocks = list(stream_blocks(9, 3 * SIM_BLOCK + 5, SIM_BLOCK))
+        assert [size for _, size in blocks] == [SIM_BLOCK] * 3 + [5]
+        whole = np.random.SeedSequence(9).spawn(4)
+        assert [c.generate_state(4).tolist() for c, _ in blocks] == [
+            c.generate_state(4).tolist() for c in whole]
+
+    def test_sample_count_is_capped(self, two_node_net):
+        with pytest.raises(ParameterError, match="must be at most"):
+            estimate_profit_simulation(two_node_net, [0], MAX_SAMPLES + 1, 1)
 
     def test_independent_of_worker_count(self, lt_fork_net):
         # the runs are split into fixed SIM_BLOCK-run blocks, not per worker

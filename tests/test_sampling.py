@@ -21,11 +21,24 @@ from conftest import (collection_of, make_net, ra_block, random_edge_text,
 
 
 def ra_sets(net, count, seed):
-    """count RA sets from sample_ra_block as (root, members frozenset)."""
-    roots, sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))
+    """count RA sets from sample_ra_block as (root, members frozenset).
+
+    A one-member set's root is its member.  The kernel keeps no root for
+    the other sets; on the acyclic nets these tests use, it is the one
+    member with no out-edge to another member, since every other member
+    reaches the root through members."""
+    single, sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))
+    g = net.graph
+    out = [set(g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]].tolist())
+           for u in range(net.n)]
+    sets = [(v, frozenset({v})) for v in range(net.n) for _ in range(single[v])]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    return [(int(r), frozenset(members[lo:hi].tolist()))
-            for r, lo, hi in zip(roots, bounds[:-1], bounds[1:])]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = frozenset(members[lo:hi].tolist())
+        (root,) = [u for u in group if not out[u] & group]
+        sets.append((root, group))
+    assert len(sets) == count
+    return sets
 
 
 class TestRASet:
@@ -43,7 +56,7 @@ class TestRASet:
 
     def test_root_uniform(self, lt_fork_net):
         trials = 6000
-        roots = sample_ra_block(lt_fork_net, trials, np.random.default_rng(1))[0]
+        roots = [root for root, _ in ra_sets(lt_fork_net, trials, 1)]
         counts = np.bincount(roots, minlength=3)
         expected = trials / 3
         chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(3))
@@ -208,6 +221,20 @@ class TestCollectionMemory:
         assert peak <= result + scratch
         assert peak < 6 << 20
 
+    def test_kernel_block_peak(self):
+        # one full block on a rat-large-shaped net, its output included:
+        # the 93% of sets that draw no parent at the first level are only
+        # counted, and just the rest are carried through the traversal
+        # (1.19 MiB; 2.14 MiB while every set was grown to the end)
+        net = rat_large_net()
+        tracemalloc.start()
+        try:
+            sample_ra_block(net, RA_BLOCK, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
+
 
 # A multi-level chain, a cycle and two paths to one ancestor (the diamond:
 # 4's parents 2 and 3 reach 1 on the same level, so 1 must be kept once).
@@ -216,15 +243,14 @@ KERNEL_NETS = {"chain": "1 2\n2 3\n3 4\n",
                "diamond": "1 2\n1 3\n2 4\n3 4\n"}
 
 
-def assert_well_formed(n, roots, sizes, members):
-    """Every set holds its root once and no node twice."""
-    assert sizes.sum() == members.size
-    owner = np.repeat(np.arange(roots.size), sizes)
-    keys = owner * n + members
-    assert np.unique(keys).size == keys.size
-    assert np.array_equal(np.bincount(owner[members == roots[owner]],
-                                      minlength=roots.size),
-                          np.ones(roots.size))
+def assert_well_formed(n, count, single, sizes, members):
+    """count sets in the kernels' layout: single counts the one-member
+    sets per node, and every other set holds two or more nodes,
+    ascending, so none twice."""
+    assert single.shape == (n,) and single.sum() + sizes.size == count
+    assert np.all(sizes >= 2) and sizes.sum() == members.size
+    keys = np.repeat(np.arange(sizes.size), sizes) * n + members
+    assert np.all(np.diff(keys) > 0)
 
 
 class TestKernel:
@@ -234,11 +260,10 @@ class TestKernel:
         # n * (fraction of sets holding v) is unbiased for pi({v})
         net = make_net(KERNEL_NETS[shape], model=model, ic_p=0.5)
         l = 60_000
-        roots, sizes, members = sample_ra_block(
+        single, sizes, members = sample_ra_block(
             net, l, np.random.default_rng(20260822))
-        assert roots.size == sizes.size == l
-        assert_well_formed(net.n, roots, sizes, members)
-        covering = np.bincount(members, minlength=net.n)
+        assert_well_formed(net.n, l, single, sizes, members)
+        covering = single + np.bincount(members, minlength=net.n)
         for v in range(net.n):
             pi = exact_pi(net, [v])
             p = pi / net.n
@@ -256,12 +281,11 @@ class TestKernel:
         # the collection is the kernel's blocks, one-member sets counted
         single, sizes, members = np.zeros(net.n), [], []
         for child, size in stream_blocks(4, l, RA_BLOCK):
-            roots, block_sizes, block_members = sample_ra_block(
-                net, size, np.random.default_rng(child))
-            assert_well_formed(net.n, roots, block_sizes, block_members)
-            single += np.bincount(roots[block_sizes == 1], minlength=net.n)
-            sizes.append(block_sizes[block_sizes > 1])
-            members.append(block_members[np.repeat(block_sizes > 1, block_sizes)])
+            block = sample_ra_block(net, size, np.random.default_rng(child))
+            assert_well_formed(net.n, size, *block)
+            single += block[0]
+            sizes.append(block[1])
+            members.append(block[2])
         assert np.array_equal(coll.single, single)
         assert np.array_equal(coll.sizes(), np.concatenate(sizes))
         assert np.array_equal(coll.members, np.concatenate(members))
@@ -270,10 +294,10 @@ class TestKernel:
 
 
 def rr_sets(net, count, seed):
-    """sample_rr_block's passes joined: (sizes, members)."""
-    parts = list(sample_rr_block(net, count, np.random.default_rng(seed)))
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+    """sample_rr_block's passes joined: (single, sizes, members)."""
+    parts = rr_passes(net, count, seed)
+    return (sum(p[0] for p in parts), np.concatenate([p[1] for p in parts]),
+            np.concatenate([p[2] for p in parts]))
 
 
 class TestRRKernel:
@@ -288,16 +312,23 @@ class TestRRKernel:
         net = make_net(self.EDGES, model=model, ic_p=0.5,
                        intrinsics=self.INTRINSICS)
         l, n = 40, net.n
-        sizes, members = rr_sets(net, l, 9)
-        assert_well_formed(n, np.tile(np.arange(n), l), sizes, members)
+        single, sizes, members = rr_sets(net, l, 9)
+        assert_well_formed(n, l * n, single, sizes, members)
         reals = realizations_of(net, *_live_in_edges(net, l, np.random.default_rng(9)))
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        for r, real in enumerate(reals):
+        # RR_r(w) for every r and w in turn: {w} is counted at w, the
+        # larger sets are stored in that order
+        want_single, want = np.zeros(n, dtype=np.int64), []
+        for real in reals:
             for w in range(n):
-                i = r * n + w
-                want = [u for u in range(n)
-                        if w in _reach_set(real.live_out, u)]
-                assert members[offsets[i]:offsets[i + 1]].tolist() == want
+                rr = [u for u in range(n) if w in _reach_set(real.live_out, u)]
+                if rr == [w]:
+                    want_single[w] += 1
+                else:
+                    want.append(rr)
+        assert np.array_equal(single, want_single)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        assert [members[lo:hi].tolist()
+                for lo, hi in zip(offsets[:-1], offsets[1:])] == want
 
     @pytest.mark.parametrize("model", ["ic-cp", "lt"])
     def test_passes_compose(self, model, monkeypatch):
@@ -308,8 +339,8 @@ class TestRRKernel:
         monkeypatch.setattr(sampling, "SIM_STATE_BYTES", 1)
         assert len(list(sample_rr_block(net, 50, np.random.default_rng(4)))) == 50
         split = rr_sets(net, 50, 4)
-        assert np.array_equal(whole[0], split[0])
-        assert np.array_equal(whole[1], split[1])
+        for a, b in zip(whole, split):
+            assert np.array_equal(a, b)
 
 
 
