@@ -19,6 +19,9 @@ seed.  Every random stream (RA sets, forward runs, realizations) is split
 into fixed-size blocks with one SeedSequence child each, so results depend
 on the seed alone.  Each also takes workers, which it ignores.
 
+bounds alone range-checks eps and N: every algorithm evaluates one of its
+thresholds before it draws a sample, spm and rpm even with l_override.
+
 ALGORITHMS maps each name to its function.  The selectors and the CLI read
 an algorithm's parameters and their defaults from its signature, so the
 signature is the one place they are stated.
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import delta0, delta1, delta2, search_rat_params, solve_ras_params
+from .bounds import (confidence, delta0, delta1, delta2, search_rat_params,
+                     solve_ras_params)
 from .diffusion import (SIM_BLOCK, check_sample_cap, estimate_profit_simulation,
                         estimate_profits_simulation, stream_blocks, _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
@@ -59,20 +63,6 @@ class SelectionResult:
         return len(self.members)
 
 
-def _check_eps(eps):
-    if not (0.0 < eps < 0.5):
-        raise ParameterError(f"eps must lie strictly between 0 and 1/2, got {eps}")
-
-
-def _effective_big_n(net: TCNetwork, big_n):
-    # the bound formulas need ln N > 0, so a one-node default is bumped to 2
-    if big_n is None:
-        return float(max(net.n, 2))
-    if big_n <= 1.0:
-        raise ParameterError(f"confidence parameter N must exceed 1, got {big_n}")
-    return float(big_n)
-
-
 def _count_or(value, name: str, default: int) -> int:
     """An explicit sample count, or default when value is None."""
     if value is None:
@@ -88,8 +78,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     """Forward-sampling selection: every inspection draws its own batch of
     l simulations, from its own SeedSequence child of one evaluation
     stream.  The four inspections of a node are one batch call."""
-    _check_eps(eps)
-    big_n = _effective_big_n(net, big_n)
+    big_n = confidence(net.n, big_n)
     n, r = net.n, net.discount_ratio
     l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
     shift = 2.0 * eps * net.full_profit() / n
@@ -162,8 +151,7 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     and incrementally.  The sets are held in memory for the whole pass
     and checked against memory_budget_mb.
     """
-    _check_eps(eps)
-    big_n = _effective_big_n(net, big_n)
+    big_n = confidence(net.n, big_n)
     n, r = net.n, net.discount_ratio
     l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
     ss = np.random.SeedSequence(seed)
@@ -205,8 +193,7 @@ def _default_probe_count(net: TCNetwork, big_n, eps, max_ra=None) -> int:
 def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
          seed: int = 0, workers: int = 1, order_probes=None) -> SelectionResult:
     """Reverse-sampling selection with a precomputed collection size."""
-    _check_eps(eps)
-    big_n = _effective_big_n(net, big_n)
+    big_n = confidence(net.n, big_n)
     n, r = net.n, net.discount_ratio
     eps1, eps2 = search_rat_params(n, big_n, eps, r, step=0.01)
     l = math.ceil(max(delta1(n, big_n, eps1, r), delta2(big_n, eps2, r)))
@@ -239,10 +226,9 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     estimate has plateaued (relative drop below plateau_pct percent), or
     unconditionally once the martingale threshold delta1_star is reached.
     """
-    _check_eps(eps)
     if not (plateau_pct >= 0.0 and math.isfinite(plateau_pct)):
         raise ParameterError(f"plateau_pct must be a finite percentage >= 0, got {plateau_pct}")
-    big_n = _effective_big_n(net, big_n)
+    big_n = confidence(net.n, big_n)
     n, r = net.n, net.discount_ratio
     params = solve_ras_params(n, big_n, eps, r, k, eps3)
     l_star = math.ceil(params.delta3)

@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import SelectionResult
-from .bounds import delta2
-from .diffusion import _rng_from, estimate_profit_simulation
+from .bounds import confidence, delta2
+from .diffusion import _expand, _rng_from, estimate_profit_simulation
 from .network import ParameterError, TCNetwork
 from .sampling import generate_collection
 
@@ -55,9 +55,9 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
         idx = idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
         fresh = idx[~covered[idx]]
         covered[fresh] = True
-        for j in fresh:
-            mem = coll.members_of(int(j))
-            np.subtract.at(gains, mem, 1)
+        start = coll.offsets[fresh]
+        members = coll.members[_expand(start, coll.offsets[fresh + 1] - start)[0]]
+        np.subtract.at(gains, members, 1)  # each member loses its fresh sets
         gains[v] = -1  # node consumed
     return chain
 
@@ -74,7 +74,7 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResu
     ss = np.random.SeedSequence(seed)
     coll_ss, eval_parent = ss.spawn(2)
     samples = cfg.ra_samples or max(
-        1, math.ceil(delta2(max(n, 2), 0.4, net.discount_ratio)))
+        1, math.ceil(delta2(confidence(n), 0.4, net.discount_ratio)))
     coll = generate_collection(net, samples, coll_ss)
     if cfg.fixed_size is not None:
         targets = [min(int(cfg.fixed_size), n)]

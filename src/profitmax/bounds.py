@@ -20,41 +20,56 @@ def _require(cond: bool, msg: str):
         raise ParameterError(msg)
 
 
-def _check_common(n, big_n, r):
+def confidence(n, big_n=None) -> float:
+    """The confidence parameter N: big_n, or by default the node count
+    raised to 2 so that ln N > 0.  _check range-checks it."""
+    return float(max(n, 2) if big_n is None else big_n)
+
+
+def _check(n, big_n, r, eps_name, eps, top=0.5):
     _require(n >= 1, f"node count must be >= 1, got {n}")
     _require(1.0 < big_n < math.inf,
              f"confidence parameter N must be finite and exceed 1, got {big_n}")
     _require(0.0 < r <= 1.0, f"discount ratio must lie in (0, 1], got {r}")
+    _require(0.0 < eps < top, f"{eps_name} must lie in (0, {top:g}), got {eps}")
+
+
+def _threshold(name: str, num: float, den: float, eps_name: str, eps, r) -> float:
+    """num / den, where den is (eps r)^2 up to a constant factor; refused
+    unless a finite positive number, which tiny eps or r prevent."""
+    value = num / den if den > 0.0 else math.inf
+    _require(0.0 < value < math.inf, f"threshold {name} is not a finite positive "
+             f"number at {eps_name}={eps}, r={r}; {eps_name} or r is too small")
+    return value
 
 
 def delta0(n, big_n, eps, r) -> float:
     """Simulations per oracle call for the forward-sampling algorithms."""
-    _check_common(n, big_n, r)
-    _require(0.0 < eps < 0.5, f"eps must lie in (0, 0.5), got {eps}")
-    return (math.log(8) + math.log(n) + math.log(big_n)) \
-        * (2.0 * n * n + eps * r * n) / (eps * eps * r * r)
+    _check(n, big_n, r, "eps", eps)
+    return _threshold("delta0", (math.log(8) + math.log(n) + math.log(big_n))
+                      * (2.0 * n * n + eps * r * n), eps * eps * r * r, "eps", eps, r)
 
 
 def delta1(n, big_n, eps1, r) -> float:
     """Reverse samples needed to bound the error of every subset at once."""
-    _check_common(n, big_n, r)
-    _require(0.0 < eps1 < 0.5, f"eps1 must lie in (0, 0.5), got {eps1}")
-    return (math.log(big_n) + n * math.log(2)) * (2.0 + eps1 * r) / (eps1 * eps1 * r * r)
+    _check(n, big_n, r, "eps1", eps1)
+    return _threshold("delta1", (math.log(big_n) + n * math.log(2)) * (2.0 + eps1 * r),
+                      eps1 * eps1 * r * r, "eps1", eps1, r)
 
 
 def delta2(big_n, eps2, r) -> float:
     """Reverse samples needed to bound the error at one fixed subset."""
-    _check_common(1, big_n, r)
-    _require(0.0 < eps2 < 1.0, f"eps2 must lie in (0, 1), got {eps2}")
-    return 2.0 * math.log(big_n) / (eps2 * eps2 * r * r)
+    _check(1, big_n, r, "eps2", eps2, top=1.0)
+    return _threshold("delta2", 2.0 * math.log(big_n), eps2 * eps2 * r * r,
+                      "eps2", eps2, r)
 
 
 def delta1_star(n, big_n, eps1, r) -> float:
     """Martingale counterpart of delta1, used on the doubling schedule."""
-    _check_common(n, big_n, r)
-    _require(0.0 < eps1 < 0.5, f"eps1 must lie in (0, 0.5), got {eps1}")
-    return (math.log(big_n) + n * math.log(2)) * (6.0 + 2.0 * eps1 * r) \
-        / (3.0 * eps1 * eps1 * r * r)
+    _check(n, big_n, r, "eps1", eps1)
+    return _threshold("delta1_star", (math.log(big_n) + n * math.log(2))
+                      * (6.0 + 2.0 * eps1 * r), 3.0 * eps1 * eps1 * r * r,
+                      "eps1", eps1, r)
 
 
 def delta2_star(big_n, eps2, r) -> float:
@@ -64,9 +79,9 @@ def delta2_star(big_n, eps2, r) -> float:
 
 def delta3(big_n, eps1, r) -> float:
     """Forward simulations for the stopping-rule profit check."""
-    _check_common(1, big_n, r)
-    _require(0.0 < eps1 < 0.5, f"eps1 must lie in (0, 0.5), got {eps1}")
-    return (2.0 + eps1 * r) * math.log(big_n) / (eps1 * eps1 * r * r)
+    _check(1, big_n, r, "eps1", eps1)
+    return _threshold("delta3", (2.0 + eps1 * r) * math.log(big_n),
+                      eps1 * eps1 * r * r, "eps1", eps1, r)
 
 
 @dataclass(frozen=True)
@@ -107,8 +122,7 @@ def search_rat_params(n, big_n, eps, r, step: float = 0.01):
     max(delta1, delta2).  Ties go to the smaller eps1.  Returns
     (eps1, eps2).
     """
-    _check_common(n, big_n, r)
-    _require(0.0 < eps < 0.5, f"eps must lie in (0, 0.5), got {eps}")
+    _check(n, big_n, r, "eps", eps)
     _require(step > 0.0, "search step must be positive")
     best = None
     i = 1
@@ -153,8 +167,7 @@ def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
     decreasing, goes to +inf as eps1 -> 0 and to -inf at the eps2 > 0
     boundary.  Bisection therefore finds the unique root.
     """
-    _check_common(n, big_n, r)
-    _require(0.0 < eps < 0.5, f"eps must lie in (0, 0.5), got {eps}")
+    _check(n, big_n, r, "eps", eps)
     _require(k >= 1, f"k must be a positive integer, got {k}")
     _require(k < sys.float_info.max_exp, f"k must be below "
              f"{sys.float_info.max_exp} so that 2^k is a finite float, got {k}")

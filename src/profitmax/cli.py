@@ -15,7 +15,6 @@ stderr.  Exit code 0 means a report was produced.
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -25,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .algorithms import MemoryBudgetError
-from .bounds import (delta0, delta1, delta1_star, delta2, delta2_star, delta3,
-                     search_rat_params, solve_ras_params)
+from .bounds import (confidence, delta0, delta1, delta1_star, delta2, delta2_star,
+                     delta3, search_rat_params, solve_ras_params)
 from .diffusion import check_sample_cap, estimate_profit_simulation
 from .exact import OracleSizeError, best_seed_set, exact_pi, exact_profit, profit_table
 from .network import (DiffusionParams, NetworkError, ParameterError, build_tc_network,
                       generate_intrinsics, ingest_edge_list, load_intrinsics,
                       load_network_config)
-from .report import ReportError, build_report
+from .report import ReportError, build_report, strict_json
 from .selectors import SELECTORS
 
 _EVAL_STREAM_TAG = 0x45564153  # keeps evaluation draws apart from selection draws
@@ -80,8 +79,9 @@ def _check_pricing(price, frac):
         raise ParameterError(f"coupon fraction must lie in [0, 1), got {frac}")
 
 
-def _resolve(args):
-    """Merge config file values under explicit flags, then apply defaults."""
+def _resolve(args, prices=None):
+    """Merge config file values under explicit flags, then apply defaults.
+    prices, when given, replaces the resolved price (sweep's grid)."""
     cfg = load_network_config(args.config) if args.config else {}
     model = args.model if args.model is not None else cfg.get("model", "ic-cp")
     price = args.price if args.price is not None else cfg.get("price", 0.5)
@@ -90,30 +90,31 @@ def _resolve(args):
     ic_p = args.ic_p if args.ic_p is not None else cfg.get("ic-probability", 0.01)
     seed = args.seed if args.seed is not None else cfg.get("rng-seed", 0)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    _check_pricing(price, frac)
+    prices = [float(p) for p in prices or [price]]
+    for p in prices:
+        _check_pricing(p, frac)
     if seed < 0:
         source = "--seed" if args.seed is not None else "rng-seed"
         raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
-    return model, float(price), float(frac), float(ic_p), int(seed), max(1, int(threads))
+    return model, prices, float(frac), float(ic_p), int(seed), max(1, int(threads))
 
 
-def _build_network(args):
-    """The network, the parameters the report echoes, and the seed."""
-    model, price, frac, ic_p, seed, threads = _resolve(args)
-    with open(args.graph) as fh:
-        g = ingest_edge_list(fh, undirected=args.undirected)
-    coupon = frac * price
-    if args.intrinsics_file:
-        intr = load_intrinsics(args.intrinsics_file, g.n)
-    else:
-        intr = generate_intrinsics(g, price, coupon, seed)
+def _networks(args, prices=None):
+    """Read the input files once and yield, at each price, the network,
+    the parameters the report echoes, and the seed."""
+    model, prices, frac, ic_p, seed, threads = _resolve(args, prices)
+    g = ingest_edge_list(args.graph, undirected=args.undirected)
+    intr = load_intrinsics(args.intrinsics_file, g.n) if args.intrinsics_file else None
     params = DiffusionParams(model=model, ic_probability=ic_p)
-    net = build_tc_network(g, params, price, coupon, intr)
-    echo = {"graph": args.graph, "undirected": bool(args.undirected),
-            "model": model, "price": price, "coupon_frac": frac,
-            "ic_p": ic_p, "intrinsics_file": args.intrinsics_file,
-            "rng_seed": seed, "threads": threads}
-    return net, echo, seed
+    for price in prices:
+        coupon = frac * price
+        net = build_tc_network(g, params, price, coupon, intr if intr is not None
+                               else generate_intrinsics(g, price, coupon, seed))
+        echo = {"graph": args.graph, "undirected": bool(args.undirected),
+                "model": model, "price": price, "coupon_frac": frac,
+                "ic_p": ic_p, "intrinsics_file": args.intrinsics_file,
+                "rng_seed": seed, "threads": threads}
+        yield net, echo, seed
 
 
 def _emit(text: str, out_path):
@@ -152,59 +153,54 @@ def _ids_from_labels(net, labels):
 _FLAG_OF = {"big_n": "bigN", "eval_simulations": "eval_sims"}
 
 
-def _select(args, net, seed):
+def _report(args, algorithm, built, start, members, counts, parameters):
+    """The step run, sweep and evaluate share: args.eval_sims forward runs
+    of members, added to counts, and the report, timed from start, whose
+    parameters are the echo of built = (net, echo, seed) plus parameters."""
+    net, echo, seed = built
+    eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])
+    est = estimate_profit_simulation(net, members, args.eval_sims, eval_ss)
+    wall_ms = round((time.perf_counter() - start) * 1000.0)
+    counts = {**counts, "simulations": counts.get("simulations", 0) + args.eval_sims}
+    return build_report(algorithm, {**echo, **parameters, "eval_sims": args.eval_sims},
+                        net, members, est, wall_ms, counts)
+
+
+def _run_once(args, built):
     """Run the --alg algorithm with each of its parameters that has a flag
-    and the resolved seed; the rest keep the algorithm's defaults."""
+    and the resolved seed, the rest at the algorithm's defaults, and
+    report its seeds."""
+    net, _, seed = built
+    check_sample_cap(args.eval_sims, "eval_sims")  # before selecting
+    start = time.perf_counter()
     selector = SELECTORS[args.alg]
     params = {name: getattr(args, _FLAG_OF.get(name, name))
               for name in selector().get_params()
               if hasattr(args, _FLAG_OF.get(name, name))}
-    params["seed"] = seed
-    return selector(**params).fit(net).selection_
-
-
-def _run_once(args, net, echo, seed):
-    check_sample_cap(args.eval_sims, "eval_sims")  # before selecting
-    start = time.perf_counter()
-    result = _select(args, net, seed)
-    eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])
-    est = estimate_profit_simulation(net, result.members, args.eval_sims, eval_ss)
-    wall_ms = round((time.perf_counter() - start) * 1000.0)
-    counts = dict(result.sample_counts)
-    counts["simulations"] = counts.get("simulations", 0) + args.eval_sims
-    parameters = dict(echo)
-    parameters.update({"alg": args.alg, "eps": args.eps, "big_n": args.bigN,
-                       "k": args.k, "eps3": args.eps3,
-                       "plateau_pct": args.plateau_pct, "max_ra": args.max_ra,
-                       "l_override": args.l_override, "eval_sims": args.eval_sims,
-                       "samples_used": result.l})
-    return build_report(args.alg, parameters, net, result.members, est,
-                        wall_ms, counts)
+    result = selector(**{**params, "seed": seed}).fit(net).selection_
+    return _report(args, args.alg, built, start, result.members, result.sample_counts,
+                   {"alg": args.alg, "eps": args.eps, "big_n": args.bigN, "k": args.k,
+                    "eps3": args.eps3, "plateau_pct": args.plateau_pct,
+                    "max_ra": args.max_ra, "l_override": args.l_override,
+                    "samples_used": result.l})
 
 
 def cmd_run(args) -> int:
-    report = _run_once(args, *_build_network(args))
-    _emit(report.to_json(), args.out)
+    _emit(_run_once(args, next(_networks(args))).to_json(), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    net, echo, seed = _build_network(args)
-    ids = _ids_from_labels(net, _parse_seed_labels(args.seed_set))
-    start = time.perf_counter()
-    eval_ss = np.random.SeedSequence([seed, _EVAL_STREAM_TAG])
-    est = estimate_profit_simulation(net, ids, args.eval_sims, eval_ss)
-    wall_ms = round((time.perf_counter() - start) * 1000.0)
-    parameters = dict(echo)
-    parameters.update({"seed_set": args.seed_set, "eval_sims": args.eval_sims})
-    report = build_report("evaluate", parameters, net, ids, est, wall_ms,
-                          {"simulations": args.eval_sims})
+    built = next(_networks(args))
+    ids = _ids_from_labels(built[0], _parse_seed_labels(args.seed_set))
+    report = _report(args, "evaluate", built, time.perf_counter(), ids, {},
+                     {"seed_set": args.seed_set})
     _emit(report.to_json(), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    net = _build_network(args)[0]
+    net = next(_networks(args))[0]
     out = {"network": {"n": net.n, "m": net.m, "price": net.price,
                        "coupon": net.coupon, "model": net.params.model}}
     if args.seed_set is not None:
@@ -218,14 +214,12 @@ def cmd_oracle(args) -> int:
         out["optimum"] = {"seed_set": net.labels_of(members), "profit": value}
     if "exact" not in out and "optimum" not in out:
         raise ParameterError("oracle needs --seed-set and/or --optimum")
-    _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
+    _emit(strict_json(out, "oracle"), args.out)
     return 0
 
 
 def cmd_thresholds(args) -> int:
-    n, big_n, eps, r = args.n, args.bigN, args.eps, args.r
-    if big_n is None:
-        big_n = float(max(n, 2))
+    n, eps, r, big_n = args.n, args.eps, args.r, confidence(args.n, args.bigN)
     out = {"inputs": {"n": n, "bigN": big_n, "eps": eps, "r": r,
                       "k": args.k, "eps3": args.eps3},
            "delta0": delta0(n, big_n, eps, r)}
@@ -254,13 +248,12 @@ def cmd_thresholds(args) -> int:
             raw["delta2"] = delta2(big_n, args.eps2, r)
             raw["delta2_star"] = delta2_star(big_n, args.eps2, r)
         out["raw"] = raw
-    _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
+    _emit(strict_json(out, "thresholds"), args.out)
     return 0
 
 
 def cmd_ingest_check(args) -> int:
-    with open(args.graph) as fh:
-        g = ingest_edge_list(fh, undirected=args.undirected)
+    g = ingest_edge_list(args.graph, undirected=args.undirected)
     out = {"nodes": g.n, "edges": g.m,
            "max_out_degree": int(np.diff(g.out_indptr).max()),
            "max_in_degree": int(np.diff(g.in_indptr).max())}
@@ -273,7 +266,7 @@ def cmd_ingest_check(args) -> int:
         pruned = sum(1 for v in range(g.n) if intr[v] + coupon < price)
         out["pruned_nodes"] = pruned
         out["retained_nodes"] = g.n - pruned
-    _emit(json.dumps(out, indent=2, sort_keys=True), args.out)
+    _emit(strict_json(out, "ingest-check"), args.out)
     return 0
 
 
@@ -283,9 +276,8 @@ SWEEP_PRICES = (0.2, 0.3, 0.4, 0.5, 0.6)
 def cmd_sweep(args) -> int:
     lines = []
     rows = []
-    for price in SWEEP_PRICES:
-        args.price = price
-        report = _run_once(args, *_build_network(args))
+    for price, built in zip(SWEEP_PRICES, _networks(args, SWEEP_PRICES)):
+        report = _run_once(args, built)
         lines.append(report.to_json(indent=None))
         rows.append({"price": price, "algorithm": report.algorithm,
                      "seed_count": report.seed_count,

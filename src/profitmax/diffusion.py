@@ -300,7 +300,8 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
                     start[a:b] - (ends[a:b] - d - before)).repeat(d)
                 v = indices[pos]
                 keys = base[a:b].repeat(d) + v
-                still_open = ~flat[keys]
+                # index arrays: a boolean gather on random masks is slower
+                still_open = np.flatnonzero(~flat[keys])
                 keys = keys[still_open]
                 if lt:
                     keys, j = _sorted_runs(keys)
@@ -309,7 +310,8 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
                                < j / (in_deg[keys % n] - prev)]
                     seen[keys] = prev + j
                 else:
-                    new = keys[_draw(gens, keys, starts) < prob_in[v[still_open]]]
+                    new = keys[np.flatnonzero(
+                        _draw(gens, keys, starts) < prob_in[v[still_open]])]
                     new.sort()
                     if new.size > 1:
                         new = new[_run_starts(new)]

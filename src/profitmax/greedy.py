@@ -104,7 +104,7 @@ def _latest_conflicts(coll: RACollection) -> np.ndarray:
     n = coll.n
     conflict = np.full(n, -1, dtype=np.int64)
     first = 0
-    while first < len(coll):
+    while first < coll.offsets.size - 1:  # the stored sets
         lo = coll.offsets[first]
         last = max(first + 1, int(np.searchsorted(coll.offsets, lo + INDEX_CHUNK,
                                                   side="right")) - 1)

@@ -38,9 +38,7 @@ class RunReport:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        data = self.to_dict()
-        _check_finite(data, "report")
-        return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False)
+        return strict_json(self.to_dict(), "report", indent)
 
     @classmethod
     def from_dict(cls, data: dict, strict: bool = True) -> "RunReport":
@@ -70,6 +68,13 @@ def _check_finite(value, where: str):
              enumerate(value) if isinstance(value, list) else ())
     for key, item in items:
         _check_finite(item, f"{where}.{key}")
+
+
+def strict_json(data, where: str, indent: int = 2) -> str:
+    """data as JSON with sorted keys, or a ReportError at the first nan or
+    infinity.  Every JSON document of the CLI is written here."""
+    _check_finite(data, where)
+    return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def validate_report(data: dict, strict: bool = True):

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profitmax import BaselineConfig, ParameterError, high_degree, max_inf
+from profitmax.baselines import _coverage_greedy_chain
 
-from conftest import make_net
+from conftest import collection_of, make_net
 
 
 def star_net():
@@ -101,3 +104,30 @@ class TestConfig:
             BaselineConfig(trials=-1)
         with pytest.raises(ParameterError):
             BaselineConfig(eval_simulations=0)
+
+
+def _brute_greedy_chain(n, sets, length):
+    """Greedy maximum coverage over Python sets: most uncovered sets
+    first, smaller id on ties."""
+    uncovered = [set(s) for s in sets]
+    chain = []
+    for _ in range(length):
+        gains = [-1 if v in chain else sum(v in s for s in uncovered)
+                 for v in range(n)]
+        v = gains.index(max(gains))
+        chain.append(v)
+        uncovered = [s for s in uncovered if v not in s]
+    return chain
+
+
+class TestCoverageGreedyChain:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 12))
+        sets = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5),
+                                  min_size=1, max_size=40))
+        length = data.draw(st.integers(1, n))
+        coll = collection_of(n, [sorted(s) for s in sets])
+        assert _coverage_greedy_chain(coll, n, length) == \
+            _brute_greedy_chain(n, sets, length)

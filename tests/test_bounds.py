@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from profitmax import (ParameterError, delta0, delta1, delta1_star, delta2,
                        delta2_star, delta3, search_rat_params,
                        solve_ras_params, thresholds_at)
+from profitmax.bounds import confidence
 
 # Frozen reference values, computed independently by hand:
 #   delta2 = 2 ln N / (eps2 r)^2 at N=100, eps2=0.2, r=0.1
@@ -182,3 +183,49 @@ class TestOverflowingInputs:
         # 2^1023 is a float; the solver then finds no bracket
         with pytest.raises(ParameterError, match="no root bracketed"):
             solve_ras_params(10, 10.0, 0.4, 0.1, 1023, 0.1)
+
+
+class TestConfidence:
+    def test_default_is_the_node_count_at_least_two(self):
+        assert confidence(1) == 2.0
+        assert confidence(7) == 7.0
+        assert confidence(7, 3) == 3.0
+        assert isinstance(confidence(7), float)
+
+
+class TestNonFiniteThresholds:
+    # (eps r)^2 underflows to zero at 1e-300, and its quotient overflows
+    # at 1e-155: either way the threshold is no sample count
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-155])
+    @pytest.mark.parametrize("call,name,param", [
+        (lambda t: delta0(10, 10.0, t, 0.5), "delta0", "eps"),
+        (lambda t: delta1(10, 10.0, t, 0.5), "delta1", "eps1"),
+        (lambda t: delta2(10.0, t, 0.5), "delta2", "eps2"),
+        (lambda t: delta1_star(10, 10.0, t, 0.5), "delta1_star", "eps1"),
+        (lambda t: delta3(10.0, t, 0.5), "delta3", "eps1"),
+    ], ids=["delta0", "delta1", "delta2", "delta1_star", "delta3"])
+    def test_tiny_eps_rejected(self, call, name, param, tiny):
+        with pytest.raises(ParameterError, match=f"threshold {name} is not a finite "
+                           f"positive number at {param}={tiny}"):
+            call(tiny)
+
+    @pytest.mark.parametrize("call", [
+        lambda r: delta0(10, 10.0, 0.4, r),
+        lambda r: delta1(10, 10.0, 0.2, r),
+        lambda r: delta2(10.0, 0.2, r),
+        lambda r: delta1_star(10, 10.0, 0.2, r),
+        lambda r: delta3(10.0, 0.2, r),
+    ])
+    def test_tiny_r_rejected(self, call):
+        with pytest.raises(ParameterError, match="r=1e-300"):
+            call(1e-300)
+
+    def test_same_range_message_everywhere(self):
+        messages = set()
+        for call in (lambda: delta0(10, 10.0, 0.6, 0.5),
+                     lambda: search_rat_params(10, 10.0, 0.6, 0.5),
+                     lambda: solve_ras_params(10, 10.0, 0.6, 0.5, 5, 0.1)):
+            with pytest.raises(ParameterError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"eps must lie in (0, 0.5), got 0.6"}

@@ -6,9 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams, build_tc_network,
                        generate_intrinsics, ingest_edge_list, validate_report)
+from profitmax import cli
 from profitmax.cli import build_parser, main
 
 from conftest import random_edge_text
@@ -449,6 +452,21 @@ class TestSweep:
         assert header.startswith("price,")
         assert len(rows) == 5
 
+    def test_inputs_read_once(self, capsys, graph_file, intr_file, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ingest_edge_list(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_edge_list", counting)
+        code, out, _ = run_cli(capsys, "sweep", "--graph", graph_file,
+                               "--intrinsics-file", intr_file, "--alg", "ra-t",
+                               "--max-ra", "50", "--eval-sims", "10")
+        assert code == 0
+        assert len(out.splitlines()) == len(cli.SWEEP_PRICES)
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize("extra", [
     ["run", "--alg", "spm", "--l-override", "99999999999999999999"],
@@ -526,3 +544,136 @@ class TestRegistry:
             assert list(alg.choices) == list(SELECTORS)
         assert set(SELECTORS) == set(ALGORITHMS) | {"maxinf", "highdegree"}
         assert set(self.CASES) == set(SELECTORS)
+
+
+@pytest.mark.parametrize("extra,where", [
+    (["run", "--alg", "spm", "--eps", "1e-300"], "delta0 is not a finite positive number at eps=1e-300"),
+    (["run", "--alg", "rpm", "--eps", "1e-300"], "delta0 is not a finite positive number at eps=1e-300"),
+    (["run", "--alg", "spm", "--eps", "1e-155"], "delta0 is not a finite positive number at eps=1e-155"),
+    (["run", "--alg", "spm", "--eps", "1e-155", "--l-override", "5"], "at eps=1e-155"),
+    (["thresholds", "--eps", "1e-300"], "delta0 is not a finite positive number at eps=1e-300"),
+    (["thresholds", "--eps1", "1e-300"], "delta1 is not a finite positive number at eps1=1e-300"),
+    (["thresholds", "--eps2", "1e-300"], "delta2 is not a finite positive number at eps2=1e-300"),
+    (["thresholds", "--r", "1e-300"], "r=1e-300"),
+])
+def test_overflowing_thresholds_fail_cleanly(capsys, graph_file, intr_file, extra, where):
+    command, *flags = extra
+    if command == "thresholds":
+        base = ["--n", "10", "--r", "0.5"]
+    else:
+        base = ["--graph", graph_file, "--intrinsics-file", intr_file, "--eval-sims", "10"]
+    code, out, err = run_cli(capsys, command, *base, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and where in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_thresholds_output_fails_cleanly(capsys, value):
+    code, out, err = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.5",
+                             "--eps3", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"eps3 must be finite, got {value}" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "0.6"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+    ("--bigN", "0.5"), ("--bigN", "1"), ("--bigN", "nan"), ("--bigN", "inf"),
+])
+def test_bad_eps_or_n_gets_one_message(capsys, graph_file, intr_file, flag, value):
+    errors = set()
+    for command in (["run", "--alg", "spm"], ["run", "--alg", "rpm"],
+                    ["run", "--alg", "ra-t"], ["run", "--alg", "ra-s"],
+                    ["sweep", "--alg", "ra-t"]):
+        code, out, err = run_cli(capsys, *command, "--graph", graph_file,
+                                 "--intrinsics-file", intr_file, "--eval-sims", "10",
+                                 "--l-override", "5", flag, value)
+        assert code == 1 and out == ""
+        errors.add(err)
+    code, out, err = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.5", flag, value)
+    assert code == 1 and out == ""
+    errors.add(err)
+    assert len(errors) == 1
+    assert errors.pop().startswith("error:")
+
+
+# Edge values for every numeric flag: int flags draw from COUNTS, float
+# flags from FLOATS.  --bigN and --k only take values that are refused.
+FLOATS = ("0", "-1", "1e-300", "1e-155", "nan", "inf")
+COUNTS = ("0", "-1", str(2 ** 41))
+NETWORK_FLAGS = {"--ic-p": FLOATS, "--price": FLOATS, "--coupon-frac": FLOATS,
+                 "--seed": COUNTS, "--threads": COUNTS}
+SELECT_FLAGS = {"--eps": FLOATS, "--bigN": FLOATS, "--k": COUNTS, "--eps3": FLOATS,
+                "--plateau-pct": FLOATS, "--max-ra": COUNTS, "--l-override": COUNTS,
+                "--fixed-size": COUNTS, "--eval-sims": COUNTS}
+EDGE_FLAGS = {
+    "run": {**NETWORK_FLAGS, **SELECT_FLAGS},
+    "sweep": {**NETWORK_FLAGS, **SELECT_FLAGS},
+    "evaluate": {**NETWORK_FLAGS, "--eval-sims": COUNTS},
+    "oracle": NETWORK_FLAGS,
+    "thresholds": {"--n": COUNTS, "--bigN": FLOATS, "--eps": FLOATS, "--r": FLOATS,
+                   "--k": COUNTS, "--eps3": FLOATS, "--eps1": FLOATS, "--eps2": FLOATS},
+    "ingest-check": {"--price": FLOATS, "--coupon-frac": FLOATS},
+}
+# flags every case of a command starts from; drawn flags replace them, and
+# the sample counts stay small so that an accepted case ends in about a second
+EDGE_BASE = {
+    "run": {"--l-override": "20", "--max-ra": "500", "--eval-sims": "20"},
+    "sweep": {"--l-override": "20", "--max-ra": "500", "--eval-sims": "20"},
+    "evaluate": {"--seed-set": "1,2", "--eval-sims": "20"},
+    "oracle": {"--seed-set": "1", "--optimum": None},
+    "thresholds": {"--n": "10", "--r": "0.5"},
+    "ingest-check": {},
+}
+
+
+@st.composite
+def _edge_case(draw):
+    command = draw(st.sampled_from(sorted(EDGE_FLAGS)))
+    flags = dict(EDGE_BASE[command])
+    if command in ("run", "sweep"):
+        flags["--alg"] = draw(st.sampled_from(sorted(SELECTORS)))
+    table = EDGE_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(table)), max_size=3, unique=True)):
+        flags[flag] = draw(st.sampled_from(table[flag]))
+    return command, flags
+
+
+def _strict_loads(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@given(case=_edge_case())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_edge_values_exit_cleanly(capsys, tmp_path, case):
+    command, flags = case
+    graph = tmp_path / "ten.txt"
+    graph.write_text("".join(f"{v} {v % 10 + 1}\n" for v in range(1, 11)) + "1 6\n")
+    intr = tmp_path / "ten-intr.txt"
+    intr.write_text("0.9\n" * 10)
+    argv = [command]
+    if command != "thresholds":
+        argv += ["--graph", str(graph)]
+    if command == "ingest-check":
+        argv += ["--intrinsics-file", str(intr)]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1), (argv, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error:"), (argv, err)
+        return
+    if command == "sweep":
+        docs = [_strict_loads(line) for line in out.splitlines()]
+        assert len(docs) == len(cli.SWEEP_PRICES)
+    else:
+        docs = [_strict_loads(out)]
+    if command in ("run", "sweep", "evaluate"):
+        for doc in docs:
+            validate_report(doc)

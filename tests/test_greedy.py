@@ -10,7 +10,7 @@ from profitmax import (MODELS, CollectionBuilder, CoverageOracle,
                        FunctionOracle, RACollection, double_greedy, estimate_F,
                        generate_collection, node_order)
 from profitmax.algorithms import _realization_collection
-from profitmax.greedy import SCALAR_BATCH
+from profitmax.greedy import SCALAR_BATCH, _latest_conflicts
 from profitmax.sampling import INDEX_CHUNK
 
 from conftest import (collection_of, make_net, random_edge_text, random_small_net,
@@ -319,3 +319,21 @@ class TestPlan:
         for p, v in enumerate(order):
             assert list(by_position[offsets[p]:offsets[p + 1]]) == \
                 list(oracle._sets_of(v))
+
+
+def _brute_latest_conflicts(n, sets):
+    return [max((u for s in sets if v in s for u in s if u < v), default=-1)
+            for v in range(n)]
+
+
+class TestLatestConflicts:
+    def test_one_member_sets_are_skipped(self):
+        # len() counts the one-member sets, which are not stored
+        coll = collection_of(4, [[0, 1], [2], [3], [1, 2]])
+        assert _latest_conflicts(coll).tolist() == [-1, 0, 1, -1]
+
+    @given(case=_collection_and_order())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case):
+        coll, sets, _ = case
+        assert _latest_conflicts(coll).tolist() == _brute_latest_conflicts(coll.n, sets)
