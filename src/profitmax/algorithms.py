@@ -21,6 +21,8 @@ on the seed alone.  Each also takes workers, which it ignores.
 
 bounds alone range-checks eps and N: every algorithm evaluates one of its
 thresholds before it draws a sample, spm and rpm even with l_override.
+diffusion.sample_count alone checks a sample count, and each sample size
+is written once, here or in bounds.RASParams.
 
 ALGORITHMS maps each name to its function.  The selectors and the CLI read
 an algorithm's parameters and their defaults from its signature, so the
@@ -34,8 +36,9 @@ import numpy as np
 
 from .bounds import (confidence, delta0, delta1, delta2, search_rat_params,
                      solve_ras_params)
-from .diffusion import (SIM_BLOCK, check_sample_cap, estimate_profit_simulation,
-                        estimate_profits_simulation, stream_blocks, _rng_from)
+from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
+                        estimate_profits_simulation, sample_count, stream_blocks,
+                        _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
 from .sampling import CollectionBuilder, generate_collection, sample_rr_block
@@ -63,14 +66,14 @@ class SelectionResult:
         return len(self.members)
 
 
-def _count_or(value, name: str, default: int) -> int:
-    """An explicit sample count, or default when value is None."""
-    if value is None:
-        return default
-    if int(value) != value or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-    check_sample_cap(value, name)
-    return int(value)
+def _forward_setup(net: TCNetwork, eps, big_n, l_override):
+    """spm's and rpm's N, l and shift 2 eps (P - C); delta0 runs even when
+    l_override replaces it, so that bounds checks eps."""
+    big_n = confidence(net.n, big_n)
+    l = math.ceil(delta0(net.n, big_n, eps, net.discount_ratio))
+    if l_override is not None:
+        l = sample_count(l_override, "l_override")
+    return big_n, l, 2.0 * eps * net.full_profit() / net.n
 
 
 def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
@@ -78,10 +81,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     """Forward-sampling selection: every inspection draws its own batch of
     l simulations, from its own SeedSequence child of one evaluation
     stream.  The four inspections of a node are one batch call."""
-    big_n = confidence(net.n, big_n)
-    n, r = net.n, net.discount_ratio
-    l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
-    shift = 2.0 * eps * net.full_profit() / n
+    big_n, l, shift = _forward_setup(net, eps, big_n, l_override)
     ss = np.random.SeedSequence(seed)
     coin_ss, eval_parent = ss.spawn(2)
 
@@ -89,8 +89,8 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         return [e.mean_profit for e in estimate_profits_simulation(
             net, sets, l, eval_parent.spawn(len(sets)))]
 
-    oracle = FunctionOracle(evaluate, range(n), shift=shift, many=True)
-    members = double_greedy(oracle, range(n), _rng_from(coin_ss))
+    oracle = FunctionOracle(evaluate, range(net.n), shift=shift, many=True)
+    members = double_greedy(oracle, range(net.n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=SPM,
         sample_counts={"simulations": oracle.inspections * l,
@@ -151,15 +151,12 @@ def rpm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     and incrementally.  The sets are held in memory for the whole pass
     and checked against memory_budget_mb.
     """
-    big_n = confidence(net.n, big_n)
-    n, r = net.n, net.discount_ratio
-    l = _count_or(l_override, "l_override", math.ceil(delta0(n, big_n, eps, r)))
+    big_n, l, shift = _forward_setup(net, eps, big_n, l_override)
     ss = np.random.SeedSequence(seed)
     coin_ss, gen_ss = ss.spawn(2)
     coll = _realization_collection(net, l, gen_ss, memory_budget_mb)
-    shift = 2.0 * eps * net.full_profit() / n
     oracle = CoverageOracle(coll, net.price, net.coupon, shift=shift)
-    members = double_greedy(oracle, range(n), _rng_from(coin_ss))
+    members = double_greedy(oracle, range(net.n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=RPM,
         sample_counts={"simulations": 0, "realizations": l, "ra_sets": 0},
@@ -175,34 +172,36 @@ def node_order(net: TCNetwork, probe_count: int, rng_seed) -> list:
     is proportional to an unbiased estimate of its solo adopter
     expectation.  Ties break toward the smaller node id.
     """
-    if probe_count < 1:
-        raise ParameterError("probe_count must be positive")
-    coll = generate_collection(net, probe_count, rng_seed)
+    coll = generate_collection(net, sample_count(probe_count, "probe_count"),
+                               rng_seed)
     scores = coll.coverage_counts()
     order = np.lexsort((np.arange(net.n), -scores))
     return [int(v) for v in order]
 
 
-def _default_probe_count(net: TCNetwork, big_n, eps, max_ra=None) -> int:
+def default_probe_count(net: TCNetwork, big_n, eps, cap=None) -> int:
+    """node_order's RA sets: ceil(delta2) at eps, at most cap, at least 1."""
     probes = math.ceil(delta2(big_n, eps, net.discount_ratio))
-    if max_ra is not None:
-        probes = min(probes, int(max_ra))
-    return max(probes, 1)
+    return max(min(probes, cap or probes), 1)
+
+
+def rat_size(n, big_n, eps, r):
+    """ra_t's split of eps and its collection size there: (eps1, eps2, l)."""
+    eps1, eps2 = search_rat_params(n, big_n, eps, r, step=0.01)
+    return eps1, eps2, math.ceil(max(delta1(n, big_n, eps1, r), delta2(big_n, eps2, r)))
 
 
 def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
-         seed: int = 0, workers: int = 1, order_probes=None) -> SelectionResult:
+         seed: int = 0, workers: int = 1) -> SelectionResult:
     """Reverse-sampling selection with a precomputed collection size."""
     big_n = confidence(net.n, big_n)
-    n, r = net.n, net.discount_ratio
-    eps1, eps2 = search_rat_params(n, big_n, eps, r, step=0.01)
-    l = math.ceil(max(delta1(n, big_n, eps1, r), delta2(big_n, eps2, r)))
-    l = min(l, _count_or(max_ra, "max_ra", l))
+    eps1, eps2, l = rat_size(net.n, big_n, eps, net.discount_ratio)
+    cap = None if max_ra is None else sample_count(max_ra, "max_ra")
+    l = min(l, cap or l)
     ss = np.random.SeedSequence(seed)
     coll_ss, probe_ss, coin_ss = ss.spawn(3)
     coll = generate_collection(net, l, coll_ss)
-    probes = _count_or(order_probes, "order_probes",
-                       _default_probe_count(net, big_n, eps, max_ra))
+    probes = default_probe_count(net, big_n, eps, cap)
     order = node_order(net, probes, probe_ss)
     oracle = CoverageOracle(coll, net.price, net.coupon)
     members = double_greedy(oracle, order, _rng_from(coin_ss))
@@ -217,7 +216,7 @@ def ra_t(net: TCNetwork, eps: float = 0.4, big_n=None, max_ra=None,
 
 def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
          eps3: float = 0.1, plateau_pct: float = 2.0, seed: int = 0,
-         workers: int = 1, order_probes=None) -> SelectionResult:
+         workers: int = 1) -> SelectionResult:
     """Reverse-sampling selection on a doubling schedule.
 
     The collection starts at ceil(delta2_star) sets and doubles each
@@ -229,13 +228,11 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     if not (plateau_pct >= 0.0 and math.isfinite(plateau_pct)):
         raise ParameterError(f"plateau_pct must be a finite percentage >= 0, got {plateau_pct}")
     big_n = confidence(net.n, big_n)
-    n, r = net.n, net.discount_ratio
-    params = solve_ras_params(n, big_n, eps, r, k, eps3)
-    l_star = math.ceil(params.delta3)
+    params = solve_ras_params(net.n, big_n, eps, net.discount_ratio, k, eps3)
+    l_star = params.l_simulations
     ss = np.random.SeedSequence(seed)
     probe_ss, loop_ss = ss.spawn(2)
-    probes = _count_or(order_probes, "order_probes",
-                       _default_probe_count(net, big_n, eps))
+    probes = default_probe_count(net, big_n, eps)
     order = node_order(net, probes, probe_ss)
     builder = CollectionBuilder(net)
     l_real = params.delta2_star

@@ -11,9 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithms import SelectionResult
-from .bounds import confidence, delta2
-from .diffusion import _expand, _rng_from, estimate_profit_simulation
+from .algorithms import SelectionResult, default_probe_count
+from .bounds import confidence
+from .diffusion import _expand, _rng_from, estimate_profit_simulation, sample_count
 from .network import ParameterError, TCNetwork
 from .sampling import generate_collection
 
@@ -31,13 +31,13 @@ class BaselineConfig:
     ra_samples: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("sweep_points", "trials", "eval_simulations"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("fixed_size", "ra_samples"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ParameterError(f"{name} must be positive when given")
+        for name in ("trials", "eval_simulations", "ra_samples"):
+            if getattr(self, name) is not None:
+                setattr(self, name, sample_count(getattr(self, name), name))
+        if self.sweep_points < 1:
+            raise ParameterError("sweep_points must be positive")
+        if self.fixed_size is not None and self.fixed_size < 1:
+            raise ParameterError("fixed_size must be positive when given")
 
 
 def _coverage_greedy_chain(coll, n: int, length: int) -> list:
@@ -73,8 +73,7 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResu
     n = net.n
     ss = np.random.SeedSequence(seed)
     coll_ss, eval_parent = ss.spawn(2)
-    samples = cfg.ra_samples or max(
-        1, math.ceil(delta2(confidence(n), 0.4, net.discount_ratio)))
+    samples = cfg.ra_samples or default_probe_count(net, confidence(n), 0.4)
     coll = generate_collection(net, samples, coll_ss)
     if cfg.fixed_size is not None:
         targets = [min(int(cfg.fixed_size), n)]

@@ -20,14 +20,22 @@ def _require(cond: bool, msg: str):
         raise ParameterError(msg)
 
 
+def _check_n(n):
+    _require(n >= 1, f"node count must be >= 1, got {n}")
+    _require(n <= sys.float_info.max,
+             f"node count must be at most {sys.float_info.max:g}, got {n}")
+
+
 def confidence(n, big_n=None) -> float:
     """The confidence parameter N: big_n, or by default the node count
     raised to 2 so that ln N > 0.  _check range-checks it."""
+    if big_n is None:
+        _check_n(n)
     return float(max(n, 2) if big_n is None else big_n)
 
 
 def _check(n, big_n, r, eps_name, eps, top=0.5):
-    _require(n >= 1, f"node count must be >= 1, got {n}")
+    _check_n(n)
     _require(1.0 < big_n < math.inf,
              f"confidence parameter N must be finite and exceed 1, got {big_n}")
     _require(0.0 < r <= 1.0, f"discount ratio must lie in (0, 1], got {r}")
@@ -152,6 +160,8 @@ class RASParams:
     delta1_star: float
     delta2_star: float
     delta3: float
+    l_start: int  # RA sets of the first round, ceil(delta2_star)
+    l_simulations: int  # forward runs of each stopping check, ceil(delta3)
 
 
 def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
@@ -209,6 +219,7 @@ def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
         raise ParameterError(
             f"solver failed to converge for k={k}, eps3={eps3}; "
             "try a different k or eps3")
+    d3 = delta3(big_n, eps1, r)
     return RASParams(eps1=eps1, eps2=eps2, eps3=eps3, k=k,
-                     delta1_star=d1s, delta2_star=d2s,
-                     delta3=delta3(big_n, eps1, r))
+                     delta1_star=d1s, delta2_star=d2s, delta3=d3,
+                     l_start=math.ceil(d2s), l_simulations=math.ceil(d3))

@@ -15,26 +15,27 @@ stderr.  Exit code 0 means a report was produced.
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .algorithms import MemoryBudgetError
+from .algorithms import MemoryBudgetError, rat_size
 from .bounds import (confidence, delta0, delta1, delta1_star, delta2, delta2_star,
-                     delta3, search_rat_params, solve_ras_params)
-from .diffusion import check_sample_cap, estimate_profit_simulation
+                     delta3, solve_ras_params)
+from .diffusion import estimate_profit_simulation, sample_count
 from .exact import OracleSizeError, best_seed_set, exact_pi, exact_profit, profit_table
-from .network import (DiffusionParams, NetworkError, ParameterError, build_tc_network,
-                      generate_intrinsics, ingest_edge_list, load_intrinsics,
-                      load_network_config)
+from .network import (DiffusionParams, NetworkError, ParameterError, adoptable,
+                      build_tc_network, generate_intrinsics, ingest_edge_list,
+                      load_intrinsics, load_network_config)
 from .report import ReportError, build_report, strict_json
 from .selectors import SELECTORS
 
 _EVAL_STREAM_TAG = 0x45564153  # keeps evaluation draws apart from selection draws
+_COUPON_FRAC = 0.9  # --coupon-frac when neither it nor a config file sets one
 
 
 def _add_network_args(p: argparse.ArgumentParser):
@@ -47,7 +48,7 @@ def _add_network_args(p: argparse.ArgumentParser):
                    help="edge probability for ic-cp (default 0.01)")
     p.add_argument("--price", type=float, default=None, help="product price in (0,1]")
     p.add_argument("--coupon-frac", type=float, default=None,
-                   help="coupon as a fraction of the price (default 0.9)")
+                   help=f"coupon as a fraction of the price (default {_COUPON_FRAC})")
     p.add_argument("--intrinsics-file", help="one intrinsic value per line")
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
@@ -86,7 +87,7 @@ def _resolve(args, prices=None):
     model = args.model if args.model is not None else cfg.get("model", "ic-cp")
     price = args.price if args.price is not None else cfg.get("price", 0.5)
     frac = args.coupon_frac if args.coupon_frac is not None \
-        else cfg.get("coupon-fraction", 0.9)
+        else cfg.get("coupon-fraction", _COUPON_FRAC)
     ic_p = args.ic_p if args.ic_p is not None else cfg.get("ic-probability", 0.01)
     seed = args.seed if args.seed is not None else cfg.get("rng-seed", 0)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
@@ -171,7 +172,7 @@ def _run_once(args, built):
     and the resolved seed, the rest at the algorithm's defaults, and
     report its seeds."""
     net, _, seed = built
-    check_sample_cap(args.eval_sims, "eval_sims")  # before selecting
+    sample_count(args.eval_sims, "eval_sims")  # before selecting
     start = time.perf_counter()
     selector = SELECTORS[args.alg]
     params = {name: getattr(args, _FLAG_OF.get(name, name))
@@ -182,7 +183,7 @@ def _run_once(args, built):
                    {"alg": args.alg, "eps": args.eps, "big_n": args.bigN, "k": args.k,
                     "eps3": args.eps3, "plateau_pct": args.plateau_pct,
                     "max_ra": args.max_ra, "l_override": args.l_override,
-                    "samples_used": result.l})
+                    "fixed_size": args.fixed_size, "samples_used": result.l})
 
 
 def cmd_run(args) -> int:
@@ -191,6 +192,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    sample_count(args.eval_sims, "eval_sims")
     built = next(_networks(args))
     ids = _ids_from_labels(built[0], _parse_seed_labels(args.seed_set))
     report = _report(args, "evaluate", built, time.perf_counter(), ids, {},
@@ -223,19 +225,13 @@ def cmd_thresholds(args) -> int:
     out = {"inputs": {"n": n, "bigN": big_n, "eps": eps, "r": r,
                       "k": args.k, "eps3": args.eps3},
            "delta0": delta0(n, big_n, eps, r)}
-    eps1, eps2 = search_rat_params(n, big_n, eps, r)
+    eps1, eps2, l = rat_size(n, big_n, eps, r)
     out["rat"] = {"eps1": eps1, "eps2": eps2,
                   "delta1": delta1(n, big_n, eps1, r),
-                  "delta2": delta2(big_n, eps2, r)}
-    out["rat"]["l"] = math.ceil(max(out["rat"]["delta1"], out["rat"]["delta2"]))
+                  "delta2": delta2(big_n, eps2, r), "l": l}
     try:
-        ras = solve_ras_params(n, big_n, eps, r, args.k, args.eps3)
-        out["ras"] = {"eps1": ras.eps1, "eps2": ras.eps2,
-                      "delta1_star": ras.delta1_star,
-                      "delta2_star": ras.delta2_star,
-                      "delta3": ras.delta3,
-                      "l_start": math.ceil(ras.delta2_star),
-                      "l_simulations": math.ceil(ras.delta3)}
+        ras = asdict(solve_ras_params(n, big_n, eps, r, args.k, args.eps3))
+        out["ras"] = {key: ras[key] for key in ras if key not in ("eps3", "k")}
     except ParameterError as exc:
         out["ras"] = {"error": str(exc)}
     if args.eps1 is not None or args.eps2 is not None:
@@ -258,14 +254,12 @@ def cmd_ingest_check(args) -> int:
            "max_out_degree": int(np.diff(g.out_indptr).max()),
            "max_in_degree": int(np.diff(g.in_indptr).max())}
     if args.price is not None and args.intrinsics_file:
-        frac = args.coupon_frac if args.coupon_frac is not None else 0.9
-        price = args.price
-        _check_pricing(price, frac)
-        coupon = frac * price
+        frac = args.coupon_frac if args.coupon_frac is not None else _COUPON_FRAC
+        _check_pricing(args.price, frac)
         intr = load_intrinsics(args.intrinsics_file, g.n)
-        pruned = sum(1 for v in range(g.n) if intr[v] + coupon < price)
-        out["pruned_nodes"] = pruned
-        out["retained_nodes"] = g.n - pruned
+        retained = int(np.count_nonzero(adoptable(intr, args.price, frac * args.price)))
+        out["pruned_nodes"] = g.n - retained
+        out["retained_nodes"] = retained
     _emit(strict_json(out, "ingest-check"), args.out)
     return 0
 
@@ -309,22 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price", type=float, default=None)
     p.add_argument("--coupon-frac", type=float, default=None)
     p.add_argument("--intrinsics-file")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ingest_check)
 
     p = sub.add_parser("run", help="run one selection algorithm")
     _add_network_args(p)
     _add_alg_args(p)
-    p.add_argument("--eval-sims", type=int, default=10_000)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate", help="evaluate a given seed set")
     _add_network_args(p)
     p.add_argument("--seed-set", required=True,
                    help="comma-separated node ids; empty string for the empty set")
-    p.add_argument("--eval-sims", type=int, default=10_000)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oracle", help="exact profit on a tiny instance")
@@ -332,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-set", default=None)
     p.add_argument("--optimum", action="store_true",
                    help="exhaustive search for the best seed set")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("thresholds", help="print sample-count thresholds")
@@ -346,16 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print raw thresholds at this eps1")
     p.add_argument("--eps2", type=float, default=None,
                    help="also print raw thresholds at this eps2")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("sweep", help="run one algorithm across the price grid")
     _add_network_args(p)
     _add_alg_args(p)
-    p.add_argument("--eval-sims", type=int, default=10_000)
     p.add_argument("--csv", help="also write a CSV summary here")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
+
+    for name in ("run", "evaluate", "sweep"):
+        sub.choices[name].add_argument("--eval-sims", type=int, default=10_000)
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -21,6 +21,7 @@ seeded.
 """
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -96,10 +97,16 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def check_sample_cap(count: int, name: str):
-    """Refuse a sample count above MAX_SAMPLES with a ParameterError."""
-    if count > MAX_SAMPLES:
-        raise ParameterError(f"{name} must be at most {MAX_SAMPLES}, got {count}")
+def sample_count(value, name: str) -> int:
+    """value as a sample count: an int, or a float equal to one, from 1 to
+    MAX_SAMPLES; anything else, nan and inf too, is a ParameterError
+    that names name."""
+    if not (isinstance(value, numbers.Real) and 1 <= value < math.inf
+            and int(value) == value):
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    if value > MAX_SAMPLES:
+        raise ParameterError(f"{name} must be at most {MAX_SAMPLES}, got {value!r}")
+    return int(value)
 
 
 def stream_blocks(seed, total: int, block: int):
@@ -108,7 +115,7 @@ def stream_blocks(seed, total: int, block: int):
     each.  The partition depends on total and block alone.  Each child is
     spawned as its block is reached, which gives the children one spawn
     of them all would."""
-    check_sample_cap(total, "sample count")
+    total = sample_count(total, "sample count")
     ss = _seed_sequence(seed)
     for lo in range(0, total, block):
         yield ss.spawn(1)[0], min(block, total - lo)
@@ -348,12 +355,8 @@ def simulate_once(net: TCNetwork, seeds, rng) -> int:
 
 def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
                                workers: int = 1) -> ProfitEstimate:
-    """Mean profit over l independent forward runs.
-
-    The runs are split into blocks of SIM_BLOCK, each driven by its own
-    SeedSequence child of rng_seed, so the estimate depends on
-    (rng_seed, l) alone; workers is ignored.
-    """
+    """Mean profit over l independent forward runs of seeds: the one-set
+    call of estimate_profits_simulation.  workers is ignored."""
     return estimate_profits_simulation(net, [seeds], l, [rng_seed])[0]
 
 
@@ -365,8 +368,7 @@ def estimate_profits_simulation(net: TCNetwork, seed_sets, l: int,
     Every set keeps its own stream, split into blocks of SIM_BLOCK runs as
     for it alone; the sets share l, and so the block sizes.
     """
-    if l < 1:
-        raise ParameterError(f"need at least one simulation, got {l}")
+    l = sample_count(l, "l")
     if len(rng_seeds) != len(seed_sets):
         raise ParameterError(
             f"need one seed per seed set, got {len(rng_seeds)} for {len(seed_sets)}")

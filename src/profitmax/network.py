@@ -200,6 +200,11 @@ class TCNetwork:
                 f"P={self.price}, C={self.coupon})")
 
 
+def adoptable(intrinsics, price: float, coupon: float) -> np.ndarray:
+    """Mask of the nodes build_tc_network keeps: I_v + C >= P."""
+    return np.asarray(intrinsics, dtype=np.float64) + coupon >= price
+
+
 def build_tc_network(g: Graph, params: DiffusionParams, price: float,
                      coupon: float, intrinsics) -> TCNetwork:
     """Attach pricing to a graph and drop nodes that can never adopt.
@@ -217,7 +222,7 @@ def build_tc_network(g: Graph, params: DiffusionParams, price: float,
     if intrinsics.shape != (g.n,):
         raise NetworkError(
             f"intrinsics length {intrinsics.size} does not match node count {g.n}")
-    keep = intrinsics + coupon >= price
+    keep = adoptable(intrinsics, price, coupon)
     kept = int(np.count_nonzero(keep))
     if not kept:
         raise NetworkError("empty feasible network: every node was pruned")

@@ -23,7 +23,8 @@ members are grown on and returned, and stored, whole.
 
 import numpy as np
 
-from .diffusion import SIM_STATE_BYTES, _expand, _sorted_runs, stream_blocks
+from .diffusion import (SIM_STATE_BYTES, _expand, _sorted_runs, sample_count,
+                        stream_blocks)
 from .network import TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
@@ -341,16 +342,10 @@ class CollectionBuilder:
 
 
 def generate_collection(net: TCNetwork, l: int, rng_seed, workers: int = 1) -> RACollection:
-    """Generate l RA sets.
-
-    The stream is split into blocks of RA_BLOCK sets with one SeedSequence
-    child each, so the collection depends on (rng_seed, l) alone; workers
-    is ignored.
-    """
-    if l < 1:
-        raise ValueError("collection needs at least one RA set")
+    """l RA sets, drawn by CollectionBuilder.extend, so the collection
+    depends on (rng_seed, l) alone.  workers is ignored."""
     builder = CollectionBuilder(net)
-    builder.extend(l, rng_seed)
+    builder.extend(sample_count(l, "l"), rng_seed)
     return builder.snapshot()
 
 

@@ -8,8 +8,9 @@ import pytest
 from profitmax import (ALGORITHMS, BaselineConfig, CoverageOracle, FunctionOracle,
                        MemoryBudgetError, ParameterError, algorithms, delta0,
                        delta1, delta2, diffusion, double_greedy,
-                       estimate_profit_simulation, exact_profit, max_inf,
-                       node_order, ra_s, ra_t, replay_on_realization, rpm,
+                       estimate_profit_simulation, estimate_profits_simulation,
+                       exact_profit, generate_collection, max_inf, node_order,
+                       ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
@@ -360,14 +361,51 @@ class TestZeroOverrides:
         with pytest.raises(ParameterError, match="l_override"):
             alg(two_node_net, eps=0.4, l_override=0, seed=1)
 
-    @pytest.mark.parametrize("alg", [ra_t, ra_s])
-    def test_order_probes_zero_rejected(self, two_node_net, alg):
-        with pytest.raises(ParameterError, match="order_probes"):
-            alg(two_node_net, eps=0.4, order_probes=0, seed=1)
-
     def test_max_ra_zero_rejected(self, two_node_net):
         with pytest.raises(ParameterError, match="max_ra"):
             ra_t(two_node_net, eps=0.4, max_ra=0, seed=1)
+
+
+# Every entry point that takes a sample count: (call(net, count), the name
+# its refusal gives).  diffusion.sample_count checks them all.
+SAMPLE_COUNT_ENTRIES = {
+    "spm": (lambda net, c: spm(net, l_override=c, seed=1), "l_override"),
+    "rpm": (lambda net, c: rpm(net, l_override=c, seed=1), "l_override"),
+    "ra_t": (lambda net, c: ra_t(net, max_ra=c, seed=1), "max_ra"),
+    "estimate_profit_simulation":
+        (lambda net, c: estimate_profit_simulation(net, [0], c, 1), "l"),
+    "estimate_profits_simulation":
+        (lambda net, c: estimate_profits_simulation(net, [[0], [1]], c, [1, 2]), "l"),
+    "generate_collection": (lambda net, c: generate_collection(net, c, 1), "l"),
+    "node_order": (lambda net, c: node_order(net, c, 1), "probe_count"),
+    "trials": (lambda net, c: BaselineConfig(trials=c), "trials"),
+    "eval_simulations":
+        (lambda net, c: BaselineConfig(eval_simulations=c), "eval_simulations"),
+    "ra_samples": (lambda net, c: BaselineConfig(ra_samples=c), "ra_samples"),
+}
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, math.nan, math.inf, 2 ** 40 + 1],
+                             ids=["0", "-1", "1.5", "nan", "inf", "cap+1"])
+    @pytest.mark.parametrize("entry", list(SAMPLE_COUNT_ENTRIES))
+    def test_bad_count_refused(self, two_node_net, entry, bad):
+        call, name = SAMPLE_COUNT_ENTRIES[entry]
+        with pytest.raises(ParameterError, match=f"^{name} must be "):
+            call(two_node_net, bad)
+
+    @pytest.mark.parametrize("entry", list(SAMPLE_COUNT_ENTRIES))
+    def test_integral_float_accepted(self, two_node_net, entry):
+        call, _ = SAMPLE_COUNT_ENTRIES[entry]
+        call(two_node_net, 5.0)
+
+    def test_integral_float_counts_as_its_int(self, two_node_net):
+        assert BaselineConfig(trials=5.0, ra_samples=7.0) == \
+            BaselineConfig(trials=5, ra_samples=7)
+        assert estimate_profit_simulation(two_node_net, [0], 5.0, 3) == \
+            estimate_profit_simulation(two_node_net, [0], 5, 3)
+        assert ra_t(two_node_net, max_ra=40.0, seed=2).members == \
+            ra_t(two_node_net, max_ra=40, seed=2).members
 
 
 class TestRegistry:

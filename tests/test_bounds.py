@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,29 @@ class TestConfidence:
         assert confidence(7) == 7.0
         assert confidence(7, 3) == 3.0
         assert isinstance(confidence(7), float)
+
+
+class TestNodeCountBeyondFloats:
+    # a node count no float holds is refused, not an OverflowError
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("call", [
+        lambda n: confidence(n),
+        lambda n: delta0(n, 5.0, 0.4, 0.5),
+        lambda n: delta1(n, 5.0, 0.2, 0.5),
+        lambda n: delta1_star(n, 5.0, 0.2, 0.5),
+        lambda n: search_rat_params(n, 5.0, 0.4, 0.5),
+        lambda n: solve_ras_params(n, 5.0, 0.4, 0.5, 5, 0.1),
+    ], ids=["confidence", "delta0", "delta1", "delta1_star", "rat", "ras"])
+    def test_refused(self, call):
+        with pytest.raises(ParameterError, match="^node count must be at most "):
+            call(self.HUGE)
+
+    def test_largest_float_still_checked_as_a_threshold(self):
+        n = int(sys.float_info.max)
+        assert confidence(n) == sys.float_info.max
+        with pytest.raises(ParameterError, match="threshold delta0 is not a finite"):
+            delta0(n, 5.0, 0.4, 0.5)
 
 
 class TestNonFiniteThresholds:

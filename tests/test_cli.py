@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,11 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams, build_tc_network,
-                       generate_intrinsics, ingest_edge_list, validate_report)
+                       generate_intrinsics, ingest_edge_list, ra_s, ra_t,
+                       validate_report)
 from profitmax import cli
 from profitmax.cli import build_parser, main
 
-from conftest import random_edge_text
+from conftest import make_net, random_edge_text
 
 EVAL_SIMS = 100
 
@@ -61,6 +63,27 @@ class TestIngestCheck:
         data = json.loads(out)
         assert data["pruned_nodes"] == 1
         assert data["retained_nodes"] == 3
+
+    @pytest.mark.parametrize("frac", [None, "0.5"])
+    def test_pruning_counts_what_the_network_prunes(self, capsys, graph_file,
+                                                    tmp_path, frac):
+        # values at and next to P - C; the default coupon fraction is run's
+        price = 0.5
+        coupon = (0.9 if frac is None else float(frac)) * price
+        edge = price - coupon
+        values = [edge, edge + 1e-17, edge - 1e-17, 0.9]
+        intr = tmp_path / "edge.txt"
+        intr.write_text("".join(f"{v!r}\n" for v in values))
+        extra = [] if frac is None else ["--coupon-frac", frac]
+        code, out, _ = run_cli(capsys, "ingest-check", "--graph", graph_file,
+                               "--price", str(price), "--intrinsics-file",
+                               str(intr), *extra)
+        assert code == 0
+        net = build_tc_network(ingest_edge_list(graph_file), DiffusionParams(),
+                               price, coupon, values)
+        data = json.loads(out)
+        assert data["pruned_nodes"] == len(net.pruned_labels)
+        assert data["retained_nodes"] == net.n
 
     def test_missing_file_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "ingest-check", "--graph",
@@ -216,7 +239,7 @@ class TestRun:
 
     @pytest.mark.parametrize("extra,message", [
         (["--alg", "ra-t", "--max-ra", "0"], "max_ra must be a positive integer"),
-        (["--alg", "ra-t", "--eval-sims", "0"], "at least one simulation"),
+        (["--alg", "ra-t", "--eval-sims", "0"], "eval_sims must be a positive integer"),
     ])
     def test_zero_counts_fail_cleanly(self, capsys, graph_file, intr_file,
                                       extra, message):
@@ -226,6 +249,40 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("sims", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("alg", list(SELECTORS))
+    def test_bad_eval_sims_refused_before_selecting(self, capsys, graph_file,
+                                                    intr_file, monkeypatch,
+                                                    command, alg, sims):
+        class Refuse:
+            def __init__(self, **params):
+                raise AssertionError("the selector ran")
+
+        monkeypatch.setitem(cli.SELECTORS, alg, Refuse)
+        code, out, err = run_cli(capsys, command, "--graph", graph_file,
+                                 "--intrinsics-file", intr_file, "--alg", alg,
+                                 "--eval-sims", sims)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: eval_sims must be a positive integer, got {sims}\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("size", [None, "1"])
+    def test_fixed_size_echoed(self, capsys, graph_file, intr_file, command, size):
+        extra = [] if size is None else ["--fixed-size", size]
+        code, out, _ = run_cli(capsys, command, "--graph", graph_file,
+                               "--intrinsics-file", intr_file, "--alg", "maxinf",
+                               "--eval-sims", "10", *extra)
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()] \
+            if command == "sweep" else [json.loads(out)]
+        want = None if size is None else int(size)
+        for report in reports:
+            assert report["parameters"]["fixed_size"] == want
+            if size is not None:
+                assert report["seed_count"] == 1
 
     @pytest.mark.parametrize("alg,extra", [
         ("spm", ["--l-override", "50"]),
@@ -335,7 +392,7 @@ class TestEvaluate:
             intr_file, "--seed-set", seed_set, "--eval-sims", sims)
         assert code == 1
         assert out == ""
-        assert "at least one simulation" in err
+        assert "eval_sims must be a positive integer" in err
 
     def test_unknown_node_fails(self, capsys, graph_file, intr_file):
         code, _, err = run_cli(
@@ -408,6 +465,25 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--bigN", "5"]])
+    def test_node_count_beyond_floats_fails_cleanly(self, capsys, extra):
+        code, out, err = run_cli(capsys, "thresholds", "--n", "1" + "0" * 400,
+                                 "--r", "0.5", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: node count must be at most ")
+        assert err.count("\n") == 1
+
+    def test_prints_the_sizes_the_algorithms_use(self, capsys):
+        net = make_net("1 2\n", ic_p=1.0, price=0.5, coupon=0.25)
+        code, out, _ = run_cli(capsys, "thresholds", "--n", str(net.n), "--r",
+                               repr(net.discount_ratio), "--k", "3")
+        data = json.loads(out)
+        assert data["rat"]["l"] == ra_t(net, seed=1).l
+        ras = ra_s(net, k=3, seed=1)
+        assert data["ras"]["l_simulations"] == ras.extras["l_star"]
+        assert data["ras"]["l_start"] == math.ceil(ras.extras["delta2_star"])
 
     def test_huge_k_reported_inline(self, capsys):
         code, out, _ = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.1",

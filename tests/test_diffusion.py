@@ -97,7 +97,7 @@ class TestEstimateProfit:
         assert a == b
 
     def test_positive_sample_count_required(self, two_node_net):
-        with pytest.raises(ParameterError, match="at least one simulation"):
+        with pytest.raises(ParameterError, match="l must be a positive integer"):
             estimate_profit_simulation(two_node_net, [0], 0, 1)
 
     def test_stream_blocks_spawn_as_one_spawn(self):
