@@ -14,7 +14,7 @@ import numpy as np
 from .algorithms import SelectionResult, default_probe_count
 from .bounds import confidence
 from .diffusion import _expand, _rng_from, estimate_profit_simulation, sample_count
-from .network import ParameterError, TCNetwork
+from .network import TCNetwork
 from .sampling import generate_collection
 
 MAXINF, HIGHDEGREE = "maxinf", "highdegree"
@@ -31,13 +31,10 @@ class BaselineConfig:
     ra_samples: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("trials", "eval_simulations", "ra_samples"):
+        for name in ("sweep_points", "trials", "eval_simulations", "fixed_size",
+                     "ra_samples"):
             if getattr(self, name) is not None:
                 setattr(self, name, sample_count(getattr(self, name), name))
-        if self.sweep_points < 1:
-            raise ParameterError("sweep_points must be positive")
-        if self.fixed_size is not None and self.fixed_size < 1:
-            raise ParameterError("fixed_size must be positive when given")
 
 
 def _coverage_greedy_chain(coll, n: int, length: int) -> list:
@@ -76,7 +73,7 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResu
     samples = cfg.ra_samples or default_probe_count(net, confidence(n), 0.4)
     coll = generate_collection(net, samples, coll_ss)
     if cfg.fixed_size is not None:
-        targets = [min(int(cfg.fixed_size), n)]
+        targets = [min(cfg.fixed_size, n)]
     else:
         targets = sorted({
             min(n, math.ceil(n * i / _SWEEP_DENOMINATOR))

@@ -43,8 +43,11 @@ def _check(n, big_n, r, eps_name, eps, top=0.5):
 
 
 def _threshold(name: str, num: float, den: float, eps_name: str, eps, r) -> float:
-    """num / den, where den is (eps r)^2 up to a constant factor; refused
-    unless a finite positive number, which tiny eps or r prevent."""
+    """num / den, where num grows with the node count and den is (eps r)^2
+    up to a constant factor; refused unless a finite positive number,
+    which a huge node count, or tiny eps or r, prevent."""
+    _require(num < math.inf, f"threshold {name} is not a finite positive number "
+             "at this node count; the node count is too large")
     value = num / den if den > 0.0 else math.inf
     _require(0.0 < value < math.inf, f"threshold {name} is not a finite positive "
              f"number at {eps_name}={eps}, r={r}; {eps_name} or r is too small")

@@ -3,13 +3,17 @@
 Two interchangeable views of the same random process:
 
 * simulate_sets runs a block of independent cascades from each of several
-  seed sets together, level by level, and reports how many nodes adopt in
-  each run; simulate_block is its one-set call.  Every row has its own
-  generator and draws from it exactly the uniforms, in exactly the order,
-  that a call for its seed set alone draws, so a row never depends on the
-  other rows of its call.  That lets estimate_profits_simulation, and spm
-  through it, evaluate several seed sets per kernel call while every
-  estimate stays bit-identical to its own estimate_profit_simulation.
+  seed sets together and reports how many nodes adopt in each run;
+  simulate_block is its one-set call.  Under IC the runs advance level by
+  level, drawing each edge as the cascade reaches it.  Under LT each run
+  draws one uniform in-neighbor pick per eligible node with in-neighbors
+  up front, and the adopters are the nodes whose chain of picks reaches
+  a seed.  Every row has its own generator and draws from it exactly the
+  uniforms, in exactly the order, that a call for its seed set alone
+  draws, so a row never depends on the other rows of its call.  That
+  lets estimate_profits_simulation, and spm through it, evaluate several
+  seed sets per kernel call while every estimate stays bit-identical to
+  its own estimate_profit_simulation.
 * sample_realization freezes the randomness into one triggering set per
   node; replay_on_realization then resolves any seed set against that
   frozen draw with a breadth-first search.
@@ -37,11 +41,13 @@ MAX_SAMPLES = 1 << 40
 # Forward runs per random stream.  Every block of this many runs draws from
 # its own SeedSequence child, so an estimate depends on its seed alone.
 SIM_BLOCK = 1 << 12
-# Dense per-run state one chunk of a block may hold per seed set: an
-# adoption flag, a first-level draw and, under LT, an exposure count per
-# (run, node).  A block runs in chunks of as many runs as fit, and every
-# set of a simulate_sets call runs each chunk together, so one call holds
-# up to len(seed_sets) times this.
+# Dense per-run state one chunk of a block may hold per seed set: under IC
+# 9 bytes per (run, node), an adoption flag and a first-level draw; under
+# LT 16, two 8-byte values at a time, first a pick's uniform and its
+# in-edge position, then a pointer and its next jump.  A block runs in
+# chunks of as many runs as fit, and every set of a simulate_sets call
+# runs each chunk together, so one call holds up to len(seed_sets) times
+# this.
 SIM_STATE_BYTES = 1 << 19
 # Out-edges of one seed set expanded at once within a level, which bounds
 # the scratch memory of the levels after the first to len(seed_sets) times
@@ -202,89 +208,84 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
 
     Row i draws from gens[i] alone, and exactly the uniforms, in exactly
     the order, that a call for seed_sets[i] alone draws, so it equals
-    simulate_block(net, seed_sets[i], count, gens[i]) bit for bit: the
-    sets share the chunking by rows and each level, and a level's steps
-    of about EDGE_STEP edges are cut per set, merged step s being the
-    union of every set's step s.
+    simulate_block(net, seed_sets[i], count, gens[i]) bit for bit.  An
+    empty set draws nothing.
 
     Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
-    KDD 2003) a cascade is reachability over one random draw, so the runs
-    advance together one level at a time.  (set s, run r, node v) carries
-    the key (s * runs + r) * n + v, where s counts the nonempty seed sets
-    and runs the runs of the chunk.  Each set's seed level is the same in
-    every run: its out-edges are expanded once, and a non-seed target hit
-    by k of them adopts with probability 1 - (1 - p_v)^k under IC and
-    k / d_v under LT (d_v its in-degree; every LT weight is 1 / d_v).
-    Later levels expand each run's new adopters.  An IC edge is live with
-    its target's probability.  An LT node that j new in-neighbors reach,
-    after prev earlier ones, adopts with probability j / (d_v - prev): its
-    uniform threshold, given that it lies above prev / d_v, lies below
-    (prev + j) / d_v.
+    KDD 2003) a cascade is reachability over one random draw of live
+    edges.  IC draws its edges as the cascade reaches them, level by
+    level (_ic_cascades).  LT draws each run's live edges up front, one
+    uniform in-neighbor pick per eligible node with in-neighbors, and a
+    node adopts iff its chain of picks reaches a seed (_lt_cascades).
     """
     if len(gens) != len(seed_sets):
         raise ParameterError(
             f"need one generator per seed set, got {len(gens)} for {len(seed_sets)}")
+    counts = np.zeros((len(seed_sets), count), dtype=np.int64)
+    rows, sets = [], []
+    for row, seeds in enumerate(seed_sets):
+        seeds = np.fromiter(seeds, dtype=np.int64)
+        if seeds.size:
+            seeds.sort()
+            rows.append(row)
+            sets.append(seeds[_run_starts(seeds)])
+    if rows:
+        cascades = _lt_cascades if net.params.model == "lt" else _ic_cascades
+        counts[rows] = cascades(net, sets, count, [gens[row] for row in rows])
+    return counts
+
+
+def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
+    """simulate_sets under IC for nonempty sets of distinct sorted seeds.
+
+    The runs advance together one level at a time.  The sets share the
+    chunking by rows and each level, and a level's steps of about
+    EDGE_STEP edges are cut per set, merged step s being the union of
+    every set's step s.  (set s, run r, node v) carries the key
+    (s * runs + r) * n + v, where runs counts the runs of the chunk.  Each
+    set's seed level is the same in every run: its out-edges are expanded
+    once, and a non-seed target hit by k of them adopts with probability
+    1 - (1 - p_v)^k.  Later levels expand each run's new adopters, and an
+    edge is live with its target's probability.
+    """
     n = net.n
-    g = net.graph
-    indptr, indices, prob_in = g.out_indptr, g.out_indices, net.prob_in
-    lt = net.params.model == "lt"
-    if lt:
-        in_deg = np.diff(g.in_indptr)
+    indptr, indices, prob_in = net.graph.out_indptr, net.graph.out_indices, net.prob_in
     # A node below the price never adopts unless seeded, so it starts out
     # closed, as if adopted: one lookup then keeps out both, and each
     # set's count is lowered by the unseeded ones after.
     blocked = ~net.eligible
-    counts = np.zeros((len(seed_sets), count), dtype=np.int64)
-    # per nonempty set: its row of counts, its generator, its closed row at
-    # the start, its unseeded below-price nodes, and its first level: the
-    # targets, how many seed edges hit each and its adoption probability
+    counts = np.empty((len(seed_sets), count), dtype=np.int64)
+    # per set: its closed row at the start, its unseeded below-price
+    # nodes, and its first level: the targets and their adoption
+    # probability
     live = []
-    for row, (seeds, gen) in enumerate(zip(seed_sets, gens)):
-        seeds = np.fromiter(seeds, dtype=np.int64)
-        if not seeds.size:
-            continue
-        seeds.sort()
-        seeds = seeds[_run_starts(seeds)]
+    for seeds in seed_sets:
         start = indptr[seeds]
         exposed = np.bincount(indices[_expand(start, indptr[seeds + 1] - start)[0]],
                               minlength=n)
         exposed[seeds] = 0
         exposed[blocked] = 0
         targets = exposed.nonzero()[0]
-        k = exposed[targets]
-        if lt:
-            first = k / in_deg[targets]
-        else:
-            first = 1.0 - (1.0 - prob_in[targets]) ** k
+        first = 1.0 - (1.0 - prob_in[targets]) ** exposed[targets]
         init = blocked.copy()
         init[seeds] = True
-        live.append((row, gen, init, np.count_nonzero(init) - seeds.size,
-                     targets, k, first))
-    if not live:
-        return counts
+        live.append((init, np.count_nonzero(init) - seeds.size, targets, first))
     sets = len(live)
-    gens = [gen for _, gen, *_ in live]
     # Chunk rows are per set, so one call holds up to sets chunks' state.
-    rows = max(1, SIM_STATE_BYTES // (n * (9 + 4 * lt)))
+    rows = max(1, SIM_STATE_BYTES // (9 * n))
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
         closed = np.empty((sets, runs, n), dtype=bool)
-        if lt:
-            seen = np.zeros((sets, runs, n), dtype=np.int32)  # adopted in-neighbors
         parts = []
-        for s, (_, gen, init, _, targets, k, first) in enumerate(live):
+        for s, (gen, (init, _, targets, first)) in enumerate(zip(gens, live)):
             closed[s] = init
             hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
             if s:
                 hit_runs += s * runs
             parts.append(hit_runs * n + targets[hit_cols])
-            if lt:
-                seen[s][:, targets] = k
         frontier = parts[0] if sets == 1 else np.concatenate(parts)
         flat = closed.reshape(-1)
         flat[frontier] = True
-        if lt:
-            seen = seen.reshape(-1)
         starts = None if sets == 1 else np.arange(sets + 1) * (runs * n)
         while frontier.size:
             nodes = frontier % n
@@ -298,8 +299,8 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
                 ends = deg.cumsum()
             found = []
             # a level in steps of about EDGE_STEP out-edges per set: a node
-            # that adopts in one step is closed to the next, and an LT node
-            # carries its exposure count over, so the steps compose exactly
+            # that adopts in one step is closed to the next, so the steps
+            # compose exactly
             for a, b in zip(cuts[:-1], cuts[1:]):
                 d = deg[a:b]
                 before = ends[a - 1] if a else 0
@@ -310,26 +311,84 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
                 # index arrays: a boolean gather on random masks is slower
                 still_open = np.flatnonzero(~flat[keys])
                 keys = keys[still_open]
-                if lt:
-                    keys, j = _sorted_runs(keys)
-                    prev = seen[keys]
-                    new = keys[_draw(gens, keys, starts)
-                               < j / (in_deg[keys % n] - prev)]
-                    seen[keys] = prev + j
-                else:
-                    new = keys[np.flatnonzero(
-                        _draw(gens, keys, starts) < prob_in[v[still_open]])]
-                    new.sort()
-                    if new.size > 1:
-                        new = new[_run_starts(new)]
+                new = keys[np.flatnonzero(
+                    _draw(gens, keys, starts) < prob_in[v[still_open]])]
+                new.sort()
+                if new.size > 1:
+                    new = new[_run_starts(new)]
                 flat[new] = True
                 found.append(new)
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
             if order is not None:  # back to grouped by set, each set's steps in order
                 frontier = frontier[np.argsort(frontier // (runs * n), kind="stable")]
         adopters = np.count_nonzero(closed, axis=2)
-        for s, (row, _, _, unseeded_blocked, *_) in enumerate(live):
-            counts[row, lo:lo + runs] = adopters[s] - unseeded_blocked
+        for s, (_, unseeded_blocked, *_) in enumerate(live):
+            counts[s, lo:lo + runs] = adopters[s] - unseeded_blocked
+    return counts
+
+
+def _lt_picks(u, start, deg) -> np.ndarray:
+    """The in-edge position each uniform in u picks: item i picks one of
+    its deg[i] in-edges from start[i] on.  Every LT weight is 1 / in-degree
+    and they sum to exactly 1, so the pick is uniform.  u is scratch and
+    is overwritten."""
+    u *= deg
+    pick = u.astype(np.int64)
+    np.minimum(pick, deg - 1, out=pick)
+    pick += start
+    return pick
+
+
+def _lt_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
+    """simulate_sets under LT for nonempty sets of distinct seeds.
+
+    One LT run is fixed by one uniform in-neighbor pick per eligible node
+    with in-neighbors: the node adopts iff it is a seed or its pick
+    adopts.  Each set draws the picks of a chunk of runs up front, one
+    uniform per run and such node, as sampling._live_in_edges draws them,
+    so its draws depend on its generator, count and the net alone.  The
+    picks then resolve by pointer jumping: every seed points to one sink,
+    other nodes without a pick to themselves, and the others to their
+    pick.  The nodes whose chain of picks reaches the sink adopt; a chain
+    that ends at a non-seed without a pick, or in a seed-free cycle,
+    never does.
+    """
+    n = net.n
+    indptr, indices = net.graph.in_indptr, net.graph.in_indices
+    in_deg = np.diff(indptr)
+    pickers = np.flatnonzero(net.eligible & (in_deg > 0))
+    deg, first = in_deg[pickers], indptr[pickers]
+    sets = len(seed_sets)
+    seed_rows = np.repeat(np.arange(sets), [seeds.size for seeds in seed_sets])
+    seeds = np.concatenate(seed_sets)
+    counts = np.empty((sets, count), dtype=np.int64)
+    # Chunk rows are per set, so one call holds up to sets chunks' state.
+    rows = max(1, SIM_STATE_BYTES // (16 * n))
+    for lo in range(0, count, rows):
+        runs = min(rows, count - lo)
+        u = np.empty((sets, runs, pickers.size))
+        for s, gen in enumerate(gens):
+            gen.random(out=u[s])
+        picked = indices[_lt_picks(u, first, deg)]
+        del u
+        sink = sets * runs * n
+        # ptr[(s * runs + r) * n + v] is where v points in run r of set s:
+        # to itself, to the key of its pick or, if a seed, to the sink
+        ptr = np.arange(sink + 1)
+        grid = ptr[:sink].reshape(sets, runs, n)
+        grid[:, :, pickers] = picked + grid[:, :, :1]
+        grid[seed_rows, :, seeds] = sink
+        # after j jumps a node points 2^j picks up its chain; stop at a
+        # jump that adds no adopter, as a longer chain to the sink would
+        # pass through a node that the jump adds
+        reached = np.count_nonzero(ptr == sink)
+        while True:
+            ptr = ptr.take(ptr)
+            before, reached = reached, np.count_nonzero(ptr == sink)
+            if reached == before:
+                break
+        counts[:, lo:lo + runs] = np.count_nonzero(
+            (ptr[:sink] == sink).reshape(sets, runs, n), axis=2)
     return counts
 
 

@@ -23,8 +23,8 @@ members are grown on and returned, and stored, whole.
 
 import numpy as np
 
-from .diffusion import (SIM_STATE_BYTES, _expand, _sorted_runs, sample_count,
-                        stream_blocks)
+from .diffusion import (SIM_STATE_BYTES, _expand, _lt_picks, _sorted_runs,
+                        sample_count, stream_blocks)
 from .network import TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
@@ -56,11 +56,8 @@ def _ic_parents(gen, sets, start, deg, p, indices, n):
 
 
 def _lt_parents(gen, sets, start, deg, indices, n):
-    """Keys of the one in-neighbor each frontier node picks: weights are
-    1/in-degree and sum to exactly 1, so the pick is uniform."""
-    pick = (gen.random(sets.size) * deg).astype(np.int64)
-    np.minimum(pick, deg - 1, out=pick)
-    return sets * n + indices[start + pick]
+    """Keys of the one in-neighbor each frontier node picks (_lt_picks)."""
+    return sets * n + indices[_lt_picks(gen.random(sets.size), start, deg)]
 
 
 def _in_sorted(sorted_keys, keys) -> np.ndarray:
@@ -166,10 +163,9 @@ def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
     deg = np.diff(indptr)
     if net.params.model == "lt":
         nodes = np.flatnonzero(eligible & (deg > 0))
-        pick = (gen.random((runs, nodes.size)) * deg[nodes]).astype(np.int64)
-        np.minimum(pick, deg[nodes] - 1, out=pick)
         keys = (np.arange(runs)[:, None] * n + nodes).reshape(-1)
-        pos = (indptr[nodes] + pick).reshape(-1)
+        pos = _lt_picks(gen.random((runs, nodes.size)), indptr[nodes],
+                        deg[nodes]).reshape(-1)
     else:
         target = np.repeat(np.arange(n), deg)
         edges = np.flatnonzero(eligible[target])

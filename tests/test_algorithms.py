@@ -104,10 +104,10 @@ class TestSPM:
 
     @pytest.mark.parametrize("model,members", [
         ("ic-cp", {1, 2, 7, 10, 12}), ("ic-wc", {1, 4, 8, 9, 10, 12, 13}),
-        ("lt", {1, 2, 3, 8, 11, 13})])
+        ("lt", {1, 3, 4, 8, 10})])
     def test_members_are_pinned(self, model, members):
         # spm's selections as drawn before its four inspections of a node
-        # became one call
+        # became one call; LT's since its cascades draw their picks up front
         rng = random.Random(20261018)
         intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
         net = make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
@@ -439,7 +439,8 @@ PINNED_RUNS = {
 class TestPinnedSelections:
     # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
     # reason), pinned while RA collections still stored one-member sets
-    # whole; the nets cover split and unsplit, batched and scalar oracles
+    # whole, and LT maxinf's values since LT cascades draw their picks up
+    # front; the nets cover split and unsplit, batched and scalar oracles
     @pytest.mark.parametrize("kind,alg,pinned", [
         ("sparse-ic-cp", "ra-t", (797, "4e52f5cec1af3a65", 113.85000000000002, 20000, None)),
         ("sparse-ic-cp", "ra-s", (925, "4089184cd834b099", 102.40981625026342, 90177, "confirmed")),
@@ -448,11 +449,11 @@ class TestPinnedSelections:
         ("dense-lt", "ra-t", (4, "04270b3451062138", 4.413022508038585, 6220, None)),
         ("dense-lt", "ra-s", (5, "7c83e8130b1924fc", 4.391111111111111, 1575, "confirmed")),
         ("dense-lt", "rpm", (6, "aeea848eec2ac308", 4.275, 20, None)),
-        ("dense-lt", "maxinf", (2, "9393911cbd0ddb23", 3.3449999999999998, 825, None)),
+        ("dense-lt", "maxinf", (2, "9393911cbd0ddb23", 3.1624999999999996, 825, None)),
         ("sparse-lt", "ra-t", (889, "3aa531108d7a8f4c", 604.6, 20000, None)),
         ("sparse-lt", "ra-s", (950, "15ebfa29e4198df9", 609.5313292969349, 84729, "confirmed")),
         ("sparse-lt", "rpm", (1099, "9ca9875592df35cd", 560.4, 20, None)),
-        ("sparse-lt", "maxinf", (200, "d3996e945c573276", 344.64, 2376, None)),
+        ("sparse-lt", "maxinf", (200, "d3996e945c573276", 344.4875, 2376, None)),
     ])
     def test_members_are_pinned(self, kind, alg, pinned):
         res = PINNED_RUNS[alg](pinned_net(kind))

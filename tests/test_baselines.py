@@ -105,6 +105,22 @@ class TestConfig:
         with pytest.raises(ParameterError):
             BaselineConfig(eval_simulations=0)
 
+    # sizes are checked as sample counts are: 2.5 used to reach max_inf as
+    # a bare TypeError, and 1.5 was truncated to 1 but echoed as 1.5
+    @pytest.mark.parametrize("bad", [0, 2.5, math.nan])
+    @pytest.mark.parametrize("name", ["sweep_points", "fixed_size"])
+    def test_sizes_must_be_integers(self, name, bad):
+        with pytest.raises(ParameterError, match=f"^{name} must be a positive integer"):
+            BaselineConfig(**{name: bad})
+
+    def test_integral_float_sizes_are_used_and_echoed_as_ints(self):
+        cfg = BaselineConfig(sweep_points=5.0, eval_simulations=50, fixed_size=1.0)
+        assert cfg == BaselineConfig(sweep_points=5, eval_simulations=50, fixed_size=1)
+        res = max_inf(star_net(), cfg, seed=1)
+        assert len(res.members) == 1
+        assert type(res.params["fixed_size"]) is int
+        assert type(res.params["sweep_points"]) is int
+
 
 def _brute_greedy_chain(n, sets, length):
     """Greedy maximum coverage over Python sets: most uncovered sets

@@ -217,6 +217,19 @@ class TestNodeCountBeyondFloats:
             delta0(n, 5.0, 0.4, 0.5)
 
 
+class TestNodeCountOverflowingThresholds:
+    # a node count that a float holds can still overflow a threshold's
+    # numerator: the refusal names the node count, not eps or r
+    @pytest.mark.parametrize("call,n", [
+        (lambda n: delta0(n, 5.0, 0.4, 0.5), 10 ** 160),
+        (lambda n: delta1(n, 5.0, 0.2, 0.5), int(sys.float_info.max)),
+        (lambda n: delta1_star(n, 5.0, 0.2, 0.5), int(sys.float_info.max)),
+    ], ids=["delta0", "delta1", "delta1_star"])
+    def test_refusal_names_the_node_count(self, call, n):
+        with pytest.raises(ParameterError, match="the node count is too large$"):
+            call(n)
+
+
 class TestNonFiniteThresholds:
     # (eps r)^2 underflows to zero at 1e-300, and its quotient overflows
     # at 1e-155: either way the threshold is no sample count

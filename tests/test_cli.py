@@ -631,6 +631,9 @@ class TestRegistry:
     (["thresholds", "--eps1", "1e-300"], "delta1 is not a finite positive number at eps1=1e-300"),
     (["thresholds", "--eps2", "1e-300"], "delta2 is not a finite positive number at eps2=1e-300"),
     (["thresholds", "--r", "1e-300"], "r=1e-300"),
+    # 2 n^2 overflows a float, though n itself does not
+    (["thresholds", "--n", "1" + "0" * 160],
+     "delta0 is not a finite positive number at this node count; the node count is too large"),
 ])
 def test_overflowing_thresholds_fail_cleanly(capsys, graph_file, intr_file, extra, where):
     command, *flags = extra

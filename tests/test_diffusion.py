@@ -136,6 +136,9 @@ KERNEL_CASES = {
     "seed-to-seed": ("1 2\n2 3\n", [1, 2], None),
     "ineligible-target": ("1 2\n2 3\n", [1], [0.9, 0.3, 0.9]),
     "ineligible-seed": ("1 2\n2 3\n", [1], [0.3, 0.9, 0.9]),
+    # two cycles through a seed below the price, and a target below it
+    "cycles-below-price": ("1 2\n2 3\n3 1\n4 1\n4 3\n3 5\n5 4\n", [4],
+                           [0.9, 0.3, 0.9, 0.3, 0.9]),
     "empty": ("1 2\n2 3\n", [], None),
 }
 
@@ -220,7 +223,8 @@ class TestMultiSetKernel:
                 assert np.array_equal(row, simulate_block(net, s, count, alone))
                 # and each row drew exactly as many uniforms as alone
                 assert gen.bit_generator.state == alone.bit_generator.state
-        assert any(resorted)
+        if model != "lt":  # LT follows picks drawn up front and takes no steps
+            assert any(resorted)
 
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
     def test_row_means_match_exact_pi(self, model):
@@ -260,22 +264,24 @@ class TestMultiSetKernel:
         with pytest.raises(ParameterError, match="one seed per seed set"):
             estimate_profits_simulation(two_node_net, [[0]], 5, [])
 
-    # simulate_block(net, [0, 5, 9], 24, default_rng(77)) on _golden_net,
-    # as the kernel drew before it took several seed sets; the small
-    # sizes split levels into steps and blocks into chunks
+    # simulate_block(net, [0, 5, 9], 24, default_rng(77)) on _golden_net:
+    # under IC as the kernel drew before it took several seed sets, under
+    # LT since it draws the picks up front; the small sizes split levels
+    # into steps and blocks into chunks, and LT's picks, drawn run after
+    # run, do not depend on the chunks
     GOLDEN = {
         ("ic-cp", False): [7, 12, 8, 11, 7, 11, 4, 6, 10, 8, 6, 3, 7, 13, 3,
                            8, 10, 5, 11, 9, 10, 5, 8, 12],
         ("ic-wc", False): [13, 5, 8, 10, 11, 8, 5, 9, 10, 12, 7, 5, 6, 8, 9,
                            13, 9, 8, 11, 9, 12, 7, 11, 8],
-        ("lt", False): [10, 10, 9, 5, 13, 13, 6, 13, 8, 9, 6, 4, 13, 13, 4,
-                        13, 11, 7, 10, 13, 9, 13, 13, 13],
+        ("lt", False): [4, 13, 12, 13, 6, 4, 12, 13, 8, 9, 5, 13, 10, 13, 13,
+                        9, 13, 9, 13, 6, 9, 13, 5, 9],
         ("ic-cp", True): [9, 9, 11, 11, 6, 5, 8, 12, 9, 7, 8, 4, 9, 6, 4, 4,
                           3, 8, 11, 9, 12, 12, 10, 10],
         ("ic-wc", True): [12, 6, 7, 13, 6, 7, 12, 4, 10, 5, 6, 7, 10, 7, 7, 6,
                           10, 10, 10, 11, 11, 5, 12, 6],
-        ("lt", True): [13, 7, 13, 6, 7, 8, 4, 6, 9, 13, 13, 7, 13, 13, 13, 13,
-                       13, 13, 10, 13, 10, 13, 8, 13],
+        ("lt", True): [4, 13, 12, 13, 6, 4, 12, 13, 8, 9, 5, 13, 10, 13, 13,
+                       9, 13, 9, 13, 6, 9, 13, 5, 9],
     }
 
     @pytest.mark.parametrize("model,small", sorted(GOLDEN),
@@ -297,6 +303,59 @@ class TestMultiSetKernel:
             lt_fork_net, sets, l, [[5, i] for i in range(len(sets))])
         assert got == [estimate_profit_simulation(lt_fork_net, s, l, [5, i])
                        for i, s in enumerate(sets)]
+
+
+def _path_net(n, intrinsics=None):
+    """An LT path 1 -> 2 -> ... -> n."""
+    return make_net("".join(f"{v} {v + 1}\n" for v in range(1, n)), model="lt",
+                    intrinsics=intrinsics)
+
+
+class TestLTPicks:
+    @pytest.mark.parametrize("small", [False, True])
+    def test_path_adopts_past_64_levels(self, small, monkeypatch):
+        if small:
+            monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
+        net = _path_net(100)
+        counts = simulate_block(net, [net.graph.id_of(1)], 30,
+                                np.random.default_rng(1))
+        assert counts.tolist() == [100] * 30
+
+    def test_node_below_price_stops_the_path(self):
+        intrinsics = [0.9] * 100
+        intrinsics[49] = 0.3
+        net = _path_net(100, intrinsics)
+        assert net.graph.id_of(50) == 49
+        counts = simulate_block(net, [net.graph.id_of(1)], 30,
+                                np.random.default_rng(2))
+        assert counts.tolist() == [49] * 30
+
+    def test_cycle_without_a_seed_never_adopts(self):
+        net = make_net("1 2\n2 3\n3 1\n4 5\n", model="lt")
+        rows = simulate_sets(net, [[net.graph.id_of(4)], [net.graph.id_of(2)]], 30,
+                             [np.random.default_rng(3), np.random.default_rng(4)])
+        assert rows.tolist() == [[2] * 30, [3] * 30]
+
+    def test_runs_replay_the_live_in_edges(self, monkeypatch):
+        # a run's picks are _live_in_edges' draw of its realization, so
+        # every run's count is that realization's replay
+        from profitmax.sampling import _live_in_edges
+        from conftest import realizations_of
+
+        monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
+        rng = random.Random(20261019)
+        for _ in range(10):
+            n = rng.randint(4, 30)
+            intrinsics = [rng.choice([0.9, 0.9, 0.3]) for _ in range(n)]
+            net = make_net(random_edge_text(rng, n, rng.randint(n, 3 * n)),
+                           model="lt", intrinsics=intrinsics)
+            seeds = rng.sample(range(net.n), rng.randint(1, 3))
+            count = rng.randint(1, 40)
+            reals = realizations_of(net, *_live_in_edges(
+                net, count, np.random.default_rng(n)))
+            got = simulate_block(net, seeds, count, np.random.default_rng(n))
+            assert got.tolist() == [replay_on_realization(real, seeds)
+                                    for real in reals]
 
 
 class TestTriggeringSets:
