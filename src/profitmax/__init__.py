@@ -20,7 +20,7 @@ from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
                      delta2, delta2_star, delta3, search_rat_params,
                      solve_ras_params, thresholds_at)
 from .diffusion import (ProfitEstimate, Realization, estimate_profit_simulation,
-                        estimate_profits_simulation, replay_on_realization,
+                        replay_on_realization,
                         sample_realization, sample_triggering_set,
                         simulate_block, simulate_once, simulate_sets)
 from .exact import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
@@ -51,7 +51,7 @@ __all__ = [
     "SimulationSelector", "TCNetwork", "Thresholds", "best_seed_set",
     "build_report", "build_tc_network", "delta0", "delta1", "delta1_star",
     "delta2", "delta2_star", "delta3", "double_greedy", "estimate_F",
-    "estimate_profit_simulation", "estimate_profits_simulation", "exact_pi", "exact_profit",
+    "estimate_profit_simulation", "exact_pi", "exact_profit",
     "generate_collection", "generate_intrinsics",
     "high_degree", "ingest_edge_list", "load_intrinsics",
     "load_network_config", "max_inf", "node_order",

@@ -5,7 +5,7 @@ oracle is realized:
 
 * spm: every marginal is estimated by fresh batches of forward
   simulations, the four sets of a node in one kernel call per block of
-  runs.
+  runs, all drawn from one generator.
 * rpm: a collection of realizations is drawn once; on it the estimator
   is a coverage function over every node's reverse-reachable set in every
   realization, which backs the same exact incremental oracle as ra_t.
@@ -15,9 +15,10 @@ oracle is realized:
   check decides when the collection is already trustworthy.
 
 Every entry point takes the network, its own parameters and an integer
-seed.  Every random stream (RA sets, forward runs, realizations) is split
-into fixed-size blocks with one SeedSequence child each, so results depend
-on the seed alone.  Each also takes workers, which it ignores.
+seed, and its result depends on the seed alone.  RA sets, realizations
+and ra_s's check runs are drawn in fixed-size blocks with one
+SeedSequence child each; spm draws every inspection from one generator
+seeded once per selection.  Each also takes workers, which it ignores.
 
 bounds alone range-checks eps and N: every algorithm evaluates one of its
 thresholds before it draws a sample, spm and rpm even with l_override.
@@ -36,9 +37,8 @@ import numpy as np
 
 from .bounds import (confidence, delta0, delta1, delta2, search_rat_params,
                      solve_ras_params)
-from .diffusion import (SIM_BLOCK, estimate_profit_simulation,
-                        estimate_profits_simulation, sample_count, stream_blocks,
-                        _rng_from)
+from .diffusion import (SIM_BLOCK, estimate_profit_simulation, sample_count,
+                        simulate_sets, stream_blocks, _rng_from)
 from .greedy import CoverageOracle, FunctionOracle, double_greedy
 from .network import ParameterError, TCNetwork
 from .sampling import CollectionBuilder, generate_collection, sample_rr_block
@@ -79,15 +79,18 @@ def _forward_setup(net: TCNetwork, eps, big_n, l_override):
 def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         seed: int = 0, workers: int = 1) -> SelectionResult:
     """Forward-sampling selection: every inspection draws its own batch of
-    l simulations, from its own SeedSequence child of one evaluation
-    stream.  The four inspections of a node are one batch call."""
+    l simulations.  The four inspections of a node are one simulate_sets
+    call per block of SIM_BLOCK runs, and every call draws from one
+    generator, seeded once from the selection's evaluation stream."""
     big_n, l, shift = _forward_setup(net, eps, big_n, l_override)
-    ss = np.random.SeedSequence(seed)
-    coin_ss, eval_parent = ss.spawn(2)
+    coin_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
+    gen = np.random.default_rng(eval_ss)
 
     def evaluate(sets):
-        return [e.mean_profit for e in estimate_profits_simulation(
-            net, sets, l, eval_parent.spawn(len(sets)))]
+        totals = sum(simulate_sets(net, sets, min(SIM_BLOCK, l - lo), gen).sum(axis=1)
+                     for lo in range(0, l, SIM_BLOCK))
+        return [net.price * (t / l) - net.coupon * len(s)
+                for s, t in zip(sets, totals.tolist())]
 
     oracle = FunctionOracle(evaluate, range(net.n), shift=shift, many=True)
     members = double_greedy(oracle, range(net.n), _rng_from(coin_ss))

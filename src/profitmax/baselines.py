@@ -13,7 +13,8 @@ import numpy as np
 
 from .algorithms import SelectionResult, default_probe_count
 from .bounds import confidence
-from .diffusion import _expand, _rng_from, estimate_profit_simulation, sample_count
+from .diffusion import (EVAL_SIMULATIONS, _expand, _rng_from,
+                        estimate_profit_simulation, sample_count)
 from .network import TCNetwork
 from .sampling import generate_collection
 
@@ -26,7 +27,7 @@ _SWEEP_DENOMINATOR = 50  # target sizes are ceil(n * i / 50)
 class BaselineConfig:
     sweep_points: int = 50
     trials: int = 100
-    eval_simulations: int = 10_000
+    eval_simulations: int = EVAL_SIMULATIONS
     fixed_size: Optional[int] = None
     ra_samples: Optional[int] = None
 
@@ -75,9 +76,10 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResu
     if cfg.fixed_size is not None:
         targets = [min(cfg.fixed_size, n)]
     else:
+        # from i = _SWEEP_DENOMINATOR on every target is n
         targets = sorted({
             min(n, math.ceil(n * i / _SWEEP_DENOMINATOR))
-            for i in range(1, cfg.sweep_points + 1)})
+            for i in range(1, min(cfg.sweep_points, _SWEEP_DENOMINATOR) + 1)})
     chain = _coverage_greedy_chain(coll, n, max(targets))
     best = None
     sweep = []

@@ -15,6 +15,7 @@ stderr.  Exit code 0 means a report was produced.
 
 import argparse
 import csv
+import inspect
 import os
 import sys
 import time
@@ -23,10 +24,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .algorithms import MemoryBudgetError, rat_size
+from .algorithms import ALGORITHMS, MemoryBudgetError, rat_size
 from .bounds import (confidence, delta0, delta1, delta1_star, delta2, delta2_star,
                      delta3, solve_ras_params)
-from .diffusion import estimate_profit_simulation, sample_count
+from .diffusion import EVAL_SIMULATIONS, estimate_profit_simulation, sample_count
 from .exact import OracleSizeError, best_seed_set, exact_pi, exact_profit, profit_table
 from .network import (DiffusionParams, NetworkError, ParameterError, adoptable,
                       build_tc_network, generate_intrinsics, ingest_edge_list,
@@ -56,15 +57,34 @@ def _add_network_args(p: argparse.ArgumentParser):
                         "no result depends on it")
 
 
-def _add_alg_args(p: argparse.ArgumentParser):
-    p.add_argument("--alg", choices=SELECTORS, required=True)
-    p.add_argument("--eps", type=float, default=0.4)
+def _default(param):
+    """The default of param in the signatures of the registered algorithms
+    that take it.  One flag sets it for all of them, so they must agree."""
+    signatures = (inspect.signature(fn).parameters for fn in ALGORITHMS.values())
+    defaults = {sig[param].default for sig in signatures if param in sig}
+    if len(defaults) != 1:
+        raise ValueError(f"the algorithms disagree on the default {param}: {defaults}")
+    return defaults.pop()
+
+
+def _add_accuracy_args(p: argparse.ArgumentParser):
+    """The flags run, sweep and thresholds share."""
+    p.add_argument("--eps", type=float, default=_default("eps"),
+                   help="accuracy (default %(default)s)")
     p.add_argument("--bigN", type=float, default=None,
                    help="confidence parameter N (default: node count)")
-    p.add_argument("--k", type=int, default=5, help="doubling rounds budget (ra-s)")
-    p.add_argument("--eps3", type=float, default=0.1, help="stopping slack (ra-s)")
-    p.add_argument("--plateau-pct", type=float, default=2.0,
-                   help="early return when the estimate drops less than this percent")
+    p.add_argument("--k", type=int, default=_default("k"),
+                   help="doubling rounds budget (ra-s, default %(default)s)")
+    p.add_argument("--eps3", type=float, default=_default("eps3"),
+                   help="stopping slack (ra-s, default %(default)s)")
+
+
+def _add_alg_args(p: argparse.ArgumentParser):
+    p.add_argument("--alg", choices=SELECTORS, required=True)
+    _add_accuracy_args(p)
+    p.add_argument("--plateau-pct", type=float, default=_default("plateau_pct"),
+                   help="early return when the estimate drops less than this "
+                        "percent (ra-s, default %(default)s)")
     p.add_argument("--max-ra", type=int, default=None, help="cap on RA sets")
     p.add_argument("--l-override", type=int, default=None,
                    help="fixed sample count for spm/rpm")
@@ -325,11 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="print sample-count thresholds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bigN", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.4)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--eps3", type=float, default=0.1)
+    _add_accuracy_args(p)
     p.add_argument("--eps1", type=float, default=None,
                    help="also print raw thresholds at this eps1")
     p.add_argument("--eps2", type=float, default=None,
@@ -343,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     for name in ("run", "evaluate", "sweep"):
-        sub.choices[name].add_argument("--eval-sims", type=int, default=10_000)
+        sub.choices[name].add_argument(
+            "--eval-sims", type=int, default=EVAL_SIMULATIONS,
+            help="forward runs that evaluate the seeds (default %(default)s)")
     for p in sub.choices.values():
         p.add_argument("--out")
     return parser

@@ -3,17 +3,15 @@
 Two interchangeable views of the same random process:
 
 * simulate_sets runs a block of independent cascades from each of several
-  seed sets together and reports how many nodes adopt in each run;
-  simulate_block is its one-set call.  Under IC the runs advance level by
-  level, drawing each edge as the cascade reaches it.  Under LT each run
-  draws one uniform in-neighbor pick per eligible node with in-neighbors
-  up front, and the adopters are the nodes whose chain of picks reaches
-  a seed.  Every row has its own generator and draws from it exactly the
-  uniforms, in exactly the order, that a call for its seed set alone
-  draws, so a row never depends on the other rows of its call.  That
-  lets estimate_profits_simulation, and spm through it, evaluate several
-  seed sets per kernel call while every estimate stays bit-identical to
-  its own estimate_profit_simulation.
+  seed sets together, all drawing from one generator, and reports how
+  many nodes adopt in each run; simulate_block is its one-set call.  Under
+  IC the runs advance level by level, drawing each edge as the cascade
+  reaches it.  Under LT each run draws one uniform in-neighbor pick per
+  eligible node with in-neighbors up front, and the adopters are the
+  nodes whose chain of picks reaches a seed.  The rows of a call share
+  their generator's stream, so a row is a draw of its own cascade law but
+  not the draw a call for its seed set alone makes; a one-set call draws
+  exactly what simulate_block draws.
 * sample_realization freezes the randomness into one triggering set per
   node; replay_on_realization then resolves any seed set against that
   frozen draw with a breadth-first search.
@@ -38,8 +36,9 @@ from .network import ParameterError, TCNetwork
 # ic-cp net) that is over ten hours of sampling, so a larger count is
 # taken for a mistake and refused before any sampling starts.
 MAX_SAMPLES = 1 << 40
-# Forward runs per random stream.  Every block of this many runs draws from
-# its own SeedSequence child, so an estimate depends on its seed alone.
+# Forward runs per kernel call.  estimate_profit_simulation draws every
+# block of this many runs from its own SeedSequence child, so an estimate
+# depends on its seed alone.
 SIM_BLOCK = 1 << 12
 # Dense per-run state one chunk of a block may hold per seed set: under IC
 # 9 bytes per (run, node), an adoption flag and a first-level draw; under
@@ -49,10 +48,13 @@ SIM_BLOCK = 1 << 12
 # runs each chunk together, so one call holds up to len(seed_sets) times
 # this.
 SIM_STATE_BYTES = 1 << 19
-# Out-edges of one seed set expanded at once within a level, which bounds
-# the scratch memory of the levels after the first to len(seed_sets) times
-# this many edges.
+# Out-edges expanded at once within an IC level, across every set and run
+# of a chunk, which bounds the scratch memory of the levels after the
+# first.
 EDGE_STEP = 1 << 12
+# Forward runs that evaluate a seed set unless a caller asks for another
+# count: the CLI's --eval-sims, the baselines and BaseSelector.score.
+EVAL_SIMULATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -165,51 +167,16 @@ def _steps(ends):
     return (0, *(np.flatnonzero(step[1:] != step[:-1]) + 1), ends.size)
 
 
-def _merged_steps(frontier, ends, starts):
-    """The steps of one level of a multi-set call: (cuts, order).
+def simulate_sets(net: TCNetwork, seed_sets, count: int,
+                  gen: np.random.Generator) -> np.ndarray:
+    """Run count independent cascades from each seed set together, all
+    drawing from gen; returns each run's adopter count, seeds included, as
+    a (len(seed_sets), count) int64 array.
 
-    frontier is grouped by set, set s holding the keys from starts[s] on
-    (starts is None for a single set), and ends are its cumulative
-    out-degrees.  Each set is cut into steps
-    as _steps cuts it alone, and merged step s is the union of every
-    set's step s.  order is None when the merged steps are the contiguous
-    slices frontier[cuts[i]:cuts[i + 1]]; otherwise they are those slices
-    of frontier[order], which groups the items by step and, within a
-    step, by set.
-    """
-    if ends[-1] <= EDGE_STEP:
-        return (0, ends.size), None
-    if starts is None:
-        return _steps(ends), None
-    bounds = frontier.searchsorted(starts)  # exact: frontier is grouped by set
-    before = np.append(0, ends)[bounds[:-1]]
-    step = (np.maximum(ends - np.repeat(before, np.diff(bounds)), 1) - 1) // EDGE_STEP
-    if not step.any():
-        return (0, ends.size), None
-    order = np.argsort(step, kind="stable")
-    step = step[order]
-    return (0, *(np.flatnonzero(step[1:] != step[:-1]) + 1), ends.size), order
-
-
-def _draw(gens, keys, starts):
-    """One uniform per key, each from the generator of its key's set:
-    keys is grouped by set, set s holding the keys from starts[s] on."""
-    if len(gens) == 1:
-        return gens[0].random(keys.size)
-    cuts = [0, *keys.searchsorted(starts[1:-1]).tolist(), keys.size]
-    return np.concatenate([gen.random(b - a) for gen, a, b
-                           in zip(gens, cuts[:-1], cuts[1:])])
-
-
-def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
-    """Run count independent cascades from each seed set together;
-    returns each run's adopter count, seeds included, as a
-    (len(seed_sets), count) int64 array.
-
-    Row i draws from gens[i] alone, and exactly the uniforms, in exactly
-    the order, that a call for seed_sets[i] alone draws, so it equals
-    simulate_block(net, seed_sets[i], count, gens[i]) bit for bit.  An
-    empty set draws nothing.
+    The sets and runs are one batch: each step draws the uniforms of every
+    set at once, so a row follows its seed set's cascade law, independent
+    of the other rows, but is not the draw a call for that set alone
+    makes.  A one-set call is simulate_block.  An empty set draws nothing.
 
     Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
     KDD 2003) a cascade is reachability over one random draw of live
@@ -218,9 +185,6 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
     uniform in-neighbor pick per eligible node with in-neighbors, and a
     node adopts iff its chain of picks reaches a seed (_lt_cascades).
     """
-    if len(gens) != len(seed_sets):
-        raise ParameterError(
-            f"need one generator per seed set, got {len(gens)} for {len(seed_sets)}")
     counts = np.zeros((len(seed_sets), count), dtype=np.int64)
     rows, sets = [], []
     for row, seeds in enumerate(seed_sets):
@@ -231,22 +195,21 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
             sets.append(seeds[_run_starts(seeds)])
     if rows:
         cascades = _lt_cascades if net.params.model == "lt" else _ic_cascades
-        counts[rows] = cascades(net, sets, count, [gens[row] for row in rows])
+        counts[rows] = cascades(net, sets, count, gen)
     return counts
 
 
-def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
+def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
     """simulate_sets under IC for nonempty sets of distinct sorted seeds.
 
-    The runs advance together one level at a time.  The sets share the
-    chunking by rows and each level, and a level's steps of about
-    EDGE_STEP edges are cut per set, merged step s being the union of
-    every set's step s.  (set s, run r, node v) carries the key
-    (s * runs + r) * n + v, where runs counts the runs of the chunk.  Each
-    set's seed level is the same in every run: its out-edges are expanded
-    once, and a non-seed target hit by k of them adopts with probability
-    1 - (1 - p_v)^k.  Later levels expand each run's new adopters, and an
-    edge is live with its target's probability.
+    The runs of every set advance together one level at a time, in chunks
+    of runs, and a level in steps of about EDGE_STEP edges.  (set s, run
+    r, node v) carries the key (s * runs + r) * n + v, where runs counts
+    the runs of the chunk.  Each set's seed level is the same in every
+    run: its out-edges are expanded once, and a non-seed target hit by k
+    of them adopts with probability 1 - (1 - p_v)^k.  Later levels expand
+    each run's new adopters, and an edge is live with its target's
+    probability.
     """
     n = net.n
     indptr, indices, prob_in = net.graph.out_indptr, net.graph.out_indices, net.prob_in
@@ -254,7 +217,6 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
     # closed, as if adopted: one lookup then keeps out both, and each
     # set's count is lowered by the unseeded ones after.
     blocked = ~net.eligible
-    counts = np.empty((len(seed_sets), count), dtype=np.int64)
     # per set: its closed row at the start, its unseeded below-price
     # nodes, and its first level: the targets and their adoption
     # probability
@@ -271,13 +233,14 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
         init[seeds] = True
         live.append((init, np.count_nonzero(init) - seeds.size, targets, first))
     sets = len(live)
+    counts = np.empty((sets, count), dtype=np.int64)
     # Chunk rows are per set, so one call holds up to sets chunks' state.
     rows = max(1, SIM_STATE_BYTES // (9 * n))
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
         closed = np.empty((sets, runs, n), dtype=bool)
         parts = []
-        for s, (gen, (init, _, targets, first)) in enumerate(zip(gens, live)):
+        for s, (init, _, targets, first) in enumerate(live):
             closed[s] = init
             hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
             if s:
@@ -286,20 +249,16 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
         frontier = parts[0] if sets == 1 else np.concatenate(parts)
         flat = closed.reshape(-1)
         flat[frontier] = True
-        starts = None if sets == 1 else np.arange(sets + 1) * (runs * n)
         while frontier.size:
             nodes = frontier % n
             base = frontier - nodes  # the key of (set, run, node 0)
             start = indptr[nodes]
             deg = indptr[nodes + 1] - start
             ends = deg.cumsum()
-            cuts, order = _merged_steps(frontier, ends, starts)
-            if order is not None:
-                base, start, deg = base[order], start[order], deg[order]
-                ends = deg.cumsum()
+            cuts = _steps(ends)
             found = []
-            # a level in steps of about EDGE_STEP out-edges per set: a node
-            # that adopts in one step is closed to the next, so the steps
+            # a level in steps of about EDGE_STEP out-edges: a node that
+            # adopts in one step is closed to the next, so the steps
             # compose exactly
             for a, b in zip(cuts[:-1], cuts[1:]):
                 d = deg[a:b]
@@ -311,16 +270,13 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
                 # index arrays: a boolean gather on random masks is slower
                 still_open = np.flatnonzero(~flat[keys])
                 keys = keys[still_open]
-                new = keys[np.flatnonzero(
-                    _draw(gens, keys, starts) < prob_in[v[still_open]])]
+                new = keys[np.flatnonzero(gen.random(keys.size) < prob_in[v[still_open]])]
                 new.sort()
                 if new.size > 1:
                     new = new[_run_starts(new)]
                 flat[new] = True
                 found.append(new)
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
-            if order is not None:  # back to grouped by set, each set's steps in order
-                frontier = frontier[np.argsort(frontier // (runs * n), kind="stable")]
         adopters = np.count_nonzero(closed, axis=2)
         for s, (_, unseeded_blocked, *_) in enumerate(live):
             counts[s, lo:lo + runs] = adopters[s] - unseeded_blocked
@@ -339,25 +295,22 @@ def _lt_picks(u, start, deg) -> np.ndarray:
     return pick
 
 
-def _lt_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
+def _lt_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
     """simulate_sets under LT for nonempty sets of distinct seeds.
 
     One LT run is fixed by one uniform in-neighbor pick per eligible node
     with in-neighbors: the node adopts iff it is a seed or its pick
-    adopts.  Each set draws the picks of a chunk of runs up front, one
-    uniform per run and such node, as sampling._live_in_edges draws them,
-    so its draws depend on its generator, count and the net alone.  The
-    picks then resolve by pointer jumping: every seed points to one sink,
-    other nodes without a pick to themselves, and the others to their
-    pick.  The nodes whose chain of picks reaches the sink adopt; a chain
-    that ends at a non-seed without a pick, or in a seed-free cycle,
-    never does.
+    adopts.  A chunk of runs draws the picks of every set up front, one
+    uniform per set, run and such node, in one call, as
+    sampling._live_in_edges draws them for one set.  The picks then
+    resolve by pointer jumping: every seed points to one sink, other
+    nodes without a pick to themselves, and the others to their pick.
+    The nodes whose chain of picks reaches the sink adopt; a chain that
+    ends at a non-seed without a pick, or in a seed-free cycle, never
+    does.
     """
     n = net.n
-    indptr, indices = net.graph.in_indptr, net.graph.in_indices
-    in_deg = np.diff(indptr)
-    pickers = np.flatnonzero(net.eligible & (in_deg > 0))
-    deg, first = in_deg[pickers], indptr[pickers]
+    pickers = net.pickers()
     sets = len(seed_sets)
     seed_rows = np.repeat(np.arange(sets), [seeds.size for seeds in seed_sets])
     seeds = np.concatenate(seed_sets)
@@ -366,17 +319,14 @@ def _lt_cascades(net: TCNetwork, seed_sets, count: int, gens) -> np.ndarray:
     rows = max(1, SIM_STATE_BYTES // (16 * n))
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
-        u = np.empty((sets, runs, pickers.size))
-        for s, gen in enumerate(gens):
-            gen.random(out=u[s])
-        picked = indices[_lt_picks(u, first, deg)]
-        del u
+        picked = net.graph.in_indices[_lt_picks(
+            gen.random((sets, runs, pickers.nodes.size)), pickers.first, pickers.deg)]
         sink = sets * runs * n
         # ptr[(s * runs + r) * n + v] is where v points in run r of set s:
         # to itself, to the key of its pick or, if a seed, to the sink
         ptr = np.arange(sink + 1)
         grid = ptr[:sink].reshape(sets, runs, n)
-        grid[:, :, pickers] = picked + grid[:, :, :1]
+        grid[:, :, pickers.nodes] = picked + grid[:, :, :1]
         grid[seed_rows, :, seeds] = sink
         # after j jumps a node points 2^j picks up its chain; stop at a
         # jump that adds no adopter, as a longer chain to the sink would
@@ -397,7 +347,7 @@ def simulate_block(net: TCNetwork, seeds, count: int,
     """Run count independent cascades from seeds together; returns each
     run's adopter count, seeds included, as an int64 array.  The one-set
     call of simulate_sets."""
-    return simulate_sets(net, [seeds], count, [gen])[0]
+    return simulate_sets(net, [seeds], count, gen)[0]
 
 
 def simulate_once(net: TCNetwork, seeds, rng) -> int:
@@ -414,32 +364,16 @@ def simulate_once(net: TCNetwork, seeds, rng) -> int:
 
 def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
                                workers: int = 1) -> ProfitEstimate:
-    """Mean profit over l independent forward runs of seeds: the one-set
-    call of estimate_profits_simulation.  workers is ignored."""
-    return estimate_profits_simulation(net, [seeds], l, [rng_seed])[0]
-
-
-def estimate_profits_simulation(net: TCNetwork, seed_sets, l: int,
-                                rng_seeds) -> list:
-    """estimate_profit_simulation(net, seed_sets[i], l, rng_seeds[i]) for
-    every i, bit for bit, with one simulate_sets call per block of runs.
-
-    Every set keeps its own stream, split into blocks of SIM_BLOCK runs as
-    for it alone; the sets share l, and so the block sizes.
-    """
+    """Mean profit over l independent forward runs of seeds, in blocks of
+    SIM_BLOCK runs, each from its own child of rng_seed's stream (see
+    stream_blocks).  workers is ignored."""
     l = sample_count(l, "l")
-    if len(rng_seeds) != len(seed_sets):
-        raise ParameterError(
-            f"need one seed per seed set, got {len(rng_seeds)} for {len(seed_sets)}")
-    seed_sets = [sorted(set(seeds)) for seeds in seed_sets]
-    totals = [0] * len(seed_sets)
-    for blocks in zip(*(stream_blocks(seed, l, SIM_BLOCK) for seed in rng_seeds)):
-        gens = [np.random.default_rng(child) for child, _ in blocks]
-        sums = simulate_sets(net, seed_sets, blocks[0][1], gens).sum(axis=1)
-        totals = [t + s for t, s in zip(totals, sums.tolist())]
-    return [ProfitEstimate(net.price * (t / l) - net.coupon * len(seeds),
-                           t / l, l, "simulation")
-            for seeds, t in zip(seed_sets, totals)]
+    seeds = sorted(set(seeds))
+    total = 0
+    for child, size in stream_blocks(rng_seed, l, SIM_BLOCK):
+        total += int(simulate_block(net, seeds, size, np.random.default_rng(child)).sum())
+    return ProfitEstimate(net.price * (total / l) - net.coupon * len(seeds),
+                          total / l, l, "simulation")
 
 
 def sample_triggering_set(net: TCNetwork, v: int, rng) -> tuple:

@@ -16,7 +16,7 @@ directly.
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -148,6 +148,20 @@ class DiffusionParams:
             raise ParameterError("ic probability must lie in (0, 1]")
 
 
+class Pickers(NamedTuple):
+    """The nodes that draw a parent when a cascade or a reverse traversal
+    reaches them: the eligible ones with in-neighbors.  in_deg holds every
+    node's in-degree and mask marks the pickers among all n nodes; nodes
+    lists them ascending, and first and deg give where each one's
+    in-edges start in the in-edge CSR and how many it has."""
+
+    in_deg: np.ndarray
+    mask: np.ndarray
+    nodes: np.ndarray
+    first: np.ndarray
+    deg: np.ndarray
+
+
 class TCNetwork:
     """A pruned coupon network ready for seed selection.
 
@@ -160,7 +174,8 @@ class TCNetwork:
     """
 
     __slots__ = ("graph", "params", "price", "coupon", "intrinsic",
-                 "discount_ratio", "eligible", "prob_in", "pruned_labels")
+                 "discount_ratio", "eligible", "prob_in", "pruned_labels",
+                 "_pickers")
 
     def __init__(self, graph: Graph, params: DiffusionParams, price: float,
                  coupon: float, intrinsic, pruned_labels=()):
@@ -172,6 +187,7 @@ class TCNetwork:
         self.discount_ratio = (self.price - self.coupon) / self.price
         self.eligible = self.intrinsic >= self.price
         self.pruned_labels = tuple(pruned_labels)
+        self._pickers = None
         if params.model == "ic-cp":
             self.prob_in = np.full(graph.n, params.ic_probability)
         else:
@@ -187,6 +203,17 @@ class TCNetwork:
     @property
     def m(self) -> int:
         return self.graph.m
+
+    def pickers(self) -> Pickers:
+        """The network's Pickers, computed on first use and shared by
+        every later kernel call."""
+        if self._pickers is None:
+            in_deg = np.diff(self.graph.in_indptr)
+            mask = self.eligible & (in_deg > 0)
+            nodes = np.flatnonzero(mask)
+            self._pickers = Pickers(in_deg, mask, nodes, self.graph.in_indptr[nodes],
+                                    in_deg[nodes])
+        return self._pickers
 
     def labels_of(self, nodes) -> list:
         return sorted(self.graph.labels[v] for v in nodes)

@@ -122,15 +122,15 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     Each step samples the triggering sets of every set's newest members at
     once.  Triggering sets are drawn only for nodes the traversal reaches,
     each once per set; the rest of the realization is never materialized.
-    In-degrees and the nodes that can draw a parent at all (eligible, with
-    in-neighbors) are looked up once per block.
+    In-degrees and the nodes that can draw a parent at all come from
+    net.pickers(), computed once per network.
 
     Returns (single, sizes, members) as _grow lays them out.
     """
     n = net.n
     indptr, indices = net.graph.in_indptr, net.graph.in_indices
-    in_deg = np.diff(indptr)
-    expands = net.eligible & (in_deg > 0)
+    pickers = net.pickers()
+    in_deg, expands = pickers.in_deg, pickers.mask
     lt = net.params.model == "lt"
     # under ic-cp every node shares one probability; a scalar draws the
     # same stream as the per-node array
@@ -158,25 +158,23 @@ def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
     r come from sources[indptr[r * n + v]:indptr[r * n + v + 1]].
     """
     n = net.n
-    indptr, indices = net.graph.in_indptr, net.graph.in_indices
-    prob_in, eligible = net.prob_in, net.eligible
-    deg = np.diff(indptr)
+    pickers = net.pickers()
     if net.params.model == "lt":
-        nodes = np.flatnonzero(eligible & (deg > 0))
+        nodes = pickers.nodes
         keys = (np.arange(runs)[:, None] * n + nodes).reshape(-1)
-        pos = _lt_picks(gen.random((runs, nodes.size)), indptr[nodes],
-                        deg[nodes]).reshape(-1)
+        pos = _lt_picks(gen.random((runs, nodes.size)), pickers.first,
+                        pickers.deg).reshape(-1)
     else:
-        target = np.repeat(np.arange(n), deg)
-        edges = np.flatnonzero(eligible[target])
+        target = np.repeat(np.arange(n), pickers.in_deg)
+        edges = np.flatnonzero(net.eligible[target])
         hit_runs, hit = np.nonzero(gen.random((runs, edges.size))
-                                   < prob_in[target[edges]])
+                                   < net.prob_in[target[edges]])
         pos = edges[hit]
         keys = hit_runs * n + target[pos]
     # keys come out ascending: run-major, then in CSR order
     live_indptr = np.zeros(runs * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=runs * n), out=live_indptr[1:])
-    return live_indptr, indices[pos]
+    return live_indptr, net.graph.in_indices[pos]
 
 
 def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):

@@ -20,7 +20,7 @@ import time
 
 from .algorithms import ALGORITHMS
 from .baselines import BASELINES, BaselineConfig
-from .diffusion import estimate_profit_simulation
+from .diffusion import EVAL_SIMULATIONS, estimate_profit_simulation
 from .network import ParameterError, TCNetwork
 
 
@@ -87,7 +87,8 @@ class BaseSelector:
         self.n_features_in_ = net.n
         return self
 
-    def score(self, net: TCNetwork, eval_sims: int = 10_000, seed: int = 0) -> float:
+    def score(self, net: TCNetwork, eval_sims: int = EVAL_SIMULATIONS,
+              seed: int = 0) -> float:
         """Monte Carlo profit of the fitted seed set on `net`."""
         if not hasattr(self, "seed_set_"):
             raise RuntimeError(f"{type(self).__name__} is not fitted yet; call fit first")

@@ -7,11 +7,10 @@ import pytest
 
 from profitmax import (ALGORITHMS, BaselineConfig, CoverageOracle, FunctionOracle,
                        MemoryBudgetError, ParameterError, algorithms, delta0,
-                       delta1, delta2, diffusion, double_greedy,
-                       estimate_profit_simulation, estimate_profits_simulation,
+                       delta1, delta2, double_greedy, estimate_profit_simulation,
                        exact_profit, generate_collection, max_inf, node_order,
                        ra_s, ra_t, replay_on_realization, rpm,
-                       search_rat_params, solve_ras_params, spm)
+                       search_rat_params, simulate_sets, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
 from profitmax.sampling import _live_in_edges, covered_sets, sample_rr_block
@@ -64,21 +63,26 @@ class TestDeterminism:
             assert a.internal_value == b.internal_value
 
 
-def _reference_spm(net, eps, l, seed):
-    """spm as one estimate_profit_simulation per inspection, each on its
-    own spawn(1) child of the evaluation stream: (members, sample_counts)."""
+def _reference_spm(net, eps, l, seed, block=SIM_BLOCK):
+    """spm written out: one generator seeded from the evaluation stream
+    feeds every inspection, and the four sets of a node share one
+    simulate_sets call per block runs: (members, sample_counts)."""
     n = net.n
-    coin_ss, eval_parent = np.random.SeedSequence(seed).spawn(2)
+    coin_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
+    gen = np.random.default_rng(eval_ss)
     sims = 0
 
-    def evaluate(s):
+    def evaluate(sets):
         nonlocal sims
-        sims += l
-        child = eval_parent.spawn(1)[0]
-        return estimate_profit_simulation(net, s, l, child).mean_profit
+        sims += len(sets) * l
+        totals = [0] * len(sets)
+        for lo in range(0, l, block):
+            rows = simulate_sets(net, sets, min(block, l - lo), gen)
+            totals = [t + int(row.sum()) for t, row in zip(totals, rows)]
+        return [net.price * (t / l) - net.coupon * len(s) for s, t in zip(sets, totals)]
 
-    oracle = FunctionOracle(evaluate, range(n),
-                            shift=2.0 * eps * net.full_profit() / n)
+    oracle = FunctionOracle(evaluate, range(n), shift=2.0 * eps * net.full_profit() / n,
+                            many=True)
     members = double_greedy(oracle, range(n), random.Random(
         int(coin_ss.generate_state(2, np.uint64)[0])))
     return members, {"simulations": sims, "realizations": 0, "ra_sets": 0}
@@ -86,7 +90,7 @@ def _reference_spm(net, eps, l, seed):
 
 class TestSPM:
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
-    def test_matches_one_estimate_per_inspection(self, model):
+    def test_matches_reference(self, model):
         rng = random.Random(model)
         for trial in range(4):
             n = rng.randint(5, 25)
@@ -102,12 +106,21 @@ class TestSPM:
                 assert got.sample_counts == counts
                 assert counts["simulations"] == 4 * net.n * l
 
+    def test_matches_reference_across_blocks(self, monkeypatch):
+        # l = 40 in blocks of 16 runs: spm adds up the per-block sums
+        monkeypatch.setattr(algorithms, "SIM_BLOCK", 16)
+        rng = random.Random(3)
+        net = make_net(random_edge_text(rng, 12, 30), ic_p=0.3)
+        for seed in (0, 1):
+            got = spm(net, eps=0.4, l_override=40, seed=seed)
+            assert (got.members, got.sample_counts) == _reference_spm(
+                net, 0.4, 40, seed, block=16)
+
     @pytest.mark.parametrize("model,members", [
-        ("ic-cp", {1, 2, 7, 10, 12}), ("ic-wc", {1, 4, 8, 9, 10, 12, 13}),
-        ("lt", {1, 3, 4, 8, 10})])
+        ("ic-cp", {1, 2, 3, 4, 7, 8, 10, 12}), ("ic-wc", {1, 2, 3, 5, 8, 10, 13}),
+        ("lt", {1, 2, 3, 4, 10, 12, 13})])
     def test_members_are_pinned(self, model, members):
-        # spm's selections as drawn before its four inspections of a node
-        # became one call; LT's since its cascades draw their picks up front
+        # spm's selections since every inspection draws from one generator
         rng = random.Random(20261018)
         intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
         net = make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
@@ -119,13 +132,13 @@ class TestSPM:
     def test_one_kernel_call_per_node_and_block(self, monkeypatch, l, blocks):
         net = make_net("1 2\n2 3\n3 1\n1 4\n", ic_p=0.5)
         calls = []
-        kernel = diffusion.simulate_sets
+        kernel = algorithms.simulate_sets
 
-        def counting(net, seed_sets, count, gens):
+        def counting(net, seed_sets, count, gen):
             calls.append(len(seed_sets))
-            return kernel(net, seed_sets, count, gens)
+            return kernel(net, seed_sets, count, gen)
 
-        monkeypatch.setattr(diffusion, "simulate_sets", counting)
+        monkeypatch.setattr(algorithms, "simulate_sets", counting)
         spm(net, eps=0.4, l_override=l, seed=2)
         assert calls == [4] * (net.n * blocks)
 
@@ -374,8 +387,6 @@ SAMPLE_COUNT_ENTRIES = {
     "ra_t": (lambda net, c: ra_t(net, max_ra=c, seed=1), "max_ra"),
     "estimate_profit_simulation":
         (lambda net, c: estimate_profit_simulation(net, [0], c, 1), "l"),
-    "estimate_profits_simulation":
-        (lambda net, c: estimate_profits_simulation(net, [[0], [1]], c, [1, 2]), "l"),
     "generate_collection": (lambda net, c: generate_collection(net, c, 1), "l"),
     "node_order": (lambda net, c: node_order(net, c, 1), "probe_count"),
     "trials": (lambda net, c: BaselineConfig(trials=c), "trials"),

@@ -24,6 +24,16 @@ class TestMaxInf:
                        for i in range(1, 51)})
         assert swept == want
 
+    def test_sweep_points_past_the_grid_change_nothing(self):
+        # from i = 50 on every target is n, so a huge count sweeps the
+        # same sizes, and at once
+        net = make_net("1 2\n2 3\n", ic_p=0.5)
+        want = max_inf(net, BaselineConfig(sweep_points=50, eval_simulations=30), seed=4)
+        got = max_inf(net, BaselineConfig(sweep_points=2 ** 40, eval_simulations=30),
+                      seed=4)
+        assert got.extras["sweep"] == want.extras["sweep"]
+        assert (got.members, got.sample_counts) == (want.members, want.sample_counts)
+
     def test_fixed_size(self):
         net = star_net()
         cfg = BaselineConfig(eval_simulations=50, fixed_size=1)

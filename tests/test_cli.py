@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams, build_tc_network,
-                       generate_intrinsics, ingest_edge_list, ra_s, ra_t,
-                       validate_report)
+from profitmax import (ALGORITHMS, SELECTORS, BaselineConfig, DiffusionParams,
+                       build_tc_network, generate_intrinsics, ingest_edge_list,
+                       ra_s, ra_t, validate_report)
 from profitmax import cli
 from profitmax.cli import build_parser, main
 
@@ -620,6 +621,46 @@ class TestRegistry:
             assert list(alg.choices) == list(SELECTORS)
         assert set(SELECTORS) == set(ALGORITHMS) | {"maxinf", "highdegree"}
         assert set(self.CASES) == set(SELECTORS)
+
+
+def _set_default(monkeypatch, fn, name, value):
+    """Give the parameter name of fn the default value."""
+    names = [p.name for p in inspect.signature(fn).parameters.values()
+             if p.default is not p.empty]
+    monkeypatch.setattr(fn, "__defaults__", tuple(
+        value if param == name else default
+        for param, default in zip(names, fn.__defaults__)))
+
+
+class TestFlagDefaults:
+    def test_signature_defaults_reach_help_and_args(self, capsys, monkeypatch):
+        for fn in ALGORITHMS.values():
+            _set_default(monkeypatch, fn, "eps", 0.35)
+        for name, value in (("k", 7), ("eps3", 0.15), ("plateau_pct", 3.5)):
+            _set_default(monkeypatch, ra_s, name, value)
+        parser = build_parser()
+        for command in ("run", "sweep"):
+            args = parser.parse_args([command, "--graph", "g", "--alg", "ra-s"])
+            assert (args.eps, args.k, args.eps3, args.plateau_pct) == (0.35, 7, 0.15, 3.5)
+        args = parser.parse_args(["thresholds", "--n", "10", "--r", "0.5"])
+        assert (args.eps, args.k, args.eps3) == (0.35, 7, 0.15)
+        shared = ["accuracy (default 0.35)", "(ra-s, default 7)", "(ra-s, default 0.15)"]
+        for command, shown in (("run", shared + ["(ra-s, default 3.5)"]),
+                               ("thresholds", shared)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert all(s in text for s in shown), (command, text)
+
+    def test_algorithms_must_agree_on_a_shared_default(self, monkeypatch):
+        _set_default(monkeypatch, ra_t, "eps", 0.3)
+        with pytest.raises(ValueError, match="disagree on the default eps"):
+            build_parser()
+
+    def test_evaluation_runs_named_once(self):
+        args = build_parser().parse_args(["evaluate", "--graph", "g", "--seed-set", ""])
+        assert args.eval_sims == BaselineConfig().eval_simulations == \
+            inspect.signature(SELECTORS["spm"].score).parameters["eval_sims"].default
 
 
 @pytest.mark.parametrize("extra,where", [

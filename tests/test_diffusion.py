@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from profitmax import (ParameterError, Realization, diffusion,
-                       estimate_profit_simulation, estimate_profits_simulation,
-                       exact_pi, replay_on_realization, sample_realization,
+                       estimate_profit_simulation, exact_pi,
+                       replay_on_realization, sample_realization,
                        sample_triggering_set, simulate_block, simulate_once,
                        simulate_sets)
 from profitmax.diffusion import MAX_SAMPLES, SIM_BLOCK, stream_blocks
@@ -189,80 +189,76 @@ def _golden_net(model):
 
 
 class TestMultiSetKernel:
-    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
-    def test_rows_equal_separate_calls(self, model, monkeypatch):
-        # small steps and chunks, so that levels split into steps per set
-        # and blocks into chunks, and the merged steps need the re-sort
+    @pytest.fixture
+    def small_steps(self, monkeypatch):
+        # small steps and chunks, so that a level's steps and a block's
+        # chunks span several sets
         monkeypatch.setattr(diffusion, "EDGE_STEP", 4)
         monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
-        merged = diffusion._merged_steps
-        resorted = []
 
-        def spy(*args):
-            cuts, order = merged(*args)
-            resorted.append(order is not None)
-            return cuts, order
-
-        monkeypatch.setattr(diffusion, "_merged_steps", spy)
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_one_set_call_is_simulate_block(self, model, small_steps):
         rng = random.Random(model)
-        for _ in range(12):
+        for _ in range(8):
             n = rng.randint(6, 30)
             intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(n)]
             net = make_net(random_edge_text(rng, n, rng.randint(n, 4 * n)),
                            model=model, ic_p=rng.uniform(0.2, 0.8),
                            intrinsics=intrinsics)
-            sets = _row_sets(rng, net.n)
+            seeds = rng.sample(range(net.n), rng.randint(1, 4))
             count = rng.randint(1, 60)
-            seeds = [rng.randrange(1 << 30) for _ in sets]
-            gens = [np.random.default_rng(s) for s in seeds]
-            rows = simulate_sets(net, sets, count, gens)
-            assert rows.shape == (len(sets), count)
-            assert rows.dtype == np.int64
-            for row, s, seed, gen in zip(rows, sets, seeds, gens):
-                alone = np.random.default_rng(seed)
-                assert np.array_equal(row, simulate_block(net, s, count, alone))
-                # and each row drew exactly as many uniforms as alone
-                assert gen.bit_generator.state == alone.bit_generator.state
-        if model != "lt":  # LT follows picks drawn up front and takes no steps
-            assert any(resorted)
+            seed = rng.randrange(1 << 30)
+            gen, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+            row = simulate_sets(net, [seeds], count, gen)
+            assert row.shape == (1, count)
+            assert row.dtype == np.int64
+            assert np.array_equal(row[0], simulate_block(net, seeds, count, alone))
+            # and the call drew exactly as many uniforms
+            assert gen.bit_generator.state == alone.bit_generator.state
+
+    def test_certain_edges_give_every_row_its_reach(self, small_steps):
+        # with p = 1 every run of a row adopts exactly the nodes its seeds
+        # reach over eligible nodes, whatever the shared draws were
+        rng = random.Random(20261019)
+        for _ in range(12):
+            n = rng.randint(6, 30)
+            intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(n)]
+            net = make_net(random_edge_text(rng, n, rng.randint(n, 3 * n)),
+                           ic_p=1.0, intrinsics=intrinsics)
+            real = sample_realization(net, 0)  # every edge into an eligible node
+            sets = _row_sets(rng, net.n)
+            count = rng.randint(1, 40)
+            rows = simulate_sets(net, sets, count, np.random.default_rng(count))
+            assert rows.tolist() == [[replay_on_realization(real, s)] * count
+                                     for s in sets]
 
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
-    def test_row_means_match_exact_pi(self, model):
-        edges, _, _ = KERNEL_CASES["two-seeds"]
-        net = make_net(edges, model=model, ic_p=0.5,
-                       intrinsics=[0.9, 0.9, 0.9, 0.3, 0.9])
+    def test_row_means_match_exact_pi(self, model, small_steps):
+        # labels 2 and 4 are below the price: 4 as a seed, 2 as a target
+        edges, _, intrinsics = KERNEL_CASES["cycles-below-price"]
+        net = make_net(edges, model=model, ic_p=0.5, intrinsics=intrinsics)
         ids = net.graph.id_of
-        sets = [[ids(1), ids(2)], [ids(1)], [], [ids(3)], [ids(1), ids(2)],
-                [ids(2), ids(4)]]
-        l = 50_000
-        gens = [np.random.default_rng([20261018, i]) for i in range(len(sets))]
-        rows = simulate_sets(net, sets, l, gens)
+        sets = [[ids(4)], [ids(1)], [], [ids(3), ids(5)], [ids(4)],
+                [ids(2), ids(5)], [ids(1), ids(4)]]
+        l = 30_000
+        rows = simulate_sets(net, sets, l, np.random.default_rng(20261018))
         for row, seeds in zip(rows, sets):
             pi = exact_pi(net, seeds)
             se = row.std(ddof=1) / math.sqrt(l)
             assert abs(row.mean() - pi) <= 3.0 * se + 1e-12, (seeds, row.mean(), pi, se)
 
     def test_rows_with_the_same_seeds_are_independent(self, lt_fork_net):
-        a = lt_fork_net.graph.id_of(1)
+        # one generator feeds both rows, yet they share no draw
         l = 20_000
-        rows = simulate_sets(lt_fork_net, [[a], [a]], l,
-                             [np.random.default_rng(1), np.random.default_rng(2)])
-        assert not np.array_equal(rows[0], rows[1])
-        corr = np.corrcoef(rows[0], rows[1])[0, 1]
-        assert abs(corr) <= 4.0 / math.sqrt(l)
+        for net in (lt_fork_net, make_net("1 2\n", ic_p=0.5)):
+            a = net.graph.id_of(1)
+            rows = simulate_sets(net, [[a], [a]], l, np.random.default_rng(1))
+            assert not np.array_equal(rows[0], rows[1])
+            corr = np.corrcoef(rows[0], rows[1])[0, 1]
+            assert abs(corr) <= 4.0 / math.sqrt(l)
 
     def test_no_sets(self, two_node_net):
-        assert simulate_sets(two_node_net, [], 5, []).shape == (0, 5)
-
-    def test_one_generator_per_set(self, two_node_net):
-        with pytest.raises(ParameterError, match="one generator per seed set"):
-            simulate_sets(two_node_net, [[0], [1]], 5, [np.random.default_rng(0)])
-
-    def test_one_stream_seed_per_set(self, two_node_net):
-        with pytest.raises(ParameterError, match="one seed per seed set"):
-            estimate_profits_simulation(two_node_net, [[0], [1]], 5, [3])
-        with pytest.raises(ParameterError, match="one seed per seed set"):
-            estimate_profits_simulation(two_node_net, [[0]], 5, [])
+        assert simulate_sets(two_node_net, [], 5, np.random.default_rng(0)).shape == (0, 5)
 
     # simulate_block(net, [0, 5, 9], 24, default_rng(77)) on _golden_net:
     # under IC as the kernel drew before it took several seed sets, under
@@ -296,14 +292,6 @@ class TestMultiSetKernel:
                              np.random.default_rng(77))
         assert got.tolist() == self.GOLDEN[model, small]
 
-    def test_estimates_equal_separate_estimates(self, lt_fork_net):
-        sets = [[0], [0, 1], [], [2, 0, 2]]
-        l = SIM_BLOCK + 300  # two blocks per set
-        got = estimate_profits_simulation(
-            lt_fork_net, sets, l, [[5, i] for i in range(len(sets))])
-        assert got == [estimate_profit_simulation(lt_fork_net, s, l, [5, i])
-                       for i, s in enumerate(sets)]
-
 
 def _path_net(n, intrinsics=None):
     """An LT path 1 -> 2 -> ... -> n."""
@@ -333,7 +321,7 @@ class TestLTPicks:
     def test_cycle_without_a_seed_never_adopts(self):
         net = make_net("1 2\n2 3\n3 1\n4 5\n", model="lt")
         rows = simulate_sets(net, [[net.graph.id_of(4)], [net.graph.id_of(2)]], 30,
-                             [np.random.default_rng(3), np.random.default_rng(4)])
+                             np.random.default_rng(3))
         assert rows.tolist() == [[2] * 30, [3] * 30]
 
     def test_runs_replay_the_live_in_edges(self, monkeypatch):
