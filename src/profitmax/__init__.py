@@ -15,7 +15,7 @@ Main entry points:
 
 from .algorithms import (ALGORITHMS, MemoryBudgetError, SelectionResult,
                          node_order, ra_s, ra_t, rpm, spm)
-from .baselines import BaselineConfig, high_degree, max_inf
+from .baselines import high_degree, max_inf
 from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
                      delta2, delta2_star, delta3, search_rat_params,
                      solve_ras_params, thresholds_at)
@@ -41,7 +41,7 @@ from .selectors import (SELECTORS, BaseSelector, HighDegreeBaseline,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS", "BaseSelector", "BaselineConfig", "CONFIG_KEYS",
+    "ALGORITHMS", "BaseSelector", "CONFIG_KEYS",
     "CollectionBuilder", "CoverageOracle", "DiffusionParams", "FunctionOracle",
     "Graph", "HighDegreeBaseline", "MaxCoverageBaseline", "MemoryBudgetError",
     "MODELS", "NetworkError", "OracleSizeError", "ParameterError", "ParseError",

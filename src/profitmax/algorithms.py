@@ -92,7 +92,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         return [net.price * (t / l) - net.coupon * len(s)
                 for s, t in zip(sets, totals.tolist())]
 
-    oracle = FunctionOracle(evaluate, range(net.n), shift=shift, many=True)
+    oracle = FunctionOracle(evaluate, range(net.n), shift=shift)
     members = double_greedy(oracle, range(net.n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=SPM,

@@ -2,12 +2,12 @@
 
 Neither baseline carries an approximation guarantee; both pick whatever
 seed set scored the best simulated profit among the candidates they
-looked at.
+looked at.  Like the algorithms of algorithms.py, each takes its
+parameters as keywords after net, and checks its counts through
+diffusion.sample_count before it draws anything.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,21 +21,6 @@ from .sampling import generate_collection
 MAXINF, HIGHDEGREE = "maxinf", "highdegree"
 
 _SWEEP_DENOMINATOR = 50  # target sizes are ceil(n * i / 50)
-
-
-@dataclass
-class BaselineConfig:
-    sweep_points: int = 50
-    trials: int = 100
-    eval_simulations: int = EVAL_SIMULATIONS
-    fixed_size: Optional[int] = None
-    ra_samples: Optional[int] = None
-
-    def __post_init__(self):
-        for name in ("sweep_points", "trials", "eval_simulations", "fixed_size",
-                     "ra_samples"):
-            if getattr(self, name) is not None:
-                setattr(self, name, sample_count(getattr(self, name), name))
 
 
 def _coverage_greedy_chain(coll, n: int, length: int) -> list:
@@ -60,7 +45,9 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
     return chain
 
 
-def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResult:
+def max_inf(net: TCNetwork, sweep_points: int = 50,
+            eval_simulations: int = EVAL_SIMULATIONS, fixed_size=None,
+            ra_samples=None, seed: int = 0) -> SelectionResult:
     """Sweep influence-greedy seed sets over target sizes, keep the most
     profitable.
 
@@ -68,46 +55,56 @@ def max_inf(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResu
     the usual reverse-sampling surrogate for influence maximization.  With
     fixed_size set, only that one size is tried (large-graph mode).
     """
+    sweep_points = sample_count(sweep_points, "sweep_points")
+    eval_simulations = sample_count(eval_simulations, "eval_simulations")
+    if fixed_size is not None:
+        fixed_size = sample_count(fixed_size, "fixed_size")
+    if ra_samples is not None:
+        ra_samples = sample_count(ra_samples, "ra_samples")
     n = net.n
     ss = np.random.SeedSequence(seed)
     coll_ss, eval_parent = ss.spawn(2)
-    samples = cfg.ra_samples or default_probe_count(net, confidence(n), 0.4)
+    samples = ra_samples or default_probe_count(net, confidence(n), 0.4)
     coll = generate_collection(net, samples, coll_ss)
-    if cfg.fixed_size is not None:
-        targets = [min(cfg.fixed_size, n)]
+    if fixed_size is not None:
+        targets = [min(fixed_size, n)]
     else:
         # from i = _SWEEP_DENOMINATOR on every target is n
         targets = sorted({
             min(n, math.ceil(n * i / _SWEEP_DENOMINATOR))
-            for i in range(1, min(cfg.sweep_points, _SWEEP_DENOMINATOR) + 1)})
+            for i in range(1, min(sweep_points, _SWEEP_DENOMINATOR) + 1)})
     chain = _coverage_greedy_chain(coll, n, max(targets))
     best = None
     sweep = []
     for s in targets:
         cand = frozenset(chain[:s])
-        est = estimate_profit_simulation(net, cand, cfg.eval_simulations,
+        est = estimate_profit_simulation(net, cand, eval_simulations,
                                          eval_parent.spawn(1)[0])
         sweep.append((s, est.mean_profit))
         if best is None or est.mean_profit > best[0]:
             best = (est.mean_profit, cand)
     return SelectionResult(
         members=best[1], produced_by=MAXINF,
-        sample_counts={"simulations": cfg.eval_simulations * len(targets),
+        sample_counts={"simulations": eval_simulations * len(targets),
                        "realizations": 0, "ra_sets": samples},
         l=samples, internal_value=best[0],
         extras={"sweep": sweep},
-        params={"sweep_points": cfg.sweep_points, "fixed_size": cfg.fixed_size,
-                "eval_simulations": cfg.eval_simulations, "ra_samples": samples,
+        params={"sweep_points": sweep_points, "fixed_size": fixed_size,
+                "eval_simulations": eval_simulations, "ra_samples": samples,
                 "seed": seed})
 
 
-def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> SelectionResult:
+def high_degree(net: TCNetwork, trials: int = 100,
+                eval_simulations: int = EVAL_SIMULATIONS,
+                seed: int = 0) -> SelectionResult:
     """Random-size prefixes of the out-degree ranking, best profit wins.
 
     Each trial draws a size uniformly from {1..n} and seeds that many of
     the highest out-degree nodes (ties toward smaller id).  Sizes repeat
     across trials, so evaluations are cached per size.
     """
+    trials = sample_count(trials, "trials")
+    eval_simulations = sample_count(eval_simulations, "eval_simulations")
     n = net.n
     degrees = np.diff(net.graph.out_indptr)
     ranking = np.lexsort((np.arange(n), -degrees)).tolist()
@@ -116,13 +113,13 @@ def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> Selection
     cache = {}
     best = None
     sims = 0
-    for _ in range(cfg.trials):
+    for _ in range(trials):
         s = rng.randint(1, n)
         if s not in cache:
             cand = frozenset(ranking[:s])
-            est = estimate_profit_simulation(net, cand, cfg.eval_simulations,
+            est = estimate_profit_simulation(net, cand, eval_simulations,
                                              eval_parent.spawn(1)[0])
-            sims += cfg.eval_simulations
+            sims += eval_simulations
             cache[s] = (est.mean_profit, cand)
         profit, cand = cache[s]
         if best is None or profit > best[0]:
@@ -130,14 +127,9 @@ def high_degree(net: TCNetwork, cfg: BaselineConfig, seed: int = 0) -> Selection
     return SelectionResult(
         members=best[1], produced_by=HIGHDEGREE,
         sample_counts={"simulations": sims, "realizations": 0, "ra_sets": 0},
-        l=cfg.trials, internal_value=best[0],
-        params={"trials": cfg.trials, "eval_simulations": cfg.eval_simulations,
+        l=trials, internal_value=best[0],
+        params={"trials": trials, "eval_simulations": eval_simulations,
                 "seed": seed})
 
 
-BASELINES = {
-    MAXINF: (max_inf, ("sweep_points", "eval_simulations", "fixed_size",
-                       "ra_samples")),
-    HIGHDEGREE: (high_degree, ("trials", "eval_simulations")),
-}
-"""Each baseline's function and the BaselineConfig fields it reads."""
+BASELINES = {MAXINF: max_inf, HIGHDEGREE: high_degree}

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from .network import ParameterError
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ParameterError(msg)
+# Checks read `if not <condition>` so that nan fails them, and format their
+# message only when they refuse: the solvers run them dozens of times a call.
 
 
 def _check_n(n):
-    _require(n >= 1, f"node count must be >= 1, got {n}")
-    _require(n <= sys.float_info.max,
-             f"node count must be at most {sys.float_info.max:g}, got {n}")
+    if not n >= 1:
+        raise ParameterError(f"node count must be >= 1, got {n}")
+    if not n <= sys.float_info.max:
+        raise ParameterError(
+            f"node count must be at most {sys.float_info.max:g}, got {n}")
 
 
 def confidence(n, big_n=None) -> float:
@@ -36,21 +37,26 @@ def confidence(n, big_n=None) -> float:
 
 def _check(n, big_n, r, eps_name, eps, top=0.5):
     _check_n(n)
-    _require(1.0 < big_n < math.inf,
-             f"confidence parameter N must be finite and exceed 1, got {big_n}")
-    _require(0.0 < r <= 1.0, f"discount ratio must lie in (0, 1], got {r}")
-    _require(0.0 < eps < top, f"{eps_name} must lie in (0, {top:g}), got {eps}")
+    if not 1.0 < big_n < math.inf:
+        raise ParameterError(
+            f"confidence parameter N must be finite and exceed 1, got {big_n}")
+    if not 0.0 < r <= 1.0:
+        raise ParameterError(f"discount ratio must lie in (0, 1], got {r}")
+    if not 0.0 < eps < top:
+        raise ParameterError(f"{eps_name} must lie in (0, {top:g}), got {eps}")
 
 
 def _threshold(name: str, num: float, den: float, eps_name: str, eps, r) -> float:
     """num / den, where num grows with the node count and den is (eps r)^2
     up to a constant factor; refused unless a finite positive number,
     which a huge node count, or tiny eps or r, prevent."""
-    _require(num < math.inf, f"threshold {name} is not a finite positive number "
-             "at this node count; the node count is too large")
+    if not num < math.inf:
+        raise ParameterError(f"threshold {name} is not a finite positive number "
+                             "at this node count; the node count is too large")
     value = num / den if den > 0.0 else math.inf
-    _require(0.0 < value < math.inf, f"threshold {name} is not a finite positive "
-             f"number at {eps_name}={eps}, r={r}; {eps_name} or r is too small")
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"threshold {name} is not a finite positive number at "
+                             f"{eps_name}={eps}, r={r}; {eps_name} or r is too small")
     return value
 
 
@@ -134,7 +140,8 @@ def search_rat_params(n, big_n, eps, r, step: float = 0.01):
     (eps1, eps2).
     """
     _check(n, big_n, r, "eps", eps)
-    _require(step > 0.0, "search step must be positive")
+    if not step > 0.0:
+        raise ParameterError("search step must be positive")
     best = None
     i = 1
     while True:
@@ -181,10 +188,13 @@ def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
     boundary.  Bisection therefore finds the unique root.
     """
     _check(n, big_n, r, "eps", eps)
-    _require(k >= 1, f"k must be a positive integer, got {k}")
-    _require(k < sys.float_info.max_exp, f"k must be below "
-             f"{sys.float_info.max_exp} so that 2^k is a finite float, got {k}")
-    _require(eps3 > 0.0, f"eps3 must be positive, got {eps3}")
+    if not k >= 1:
+        raise ParameterError(f"k must be a positive integer, got {k}")
+    if not k < sys.float_info.max_exp:
+        raise ParameterError(f"k must be below {sys.float_info.max_exp} so that "
+                             f"2^k is a finite float, got {k}")
+    if not eps3 > 0.0:
+        raise ParameterError(f"eps3 must be positive, got {eps3}")
 
     def eps2_of(eps1):
         return 1.0 - 2.0 * (1.0 + eps3) * (0.5 - eps + eps1)

@@ -129,21 +129,11 @@ def stream_blocks(seed, total: int, block: int):
         yield ss.spawn(1)[0], min(block, total - lo)
 
 
-def _sorted_runs(keys):
-    """The distinct values of keys, ascending, and how often each occurs.
-
-    Sort-based rather than np.unique, whose hash table code alone adds
-    about 1.7 MiB of resident memory the first time it runs.
-    """
-    if not keys.size:
-        return keys, keys
-    keys = np.sort(keys)
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.diff(np.append(starts, keys.size))
-
-
 def _run_starts(keys):
-    """Mask of the first entry of each run of equal values in keys."""
+    """Mask of the first entry of each run of equal values in keys.  On
+    sorted keys it picks the distinct values: cheaper than np.unique,
+    whose hash table code alone adds about 1.7 MiB of resident memory the
+    first time it runs."""
     starts = np.empty(keys.size, dtype=bool)
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
@@ -214,12 +204,11 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
     n = net.n
     indptr, indices, prob_in = net.graph.out_indptr, net.graph.out_indices, net.prob_in
     # A node below the price never adopts unless seeded, so it starts out
-    # closed, as if adopted: one lookup then keeps out both, and each
-    # set's count is lowered by the unseeded ones after.
+    # closed, as if adopted: one lookup then keeps out both.  A run's
+    # count is its set's seeds plus the keys that adopt in it.
     blocked = ~net.eligible
-    # per set: its closed row at the start, its unseeded below-price
-    # nodes, and its first level: the targets and their adoption
-    # probability
+    # per set: its closed row at the start, and its first level: the
+    # targets and their adoption probability
     live = []
     for seeds in seed_sets:
         start = indptr[seeds]
@@ -231,8 +220,9 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
         first = 1.0 - (1.0 - prob_in[targets]) ** exposed[targets]
         init = blocked.copy()
         init[seeds] = True
-        live.append((init, np.count_nonzero(init) - seeds.size, targets, first))
+        live.append((init, targets, first))
     sets = len(live)
+    seed_counts = np.array([[seeds.size] for seeds in seed_sets])
     counts = np.empty((sets, count), dtype=np.int64)
     # Chunk rows are per set, so one call holds up to sets chunks' state.
     rows = max(1, SIM_STATE_BYTES // (9 * n))
@@ -240,7 +230,7 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
         runs = min(rows, count - lo)
         closed = np.empty((sets, runs, n), dtype=bool)
         parts = []
-        for s, (init, _, targets, first) in enumerate(live):
+        for s, (init, targets, first) in enumerate(live):
             closed[s] = init
             hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
             if s:
@@ -249,6 +239,7 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
         frontier = parts[0] if sets == 1 else np.concatenate(parts)
         flat = closed.reshape(-1)
         flat[frontier] = True
+        adopted = [frontier]
         while frontier.size:
             nodes = frontier % n
             base = frontier - nodes  # the key of (set, run, node 0)
@@ -277,9 +268,9 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
                 flat[new] = True
                 found.append(new)
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
-        adopters = np.count_nonzero(closed, axis=2)
-        for s, (_, unseeded_blocked, *_) in enumerate(live):
-            counts[s, lo:lo + runs] = adopters[s] - unseeded_blocked
+            adopted.append(frontier)
+        hits = np.bincount(np.concatenate(adopted) // n, minlength=sets * runs)
+        counts[:, lo:lo + runs] = hits.reshape(sets, runs) + seed_counts
     return counts
 
 
@@ -337,8 +328,9 @@ def _lt_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
             before, reached = reached, np.count_nonzero(ptr == sink)
             if reached == before:
                 break
-        counts[:, lo:lo + runs] = np.count_nonzero(
-            (ptr[:sink] == sink).reshape(sets, runs, n), axis=2)
+        counts[:, lo:lo + runs] = np.bincount(
+            np.flatnonzero(ptr[:sink] == sink) // n,
+            minlength=sets * runs).reshape(sets, runs)
     return counts
 
 

@@ -57,18 +57,15 @@ def _admit(a: float, b: float, rand) -> bool:
 class FunctionOracle:
     """Marginals via direct evaluation of a set function.
 
-    evaluate(S) must accept a frozenset; with many=True it instead takes a
-    list of frozensets and returns their values in order, and gains asks
-    it for all four sets of a node in one call.  Each marginal costs two
-    evaluations, so a full double-greedy pass inspects 4 n sets; when the
-    evaluator is a sampler it draws fresh samples per inspection by
-    design.  shift is added to every marginal.
+    evaluate(sets) takes a list of frozensets and returns their values in
+    order; gains asks it for all four sets of a node in one call.  Each
+    marginal costs two evaluations, so a full double-greedy pass inspects
+    4 n sets; when the evaluator is a sampler it draws fresh samples per
+    inspection by design.  shift is added to every marginal.
     """
 
-    def __init__(self, evaluate, universe, shift: float = 0.0,
-                 many: bool = False):
+    def __init__(self, evaluate, universe, shift: float = 0.0):
         self.evaluate = evaluate
-        self.many = many
         self.x = set()
         self.y = set(universe)
         self.shift = shift
@@ -80,10 +77,7 @@ class FunctionOracle:
         sets = [frozenset(self.x | {v}), frozenset(self.x),
                 frozenset(self.y - {v}), frozenset(self.y)]
         self.inspections += 4
-        if self.many:
-            xv, x, yv, y = self.evaluate(sets)
-        else:
-            xv, x, yv, y = map(self.evaluate, sets)
+        xv, x, yv, y = self.evaluate(sets)
         return xv - x + self.shift, yv - y + self.shift
 
     def apply(self, v, included: bool):

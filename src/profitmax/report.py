@@ -40,15 +40,6 @@ class RunReport:
     def to_json(self, indent: int = 2) -> str:
         return strict_json(self.to_dict(), "report", indent)
 
-    @classmethod
-    def from_dict(cls, data: dict, strict: bool = True) -> "RunReport":
-        validate_report(data, strict=strict)
-        return cls(**{k: data[k] for k in _TOP_KEYS})
-
-    @classmethod
-    def from_json(cls, text: str, strict: bool = True) -> "RunReport":
-        return cls.from_dict(json.loads(text), strict=strict)
-
 
 def _check_keys(data: dict, required: set, where: str, strict: bool):
     missing = required - set(data)

@@ -23,7 +23,7 @@ members are grown on and returned, and stored, whole.
 
 import numpy as np
 
-from .diffusion import (SIM_STATE_BYTES, _expand, _lt_picks, _sorted_runs,
+from .diffusion import (SIM_STATE_BYTES, _expand, _lt_picks, _run_starts,
                         sample_count, stream_blocks)
 from .network import TCNetwork
 
@@ -101,7 +101,8 @@ def _grow(roots, n: int, parents):
     growing = np.sort(np.concatenate(levels))
     while frontier.size:
         sets, nodes = np.divmod(frontier, n)
-        found = _sorted_runs(parents(sets, nodes))[0]
+        found = np.sort(parents(sets, nodes))
+        found = found[_run_starts(found)]
         frontier = found[~_in_sorted(growing, found)]
         if not frontier.size:
             break

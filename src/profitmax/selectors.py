@@ -5,49 +5,28 @@ hyperparameters only, call fit(net) on a TCNetwork, then read the fitted
 attributes (trailing underscore).
 
 SELECTORS is the one registry of the six algorithms: the four of
-algorithms.ALGORITHMS and the two baselines of baselines.BASELINES.  A
-selector's parameters and their defaults are read from its algorithm, never
-restated here: an algorithm's are its own signature less net; a baseline's
-are the BaselineConfig fields it reads, with BaselineConfig's defaults, and
-its seed.  get_params / set_params work off that list, so selectors can be
-cloned, grid-searched or embedded in tooling that expects that protocol,
-and the CLI dispatches through the same registry.
+algorithms.ALGORITHMS and the two baselines of baselines.BASELINES.  All
+six take their parameters as keywords after net, so a selector's
+parameters and their defaults are its function's signature less net, never
+restated here.  get_params / set_params work off that list, so selectors
+can be cloned, grid-searched or embedded in tooling that expects that
+protocol, and the CLI dispatches through the same registry.
 """
 
-import dataclasses
 import inspect
 import time
 
 from .algorithms import ALGORITHMS
-from .baselines import BASELINES, BaselineConfig
+from .baselines import BASELINES
 from .diffusion import EVAL_SIMULATIONS, estimate_profit_simulation
 from .network import ParameterError, TCNetwork
 
 
-def _signature_defaults(fn, skip) -> dict:
-    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
-            if name not in skip}
-
-
-def _baseline(fn, fields):
-    """A baseline as (run, defaults): run(net, **params) packs the fields
-    into a BaselineConfig."""
-    config = {f.name: f.default for f in dataclasses.fields(BaselineConfig)}
-    defaults = {name: config[name] for name in fields}
-    defaults.update(_signature_defaults(fn, ("net", "cfg")))
-
-    def run(net, **params):
-        cfg = BaselineConfig(**{name: params.pop(name) for name in fields})
-        return fn(net, cfg, **params)
-
-    return run, defaults
-
-
 # name -> (run(net, **params), {parameter: default})
-_ENTRIES = {name: (fn, _signature_defaults(fn, ("net",)))
-            for name, fn in ALGORITHMS.items()}
-_ENTRIES.update((name, _baseline(fn, fields))
-                for name, (fn, fields) in BASELINES.items())
+_ENTRIES = {name: (fn, {param: p.default
+                        for param, p in inspect.signature(fn).parameters.items()
+                        if param != "net"})
+            for name, fn in {**ALGORITHMS, **BASELINES}.items()}
 
 
 class BaseSelector:

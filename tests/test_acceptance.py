@@ -23,7 +23,7 @@ from profitmax import (FunctionOracle, delta0, delta1, delta1_star, delta2,
                        pi_table, profit_table, ra_s, ra_t, realization_count,
                        rpm, sample_realization, replay_on_realization,
                        search_rat_params, simulate_once, solve_ras_params, spm,
-                       BaselineConfig, DiffusionParams, build_tc_network)
+                       DiffusionParams, build_tc_network)
 from profitmax.exact import mask_of
 
 from conftest import make_net, random_edge_text
@@ -124,7 +124,7 @@ def test_c04_double_greedy_half_ratio():
         opt = float(tab.max())
         values = []
         for trial in range(200):
-            oracle = FunctionOracle(lambda s: float(tab[mask_of(s)]),
+            oracle = FunctionOracle(lambda sets: [float(tab[mask_of(s)]) for s in sets],
                                     range(net.n))
             got = double_greedy(oracle, range(net.n),
                                 random.Random(1000 * i + trial))
@@ -175,8 +175,8 @@ def test_c05_noise_tolerant_half_ratio():
         assert lstar > 0 and opt >= lstar
         bound = eps * lstar / n
 
-        def noisy(s):
-            return h(s) + bound * _adversarial_sign(s)
+        def noisy(sets):
+            return [h(s) + bound * _adversarial_sign(s) for s in sets]
 
         values = []
         for trial in range(1000):
@@ -373,8 +373,7 @@ def test_c09_large_graph_smoke():
     rat_profit = estimate_profit_simulation(
         net, res.members, eval_sims, np.random.SeedSequence([9, 1])).mean_profit
 
-    cfg = BaselineConfig(trials=20, eval_simulations=300)
-    hd = high_degree(net, cfg, seed=9)
+    hd = high_degree(net, trials=20, eval_simulations=300, seed=9)
     hd_profit = estimate_profit_simulation(
         net, hd.members, eval_sims, np.random.SeedSequence([9, 1])).mean_profit
 

@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (ALGORITHMS, BaselineConfig, CoverageOracle, FunctionOracle,
+from profitmax import (ALGORITHMS, CoverageOracle, FunctionOracle,
                        MemoryBudgetError, ParameterError, algorithms, delta0,
                        delta1, delta2, double_greedy, estimate_profit_simulation,
-                       exact_profit, generate_collection, max_inf, node_order,
-                       ra_s, ra_t, replay_on_realization, rpm,
+                       exact_profit, generate_collection, high_degree, max_inf,
+                       node_order, ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, simulate_sets, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, stream_blocks
@@ -81,8 +81,7 @@ def _reference_spm(net, eps, l, seed, block=SIM_BLOCK):
             totals = [t + int(row.sum()) for t, row in zip(totals, rows)]
         return [net.price * (t / l) - net.coupon * len(s) for s, t in zip(sets, totals)]
 
-    oracle = FunctionOracle(evaluate, range(n), shift=2.0 * eps * net.full_profit() / n,
-                            many=True)
+    oracle = FunctionOracle(evaluate, range(n), shift=2.0 * eps * net.full_profit() / n)
     members = double_greedy(oracle, range(n), random.Random(
         int(coin_ss.generate_state(2, np.uint64)[0])))
     return members, {"simulations": sims, "realizations": 0, "ra_sets": 0}
@@ -389,10 +388,16 @@ SAMPLE_COUNT_ENTRIES = {
         (lambda net, c: estimate_profit_simulation(net, [0], c, 1), "l"),
     "generate_collection": (lambda net, c: generate_collection(net, c, 1), "l"),
     "node_order": (lambda net, c: node_order(net, c, 1), "probe_count"),
-    "trials": (lambda net, c: BaselineConfig(trials=c), "trials"),
-    "eval_simulations":
-        (lambda net, c: BaselineConfig(eval_simulations=c), "eval_simulations"),
-    "ra_samples": (lambda net, c: BaselineConfig(ra_samples=c), "ra_samples"),
+    "trials": (lambda net, c: high_degree(net, trials=c, eval_simulations=20, seed=1),
+               "trials"),
+    "eval_simulations": (lambda net, c: high_degree(net, trials=2, eval_simulations=c,
+                                                    seed=1), "eval_simulations"),
+    "ra_samples": (lambda net, c: max_inf(net, eval_simulations=20, ra_samples=c,
+                                          seed=1), "ra_samples"),
+    "sweep_points": (lambda net, c: max_inf(net, sweep_points=c, eval_simulations=20,
+                                            seed=1), "sweep_points"),
+    "fixed_size": (lambda net, c: max_inf(net, eval_simulations=20, fixed_size=c,
+                                          seed=1), "fixed_size"),
 }
 
 
@@ -411,8 +416,12 @@ class TestSampleCounts:
         call(two_node_net, 5.0)
 
     def test_integral_float_counts_as_its_int(self, two_node_net):
-        assert BaselineConfig(trials=5.0, ra_samples=7.0) == \
-            BaselineConfig(trials=5, ra_samples=7)
+        hd = high_degree(two_node_net, trials=5.0, eval_simulations=20, seed=1)
+        assert hd == high_degree(two_node_net, trials=5, eval_simulations=20, seed=1)
+        assert type(hd.params["trials"]) is int
+        mi = max_inf(two_node_net, eval_simulations=20, ra_samples=7.0, seed=1)
+        assert mi == max_inf(two_node_net, eval_simulations=20, ra_samples=7, seed=1)
+        assert type(mi.params["ra_samples"]) is int
         assert estimate_profit_simulation(two_node_net, [0], 5.0, 3) == \
             estimate_profit_simulation(two_node_net, [0], 5, 3)
         assert ra_t(two_node_net, max_ra=40.0, seed=2).members == \
@@ -442,8 +451,7 @@ PINNED_RUNS = {
     "ra-t": lambda net: ra_t(net, max_ra=20000, seed=3),
     "ra-s": lambda net: ra_s(net, k=3, seed=3),
     "rpm": lambda net: rpm(net, l_override=20, seed=3),
-    "maxinf": lambda net: max_inf(
-        net, BaselineConfig(sweep_points=5, eval_simulations=200), seed=3),
+    "maxinf": lambda net: max_inf(net, sweep_points=5, eval_simulations=200, seed=3),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitmax import BaselineConfig, ParameterError, high_degree, max_inf
+from profitmax import ParameterError, baselines, high_degree, max_inf
 from profitmax.baselines import _coverage_greedy_chain
 
 from conftest import collection_of, make_net
@@ -17,8 +17,7 @@ def star_net():
 class TestMaxInf:
     def test_sweep_targets_cover_size_grid(self):
         net = star_net()
-        cfg = BaselineConfig(sweep_points=50, eval_simulations=50)
-        res = max_inf(net, cfg, seed=1)
+        res = max_inf(net, sweep_points=50, eval_simulations=50, seed=1)
         swept = [size for size, _ in res.extras["sweep"]]
         want = sorted({min(net.n, math.ceil(net.n * i / 50))
                        for i in range(1, 51)})
@@ -28,16 +27,14 @@ class TestMaxInf:
         # from i = 50 on every target is n, so a huge count sweeps the
         # same sizes, and at once
         net = make_net("1 2\n2 3\n", ic_p=0.5)
-        want = max_inf(net, BaselineConfig(sweep_points=50, eval_simulations=30), seed=4)
-        got = max_inf(net, BaselineConfig(sweep_points=2 ** 40, eval_simulations=30),
-                      seed=4)
+        want = max_inf(net, sweep_points=50, eval_simulations=30, seed=4)
+        got = max_inf(net, sweep_points=2 ** 40, eval_simulations=30, seed=4)
         assert got.extras["sweep"] == want.extras["sweep"]
         assert (got.members, got.sample_counts) == (want.members, want.sample_counts)
 
     def test_fixed_size(self):
         net = star_net()
-        cfg = BaselineConfig(eval_simulations=50, fixed_size=1)
-        res = max_inf(net, cfg, seed=1)
+        res = max_inf(net, eval_simulations=50, fixed_size=1, seed=1)
         assert len(res.members) == 1
         # the hub reaches everyone: it is the coverage pick
         assert res.members == frozenset({net.graph.id_of(2)})
@@ -47,73 +44,72 @@ class TestMaxInf:
         # but the influence sweep still ranks purely by adopter count and
         # only the final simulated comparison keeps the grid point small
         net = make_net("1 2\n", ic_p=1.0, price=0.5, coupon=0.45)
-        cfg = BaselineConfig(eval_simulations=200)
-        res = max_inf(net, cfg, seed=2)
+        res = max_inf(net, eval_simulations=200, seed=2)
         assert res.produced_by == "maxinf"
         assert len(res.members) >= 1
 
     def test_simulation_budget_accounted(self):
         net = star_net()
-        cfg = BaselineConfig(eval_simulations=40)
-        res = max_inf(net, cfg, seed=3)
+        res = max_inf(net, eval_simulations=40, seed=3)
         targets = len(res.extras["sweep"])
         assert res.sample_counts["simulations"] == 40 * targets
         assert res.sample_counts["ra_sets"] > 0
 
     def test_deterministic(self):
         net = star_net()
-        cfg = BaselineConfig(eval_simulations=30)
-        a = max_inf(net, cfg, seed=9)
-        b = max_inf(net, cfg, seed=9)
+        a = max_inf(net, eval_simulations=30, seed=9)
+        b = max_inf(net, eval_simulations=30, seed=9)
         assert a.members == b.members
         assert a.sample_counts == b.sample_counts
 
     def test_ra_samples_override(self):
         net = star_net()
-        cfg = BaselineConfig(eval_simulations=30, ra_samples=123)
-        res = max_inf(net, cfg, seed=4)
+        res = max_inf(net, eval_simulations=30, ra_samples=123, seed=4)
         assert res.sample_counts["ra_sets"] == 123
 
 
 class TestHighDegree:
     def test_prefix_of_degree_ranking(self):
         net = star_net()
-        cfg = BaselineConfig(trials=20, eval_simulations=50)
-        res = high_degree(net, cfg, seed=5)
+        res = high_degree(net, trials=20, eval_simulations=50, seed=5)
         hub = net.graph.id_of(2)
         # any nonempty prefix of the ranking contains the hub
         assert hub in res.members
 
     def test_sizes_within_range(self):
         net = star_net()
-        cfg = BaselineConfig(trials=30, eval_simulations=20)
-        res = high_degree(net, cfg, seed=6)
+        res = high_degree(net, trials=30, eval_simulations=20, seed=6)
         assert 1 <= len(res.members) <= net.n
 
     def test_distinct_sizes_cached(self):
         # n = 2 admits only sizes {1, 2}: at most two evaluations happen
         net = make_net("1 2\n", ic_p=1.0)
-        cfg = BaselineConfig(trials=100, eval_simulations=25)
-        res = high_degree(net, cfg, seed=7)
+        res = high_degree(net, trials=100, eval_simulations=25, seed=7)
         assert res.sample_counts["simulations"] <= 2 * 25
 
     def test_deterministic(self):
         net = star_net()
-        cfg = BaselineConfig(trials=10, eval_simulations=20)
-        a = high_degree(net, cfg, seed=8)
-        b = high_degree(net, cfg, seed=8)
+        a = high_degree(net, trials=10, eval_simulations=20, seed=8)
+        b = high_degree(net, trials=10, eval_simulations=20, seed=8)
         assert a.members == b.members
         assert a.sample_counts == b.sample_counts
 
 
+# (baseline, parameter) for every count a baseline takes
+BASELINE_COUNTS = [(max_inf, "sweep_points"), (max_inf, "eval_simulations"),
+                   (max_inf, "fixed_size"), (max_inf, "ra_samples"),
+                   (high_degree, "trials"), (high_degree, "eval_simulations")]
+
+
 class TestConfig:
     def test_positive_counts_required(self):
+        net = star_net()
         with pytest.raises(ParameterError):
-            BaselineConfig(sweep_points=0)
+            max_inf(net, sweep_points=0)
         with pytest.raises(ParameterError):
-            BaselineConfig(trials=-1)
+            high_degree(net, trials=-1)
         with pytest.raises(ParameterError):
-            BaselineConfig(eval_simulations=0)
+            max_inf(net, eval_simulations=0)
 
     # sizes are checked as sample counts are: 2.5 used to reach max_inf as
     # a bare TypeError, and 1.5 was truncated to 1 but echoed as 1.5
@@ -121,13 +117,26 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["sweep_points", "fixed_size"])
     def test_sizes_must_be_integers(self, name, bad):
         with pytest.raises(ParameterError, match=f"^{name} must be a positive integer"):
-            BaselineConfig(**{name: bad})
+            max_inf(star_net(), **{name: bad})
+
+    @pytest.mark.parametrize("fn,name", BASELINE_COUNTS,
+                             ids=[f"{fn.__name__}-{name}" for fn, name in BASELINE_COUNTS])
+    def test_bad_count_refused_before_drawing(self, monkeypatch, fn, name):
+        drawn = []
+        for spied in ("generate_collection", "estimate_profit_simulation"):
+            monkeypatch.setattr(baselines, spied,
+                                lambda *args, _name=spied, **kw: drawn.append(_name))
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be a positive integer, got 0$"):
+            fn(star_net(), **{name: 0})
+        assert drawn == []
 
     def test_integral_float_sizes_are_used_and_echoed_as_ints(self):
-        cfg = BaselineConfig(sweep_points=5.0, eval_simulations=50, fixed_size=1.0)
-        assert cfg == BaselineConfig(sweep_points=5, eval_simulations=50, fixed_size=1)
-        res = max_inf(star_net(), cfg, seed=1)
+        res = max_inf(star_net(), sweep_points=5.0, eval_simulations=50,
+                      fixed_size=1.0, seed=1)
         assert len(res.members) == 1
+        assert res.params == max_inf(star_net(), sweep_points=5, eval_simulations=50,
+                                     fixed_size=1, seed=1).params
         assert type(res.params["fixed_size"]) is int
         assert type(res.params["sweep_points"]) is int
 

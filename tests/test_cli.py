@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from profitmax import (ALGORITHMS, SELECTORS, BaselineConfig, DiffusionParams,
+from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams,
                        build_tc_network, generate_intrinsics, ingest_edge_list,
                        ra_s, ra_t, validate_report)
 from profitmax import cli
@@ -659,7 +659,9 @@ class TestFlagDefaults:
 
     def test_evaluation_runs_named_once(self):
         args = build_parser().parse_args(["evaluate", "--graph", "g", "--seed-set", ""])
-        assert args.eval_sims == BaselineConfig().eval_simulations == \
+        assert args.eval_sims == \
+            SELECTORS["maxinf"]().get_params()["eval_simulations"] == \
+            SELECTORS["highdegree"]().get_params()["eval_simulations"] == \
             inspect.signature(SELECTORS["spm"].score).parameters["eval_sims"].default
 
 

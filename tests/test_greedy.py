@@ -18,8 +18,8 @@ from conftest import (collection_of, make_net, random_edge_text, random_small_ne
 
 
 def run_modular(weights, rng_seed=0, shift=0.0):
-    def f(s):
-        return sum(weights[v] for v in s)
+    def f(sets):
+        return [sum(weights[v] for v in s) for s in sets]
     oracle = FunctionOracle(f, range(len(weights)), shift=shift)
     return double_greedy(oracle, range(len(weights)), random.Random(rng_seed))
 
@@ -54,15 +54,16 @@ class TestTwoNodeTrace:
         # a/b gains make both steps deterministic whatever the coin does
         from profitmax import exact_profit
         for seed in range(10):
-            oracle = FunctionOracle(lambda s: exact_profit(two_node_net, s),
-                                    range(2))
+            oracle = FunctionOracle(
+                lambda sets: [exact_profit(two_node_net, s) for s in sets], range(2))
             got = double_greedy(oracle, range(2), random.Random(seed))
             assert got == frozenset({0})
 
     def test_inspection_count(self, two_node_net):
         # each node costs two marginals of two evaluations each
         from profitmax import exact_profit
-        oracle = FunctionOracle(lambda s: exact_profit(two_node_net, s), range(2))
+        oracle = FunctionOracle(
+            lambda sets: [exact_profit(two_node_net, s) for s in sets], range(2))
         double_greedy(oracle, range(2), random.Random(0))
         assert oracle.inspections == 8
 
@@ -75,7 +76,7 @@ class TestCoverageOracle:
             net = random_small_net(rng, n_max=7)
             coll = generate_collection(net, 200, trial)
             fast = CoverageOracle(coll, net.price, net.coupon)
-            slow = FunctionOracle(lambda s: estimate_F(coll, s, net),
+            slow = FunctionOracle(lambda sets: [estimate_F(coll, s, net) for s in sets],
                                   range(net.n))
             order = list(range(net.n))
             rng.shuffle(order)

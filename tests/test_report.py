@@ -15,9 +15,9 @@ def sample_report(net):
 class TestRoundTrip:
     def test_json_round_trip(self, two_node_net):
         rep = sample_report(two_node_net)
-        text = rep.to_json()
-        back = RunReport.from_json(text)
-        assert back == rep
+        data = json.loads(rep.to_json())
+        validate_report(data)
+        assert RunReport(**data) == rep
 
     def test_missing_sample_kinds_default_to_zero(self, two_node_net):
         rep = sample_report(two_node_net)

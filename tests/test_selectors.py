@@ -92,3 +92,22 @@ class TestRegistry:
     def test_six_selectors_registered(self):
         assert set(SELECTORS) == {"spm", "rpm", "ra-t", "ra-s", "maxinf",
                                   "highdegree"}
+
+    # every selector's parameters, in order, with their defaults: they are
+    # read from the algorithm signatures and must not move
+    @pytest.mark.parametrize("name,params", [
+        ("spm", {"eps": 0.4, "big_n": None, "l_override": None, "seed": 0,
+                 "workers": 1}),
+        ("rpm", {"eps": 0.4, "big_n": None, "l_override": None, "seed": 0,
+                 "workers": 1, "memory_budget_mb": 2048.0}),
+        ("ra-t", {"eps": 0.4, "big_n": None, "max_ra": None, "seed": 0,
+                  "workers": 1}),
+        ("ra-s", {"eps": 0.4, "big_n": None, "k": 5, "eps3": 0.1,
+                  "plateau_pct": 2.0, "seed": 0, "workers": 1}),
+        ("maxinf", {"sweep_points": 50, "eval_simulations": 10000,
+                    "fixed_size": None, "ra_samples": None, "seed": 0}),
+        ("highdegree", {"trials": 100, "eval_simulations": 10000, "seed": 0}),
+    ])
+    def test_params_and_defaults_are_pinned(self, name, params):
+        got = SELECTORS[name]().get_params()
+        assert list(got.items()) == list(params.items())
