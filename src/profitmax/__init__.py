@@ -20,8 +20,7 @@ from .bounds import (RASParams, Thresholds, delta0, delta1, delta1_star,
                      delta2, delta2_star, delta3, search_rat_params,
                      solve_ras_params, thresholds_at)
 from .diffusion import (ProfitEstimate, Realization, estimate_profit_simulation,
-                        replay_on_realization,
-                        sample_realization, sample_triggering_set,
+                        replay_on_realization, sample_realization,
                         simulate_block, simulate_once, simulate_sets)
 from .exact import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
                     pi_table, profit_table, realization_count)
@@ -57,6 +56,6 @@ __all__ = [
     "load_network_config", "max_inf", "node_order",
     "pi_table", "profit_table", "ra_s", "ra_t", "realization_count",
     "replay_on_realization", "rpm", "sample_realization",
-    "sample_triggering_set", "search_rat_params", "simulate_block", "simulate_once",
+    "search_rat_params", "simulate_block", "simulate_once",
     "simulate_sets", "solve_ras_params", "spm", "thresholds_at", "validate_report",
 ]

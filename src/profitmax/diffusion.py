@@ -1,6 +1,8 @@
 """Forward simulation of coupon-driven diffusion, plus realization sampling.
 
-Two interchangeable views of the same random process:
+Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
+KDD 2003) a cascade is reachability over one random draw of live in-edges.
+This module writes that law once for each way the program walks it:
 
 * simulate_sets runs a block of independent cascades from each of several
   seed sets together, all drawing from one generator, and reports how
@@ -12,9 +14,13 @@ Two interchangeable views of the same random process:
   their generator's stream, so a row is a draw of its own cascade law but
   not the draw a call for its seed set alone makes; a one-set call draws
   exactly what simulate_block draws.
-* sample_realization freezes the randomness into one triggering set per
-  node; replay_on_realization then resolves any seed set against that
-  frozen draw with a breadth-first search.
+* _live_in_edges draws whole realizations over the in-edge CSR, as rpm's
+  reverse-reachable sets use them.  sample_realization is one run of that
+  draw, frozen into a triggering set per node; replay_on_realization then
+  resolves any seed set against it with a breadth-first search.
+
+sampling.py walks the same law in reverse, drawing only the in-edges its
+traversals reach.
 
 Seeds always adopt: they hold coupons and pruning guarantees I_v >= P - C.
 A non-seed adopts only if a neighbor activates it and I_v >= P; nodes below
@@ -87,13 +93,9 @@ class Realization:
         return cls(triggering, tuple(tuple(a) for a in fwd))
 
 
-def _rng_from(seed_or_stream) -> random.Random:
-    """Accept an int seed, a SeedSequence or a ready random.Random."""
-    if isinstance(seed_or_stream, random.Random):
-        return seed_or_stream
-    if isinstance(seed_or_stream, np.random.SeedSequence):
-        return random.Random(int(seed_or_stream.generate_state(2, np.uint64)[0]))
-    return random.Random(seed_or_stream)
+def _rng_from(ss: np.random.SeedSequence) -> random.Random:
+    """A random.Random seeded from the SeedSequence ss."""
+    return random.Random(int(ss.generate_state(2, np.uint64)[0]))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -286,16 +288,54 @@ def _lt_picks(u, start, deg) -> np.ndarray:
     return pick
 
 
+def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
+    """Draw runs realizations over the in-edge CSR.  Under IC each in-edge
+    of an eligible node is live with that node's probability; under LT
+    each eligible node with in-neighbors keeps one, picked uniformly.
+
+    Returns (indptr, sources): the live in-edges of node v in realization
+    r come from sources[indptr[r * n + v]:indptr[r * n + v + 1]].
+    """
+    n = net.n
+    pickers = net.pickers()
+    if net.params.model == "lt":
+        nodes = pickers.nodes
+        keys = (np.arange(runs)[:, None] * n + nodes).reshape(-1)
+        pos = _lt_picks(gen.random((runs, nodes.size)), pickers.first,
+                        pickers.deg).reshape(-1)
+    else:
+        target = np.repeat(np.arange(n), pickers.in_deg)
+        edges = np.flatnonzero(net.eligible[target])
+        hit_runs, hit = np.nonzero(gen.random((runs, edges.size))
+                                   < net.prob_in[target[edges]])
+        pos = edges[hit]
+        keys = hit_runs * n + target[pos]
+    # keys come out ascending: run-major, then in CSR order
+    live_indptr = np.zeros(runs * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=runs * n), out=live_indptr[1:])
+    return live_indptr, net.graph.in_indices[pos]
+
+
+def _realizations(net: TCNetwork, live_indptr, sources) -> list:
+    """The Realization of each run of a draw laid out as _live_in_edges
+    returns it."""
+    n = net.n
+    bounds, sources = live_indptr.tolist(), sources.tolist()
+    return [Realization.from_triggering(
+        [sources[bounds[at]:bounds[at + 1]] for at in range(lo, lo + n)])
+        for lo in range(0, len(bounds) - 1, n)]
+
+
 def _lt_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
     """simulate_sets under LT for nonempty sets of distinct seeds.
 
     One LT run is fixed by one uniform in-neighbor pick per eligible node
     with in-neighbors: the node adopts iff it is a seed or its pick
     adopts.  A chunk of runs draws the picks of every set up front, one
-    uniform per set, run and such node, in one call, as
-    sampling._live_in_edges draws them for one set.  The picks then
-    resolve by pointer jumping: every seed points to one sink, other
-    nodes without a pick to themselves, and the others to their pick.
+    uniform per set, run and such node, in one call, as _live_in_edges
+    draws them for one set.  The picks then resolve by pointer jumping:
+    every seed points to one sink, other nodes without a pick to
+    themselves, and the others to their pick.
     The nodes whose chain of picks reaches the sink adopt; a chain that
     ends at a non-seed without a pick, or in a seed-free cycle, never
     does.
@@ -368,44 +408,11 @@ def estimate_profit_simulation(net: TCNetwork, seeds, l: int, rng_seed,
                           total / l, l, "simulation")
 
 
-def sample_triggering_set(net: TCNetwork, v: int, rng) -> tuple:
-    """Draw T_v for a single node.
-
-    Nodes priced out of organic adoption (I_v < P) draw from the empty
-    distribution.  IC includes each in-neighbor independently; LT selects
-    at most one, in-neighbor u with probability w_uv, none with the
-    remaining mass.
-    """
-    g = net.graph
-    parents = tuple(g.in_indices[g.in_indptr[v]:g.in_indptr[v + 1]].tolist())
-    if not net.eligible[v] or not parents:
-        return ()
-    p = float(net.prob_in[v])
-    d = len(parents)
-    if net.params.model == "lt":
-        # weights are equal (1/in-degree) and sum to exactly 1
-        return (parents[min(d - 1, int(rng.random() * d))],)
-    if p >= 1.0:
-        return parents
-    if p < 0.2:
-        # geometric gap skipping to avoid one uniform draw per edge
-        picked = []
-        j = 0
-        log1p = math.log(1.0 - p)
-        while True:
-            j += 1 + int(math.log(1.0 - rng.random()) / log1p)
-            if j > d:
-                break
-            picked.append(parents[j - 1])
-        return tuple(picked)
-    return tuple(u for u in parents if rng.random() < p)
-
-
 def sample_realization(net: TCNetwork, rng_seed) -> Realization:
-    """Draw triggering sets for every node at once."""
-    rng = _rng_from(rng_seed)
-    trig = [sample_triggering_set(net, v, rng) for v in range(net.n)]
-    return Realization.from_triggering(trig)
+    """One realization, the one-run _live_in_edges draw from rng_seed's
+    stream (a SeedSequence, a random.Random or a seed)."""
+    gen = np.random.default_rng(_seed_sequence(rng_seed))
+    return _realizations(net, *_live_in_edges(net, 1, gen))[0]
 
 
 def replay_on_realization(real: Realization, seeds) -> int:

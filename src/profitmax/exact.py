@@ -20,8 +20,13 @@ class OracleSizeError(ValueError):
 # hard limits for the streaming oracle and the full subset table
 MAX_LIVE_EDGES = 25
 MAX_LT_CHOICES = 10_000_000
-MAX_TABLE_REALIZATIONS = 1 << 16
 MAX_TABLE_NODES = 20
+# The table folds every realization into all 2^n subsets: it is refused
+# when 2^n times the realization count exceeds this.
+MAX_TABLE_WORK = 1 << 26
+# Bytes of the (2^n, chunk) uint32 reach scratch of one fold; the chunk
+# of realizations folded at once shrinks to fit.
+TABLE_SCRATCH_BYTES = 1 << 23
 
 try:
     _popcount_u32 = np.bitwise_count
@@ -165,18 +170,20 @@ def pi_table(net: TCNetwork, chunk: int = 2048) -> np.ndarray:
     """Exact pi for every seed subset, indexed by bitmask.
 
     Builds per-realization reach masks, then folds them over all 2^n
-    subsets with a lowest-bit recurrence, vectorized across a chunk of
-    realizations at a time to bound memory.
+    subsets with a lowest-bit recurrence, vectorized across a chunk of at
+    most chunk realizations at a time, fewer where TABLE_SCRATCH_BYTES
+    requires it.
     """
     n = net.n
     if n > MAX_TABLE_NODES:
         raise OracleSizeError(f"subset table limited to {MAX_TABLE_NODES} nodes, got {n}")
     count = realization_count(net)
-    if count > MAX_TABLE_REALIZATIONS:
-        raise OracleSizeError(
-            f"subset table limited to {MAX_TABLE_REALIZATIONS} realizations, "
-            f"instance has {count}")
     size = 1 << n
+    if size * count > MAX_TABLE_WORK:
+        raise OracleSizeError(
+            f"subset table limited to 2^n x realizations <= {MAX_TABLE_WORK}, "
+            f"instance has 2^{n} x {count}")
+    chunk = max(1, min(chunk, TABLE_SCRATCH_BYTES // (4 * size)))
     table = np.zeros(size, dtype=np.float64)
     probs_buf, reach_buf = [], []
 

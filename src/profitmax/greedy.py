@@ -130,7 +130,8 @@ class CoverageOracle:
     covers its one-member sets and the other sets containing v with zero
     X-members so far; removing v from Y uncovers its one-member sets and
     the other sets where v is the last Y-member.  shift is added to every
-    marginal; F itself is evaluated exactly given the collection.
+    marginal; F itself is evaluated exactly given the collection.  x holds
+    X; Y is kept only through count_y, since the pass ends with X = Y.
 
     greedy_pass runs the double-greedy pass over this oracle; batched says
     whether it plans conflict-free batches or steps through the nodes one
@@ -154,7 +155,6 @@ class CoverageOracle:
         shared = float(np.dot(sizes, sizes)) - coll.members.size  # 2 c
         self.batched = coll.n ** 2 >= SCALAR_BATCH ** 2 * shared
         self.x = set()
-        self.y = set(range(coll.n))
 
     def _sets_of(self, v):
         offsets, sets = self.coll.index()  # of the multi-member sets
@@ -179,7 +179,6 @@ class CoverageOracle:
             self.x.add(v)
             self.count_x[sets] += 1  # sets has no duplicates: one entry per set
         else:
-            self.y.discard(v)
             self.count_y[sets] -= 1
 
     def current_value(self) -> float:
@@ -273,7 +272,6 @@ class CoverageOracle:
             self.count_x[batch[taken]] += 1
             self.count_y[batch[~taken]] -= 1
             self.x.update(order[s:e][included].tolist())
-            self.y.difference_update(order[s:e][~included].tolist())
         return frozenset(self.x)
 
 

@@ -38,7 +38,8 @@ class RunReport:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        return strict_json(self.to_dict(), "report", indent)
+        # json.dumps only reads the fields: to_dict's deep copy is not needed
+        return strict_json(vars(self), "report", indent)
 
 
 def _check_keys(data: dict, required: set, where: str, strict: bool):
@@ -64,8 +65,12 @@ def _check_finite(value, where: str):
 def strict_json(data, where: str, indent: int = 2) -> str:
     """data as JSON with sorted keys, or a ReportError at the first nan or
     infinity.  Every JSON document of the CLI is written here."""
-    _check_finite(data, where)
-    return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False)
+    try:
+        return json.dumps(data, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # json names no path: walk the document for the value it refused
+        _check_finite(data, where)
+        raise
 
 
 def validate_report(data: dict, strict: bool = True):

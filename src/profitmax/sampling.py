@@ -10,9 +10,10 @@ on a collection of l RA sets is
     F(R_l, S) = P * n * (sum_i x(S, R_i)) / l - C * |S|
 
 rpm's sets come from the same level loop: sample_rr_block draws whole
-realizations and collects, for every node w of each, the nodes that reach
-w.  Over l realizations those l * n sets give F the value P times the mean
-adopter count of S across the realizations, less C * |S|.
+realizations with diffusion._live_in_edges, the draw sample_realization
+makes one run of, and collects, for every node w of each, the nodes that
+reach w.  Over l realizations those l * n sets give F the value P times
+the mean adopter count of S across the realizations, less C * |S|.
 
 A one-member set {v} meets S exactly when v is in S, so collections keep
 such sets, most RA sets on sparse networks, as a count per node.  The
@@ -23,8 +24,8 @@ members are grown on and returned, and stored, whole.
 
 import numpy as np
 
-from .diffusion import (SIM_STATE_BYTES, _expand, _lt_picks, _run_starts,
-                        sample_count, stream_blocks)
+from .diffusion import (SIM_STATE_BYTES, _expand, _live_in_edges, _lt_picks,
+                        _run_starts, sample_count, stream_blocks)
 from .network import TCNetwork
 
 # RA sets per random stream.  Every block of this many sets draws from its
@@ -148,34 +149,6 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
         return _ic_parents(gen, sets, start, deg, p, indices, n)
 
     return _grow(roots, n, parents)
-
-
-def _live_in_edges(net: TCNetwork, runs: int, gen: np.random.Generator):
-    """Draw runs realizations over the in-edge CSR.  Under IC each in-edge
-    of an eligible node is live with that node's probability; under LT
-    each eligible node with in-neighbors keeps one, picked uniformly.
-
-    Returns (indptr, sources): the live in-edges of node v in realization
-    r come from sources[indptr[r * n + v]:indptr[r * n + v + 1]].
-    """
-    n = net.n
-    pickers = net.pickers()
-    if net.params.model == "lt":
-        nodes = pickers.nodes
-        keys = (np.arange(runs)[:, None] * n + nodes).reshape(-1)
-        pos = _lt_picks(gen.random((runs, nodes.size)), pickers.first,
-                        pickers.deg).reshape(-1)
-    else:
-        target = np.repeat(np.arange(n), pickers.in_deg)
-        edges = np.flatnonzero(net.eligible[target])
-        hit_runs, hit = np.nonzero(gen.random((runs, edges.size))
-                                   < net.prob_in[target[edges]])
-        pos = edges[hit]
-        keys = hit_runs * n + target[pos]
-    # keys come out ascending: run-major, then in CSR order
-    live_indptr = np.zeros(runs * n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=runs * n), out=live_indptr[1:])
-    return live_indptr, net.graph.in_indices[pos]
 
 
 def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
@@ -336,9 +309,9 @@ class CollectionBuilder:
         return RACollection(self.net.n, self._single, offsets, members)
 
 
-def generate_collection(net: TCNetwork, l: int, rng_seed, workers: int = 1) -> RACollection:
+def generate_collection(net: TCNetwork, l: int, rng_seed) -> RACollection:
     """l RA sets, drawn by CollectionBuilder.extend, so the collection
-    depends on (rng_seed, l) alone.  workers is ignored."""
+    depends on (rng_seed, l) alone."""
     builder = CollectionBuilder(net)
     builder.extend(sample_count(l, "l"), rng_seed)
     return builder.snapshot()

@@ -68,19 +68,6 @@ def random_small_net(rng: random.Random, n_max: int = 7, model=None):
                     intrinsics=intr)
 
 
-def realizations_of(net, live_indptr, sources):
-    """The Realization objects of a live-edge draw laid out as
-    sampling._live_in_edges returns it."""
-    from profitmax import Realization
-
-    n = net.n
-    runs = (live_indptr.size - 1) // n
-    return [Realization.from_triggering(
-        [sources[live_indptr[r * n + v]:live_indptr[r * n + v + 1]].tolist()
-         for v in range(n)])
-        for r in range(runs)]
-
-
 def ra_block(net, count, seed):
     """sample_ra_block's count sets drawn from default_rng(seed), as
     (single, sizes, members): single counts the one-member sets per node,

@@ -12,10 +12,10 @@ from profitmax import (ALGORITHMS, CoverageOracle, FunctionOracle,
                        node_order, ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, simulate_sets, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
-from profitmax.diffusion import SIM_BLOCK, stream_blocks
+from profitmax.diffusion import SIM_BLOCK, _realizations, stream_blocks
 from profitmax.sampling import _live_in_edges, covered_sets, sample_rr_block
 
-from conftest import make_net, random_edge_text, realizations_of
+from conftest import make_net, random_edge_text
 
 
 def star_net():
@@ -260,7 +260,7 @@ class TestRPM:
         coll = _realization_collection(net, l, np.random.SeedSequence(8), 64.0)
         # the same draw: l < SIM_BLOCK realizations come from one child
         child, _ = next(stream_blocks(np.random.SeedSequence(8), l, SIM_BLOCK))
-        reals = realizations_of(net, *_live_in_edges(net, l, np.random.default_rng(child)))
+        reals = _realizations(net, *_live_in_edges(net, l, np.random.default_rng(child)))
 
         def f(s):
             reached = sum(replay_on_realization(real, s) for real in reals)

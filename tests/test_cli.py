@@ -428,6 +428,14 @@ class TestOracle:
         assert code == 1
         assert "seed-set" in err or "optimum" in err
 
+    def test_oversized_table_fails_cleanly(self, capsys, tmp_path):
+        # a 20-node ring at the default pricing: its table is refused
+        graph = tmp_path / "ring.txt"
+        graph.write_text("".join(f"{v} {v % 20 + 1}\n" for v in range(1, 21)))
+        code, out, err = run_cli(capsys, "oracle", "--graph", str(graph), "--optimum")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: subset table")
 
     def test_repeated_node_fails(self, capsys, graph_file, intr_file):
         code, out, err = run_cli(

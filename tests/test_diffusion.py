@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from profitmax import (ParameterError, Realization, diffusion,
                        estimate_profit_simulation, exact_pi,
                        replay_on_realization, sample_realization,
-                       sample_triggering_set, simulate_block, simulate_once,
-                       simulate_sets)
-from profitmax.diffusion import MAX_SAMPLES, SIM_BLOCK, stream_blocks
+                       simulate_block, simulate_once, simulate_sets)
+from profitmax.diffusion import (MAX_SAMPLES, SIM_BLOCK, _live_in_edges,
+                                 _realizations, stream_blocks)
 
 from conftest import make_net, random_edge_text
 
@@ -327,9 +328,6 @@ class TestLTPicks:
     def test_runs_replay_the_live_in_edges(self, monkeypatch):
         # a run's picks are _live_in_edges' draw of its realization, so
         # every run's count is that realization's replay
-        from profitmax.sampling import _live_in_edges
-        from conftest import realizations_of
-
         monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
         rng = random.Random(20261019)
         for _ in range(10):
@@ -339,47 +337,43 @@ class TestLTPicks:
                            model="lt", intrinsics=intrinsics)
             seeds = rng.sample(range(net.n), rng.randint(1, 3))
             count = rng.randint(1, 40)
-            reals = realizations_of(net, *_live_in_edges(
+            reals = _realizations(net, *_live_in_edges(
                 net, count, np.random.default_rng(n)))
             got = simulate_block(net, seeds, count, np.random.default_rng(n))
             assert got.tolist() == [replay_on_realization(real, seeds)
                                     for real in reals]
 
 
+def _live_sources(net, v, runs, seed):
+    """Node v's live in-edge sources in each of runs realizations, drawn
+    by one _live_in_edges call from default_rng(seed)."""
+    indptr, sources = _live_in_edges(net, runs, np.random.default_rng(seed))
+    at = np.arange(runs) * net.n + v
+    return [sources[a:b].tolist() for a, b in zip(indptr[at], indptr[at + 1])]
+
+
 class TestTriggeringSets:
     def test_ineligible_node_has_empty_distribution(self):
         net = make_net("1 2\n2 3\n", ic_p=1.0, intrinsics=[0.9, 0.3, 0.9])
-        rng = random.Random(0)
-        for _ in range(10):
-            assert sample_triggering_set(net, 1, rng) == ()
+        assert _live_sources(net, 1, 10, 0) == [[]] * 10
 
     def test_certain_edges_give_all_in_neighbors(self, two_node_net):
-        rng = random.Random(0)
-        assert sample_triggering_set(two_node_net, 1, rng) == (0,)
-        assert sample_triggering_set(two_node_net, 0, rng) == ()
+        assert _live_sources(two_node_net, 1, 10, 0) == [[0]] * 10
+        assert _live_sources(two_node_net, 0, 10, 0) == [[]] * 10
 
     def test_lt_picks_exactly_one_in_neighbor(self, lt_fork_net):
-        rng = random.Random(1)
         c = lt_fork_net.graph.id_of(3)
         g = lt_fork_net.graph
         parents = set(g.in_indices[g.in_indptr[c]:g.in_indptr[c + 1]].tolist())
-        seen = set()
-        for _ in range(200):
-            t = sample_triggering_set(lt_fork_net, c, rng)
-            assert len(t) == 1
-            assert t[0] in parents
-            seen.add(t[0])
-        assert seen == parents
+        picks = _live_sources(lt_fork_net, c, 200, 1)
+        assert all(len(t) == 1 and t[0] in parents for t in picks)
+        assert {t[0] for t in picks} == parents
 
     def test_lt_choice_is_uniform(self, lt_fork_net):
         from scipy import stats
-        rng = random.Random(2)
         c = lt_fork_net.graph.id_of(3)
         trials = 10_000
-        counts = {}
-        for _ in range(trials):
-            (u,) = sample_triggering_set(lt_fork_net, c, rng)
-            counts[u] = counts.get(u, 0) + 1
+        counts = Counter(u for (u,) in _live_sources(lt_fork_net, c, trials, 2))
         chi2 = sum((obs - trials / 2) ** 2 / (trials / 2)
                    for obs in counts.values())
         assert chi2 < stats.chi2.ppf(0.999, df=1)
@@ -387,29 +381,11 @@ class TestTriggeringSets:
     def test_ic_inclusion_marginal(self):
         # each in-edge of the fork tip toggles independently with prob p
         net = make_net("1 3\n2 3\n", ic_p=0.4)
-        rng = random.Random(3)
         c = net.graph.id_of(3)
         trials = 20_000
-        hits = sum(net.graph.id_of(1) in sample_triggering_set(net, c, rng)
-                   for _ in range(trials))
+        hits = sum(net.graph.id_of(1) in t for t in _live_sources(net, c, trials, 3))
         se = math.sqrt(0.4 * 0.6 / trials)
         assert hits / trials == pytest.approx(0.4, abs=4 * se)
-
-    def test_sparse_and_dense_samplers_agree_in_law(self):
-        # the geometric gap sampler must match per-edge Bernoulli sampling
-        from scipy import stats
-        edges = "\n".join(f"{u} 9" for u in range(1, 9))
-        sparse = make_net(edges + "\n", ic_p=0.15)   # below the 0.2 cutover
-        dense = make_net(edges + "\n", ic_p=0.35)
-        for net, p in ((sparse, 0.15), (dense, 0.35)):
-            rng = random.Random(4)
-            c = net.graph.id_of(9)
-            trials = 5000
-            sizes = [len(sample_triggering_set(net, c, rng))
-                     for _ in range(trials)]
-            mean = sum(sizes) / trials
-            se = math.sqrt(8 * p * (1 - p) / trials)
-            assert mean == pytest.approx(8 * p, abs=4 * se)
 
 
 class TestRealizations:
@@ -419,6 +395,22 @@ class TestRealizations:
         assert replay_on_realization(real, [0]) == 3
         assert replay_on_realization(real, [2]) == 1
         assert replay_on_realization(real, []) == 0
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_sample_is_one_run_of_the_live_in_edges(self, model):
+        # sample_realization freezes the draw rpm's realizations are made
+        # of; labels 2 and 4 are below the price
+        edges, _, intrinsics = KERNEL_CASES["cycles-below-price"]
+        net = make_net(edges, model=model, ic_p=0.5, intrinsics=intrinsics)
+        drawn = 0
+        for seed in range(20):
+            ss = np.random.SeedSequence(seed)
+            indptr, sources = _live_in_edges(net, 1, np.random.default_rng(ss))
+            want = tuple(tuple(sources[a:b].tolist())
+                         for a, b in zip(indptr[:-1], indptr[1:]))
+            assert sample_realization(net, ss).triggering == want
+            drawn += sources.size
+        assert drawn
 
     def test_sampled_realization_respects_model(self, two_node_net):
         real = sample_realization(two_node_net, 0)

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from profitmax import (OracleSizeError, best_seed_set, exact_pi, exact_profit,
-                       pi_table, profit_table, realization_count)
+from profitmax import (OracleSizeError, best_seed_set, exact, exact_pi,
+                       exact_profit, pi_table, profit_table, realization_count)
 from profitmax.exact import mask_of
 
 from conftest import make_net, random_small_net
@@ -73,6 +74,31 @@ class TestTables:
                 assert table[mask_of(seeds)] == pytest.approx(
                     exact_pi(net, seeds), abs=1e-9)
 
+    def test_scratch_bound_shrinks_the_fold(self, monkeypatch):
+        # with room for one realization per fold the table is the same
+        rng = random.Random(4321)
+        for _ in range(6):
+            net = random_small_net(rng, n_max=6)
+            want = pi_table(net)
+            with monkeypatch.context() as m:
+                m.setattr(exact, "TABLE_SCRATCH_BYTES", 4 << net.n)
+                got = pi_table(net)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_fold_scratch_is_bounded(self):
+        # a 12-node ring with 2^12 realizations: folded 2048 at a time,
+        # its scratch alone would be 32 MiB
+        ring = "".join(f"{v} {v % 12 + 1}\n" for v in range(1, 13))
+        net = make_net(ring, ic_p=0.5)
+        assert realization_count(net) == 1 << 12
+        tracemalloc.start()
+        try:
+            pi_table(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * exact.TABLE_SCRATCH_BYTES
+
     def test_profit_table_consistent(self, two_node_net):
         table = profit_table(two_node_net)
         assert table[0b01] == pytest.approx(0.75, abs=1e-12)
@@ -113,6 +139,15 @@ class TestRefusals:
         edges = "\n".join(f"{v} {v + 1}" for v in range(1, 22))
         net = make_net(edges + "\n", ic_p=0.5)
         with pytest.raises(OracleSizeError):
+            pi_table(net)
+
+    def test_table_work_bound(self):
+        # 20 nodes and 2^12 realizations are each within their limit, but
+        # the fold would need 2^20 x 2^12 steps: refused before allocating
+        ring = "".join(f"{v} {v % 20 + 1}\n" for v in range(1, 21))
+        net = make_net(ring, ic_p=0.5, intrinsics=[0.9] * 12 + [0.3] * 8)
+        assert realization_count(net) == 1 << 12
+        with pytest.raises(OracleSizeError, match="2\\^20 x 4096"):
             pi_table(net)
 
     def test_edges_into_ineligible_nodes_do_not_count(self):

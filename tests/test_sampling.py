@@ -11,13 +11,13 @@ from scipy import stats
 from profitmax import (RACollection, estimate_F, exact_pi, exact_profit,
                        generate_collection, ra_t)
 from profitmax import sampling
-from profitmax.diffusion import stream_blocks
+from profitmax.diffusion import _realizations, stream_blocks
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
                                 _live_in_edges, covered_sets, sample_ra_block,
                                 sample_rr_block)
 
 from conftest import (collection_of, make_net, ra_block, random_edge_text,
-                      random_small_net, rat_large_net, realizations_of, rr_passes)
+                      random_small_net, rat_large_net, rr_passes)
 
 
 def ra_sets(net, count, seed):
@@ -95,17 +95,6 @@ class TestCollection:
         assert np.array_equal(a.single, b.single)
         assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.offsets, b.offsets)
-
-    def test_collection_independent_of_worker_count(self, lt_fork_net):
-        # the stream is split into fixed RA_BLOCK-set blocks, not per worker
-        l = 2 * RA_BLOCK + 123
-        base = generate_collection(lt_fork_net, l, 5, workers=1)
-        assert len(base) == l
-        for workers in (2, 3):
-            other = generate_collection(lt_fork_net, l, 5, workers=workers)
-            assert np.array_equal(base.single, other.single)
-            assert np.array_equal(base.offsets, other.offsets)
-            assert np.array_equal(base.members, other.members)
 
     def test_ra_t_independent_of_worker_count(self):
         net = make_net("1 2\n2 3\n3 4\n1 4\n4 5\n2 5\n", ic_p=0.4)
@@ -314,7 +303,7 @@ class TestRRKernel:
         l, n = 40, net.n
         single, sizes, members = rr_sets(net, l, 9)
         assert_well_formed(n, l * n, single, sizes, members)
-        reals = realizations_of(net, *_live_in_edges(net, l, np.random.default_rng(9)))
+        reals = _realizations(net, *_live_in_edges(net, l, np.random.default_rng(9)))
         # RR_r(w) for every r and w in turn: {w} is counted at w, the
         # larger sets are stored in that order
         want_single, want = np.zeros(n, dtype=np.int64), []
