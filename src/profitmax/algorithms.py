@@ -4,8 +4,9 @@ All four run the same double-greedy skeleton and differ in how the profit
 oracle is realized:
 
 * spm: every marginal is estimated by fresh batches of forward
-  simulations, the four sets of a node in one kernel call per block of
-  runs, all drawn from one generator.
+  simulations: X + v and Y - v of a node in one kernel call per block of
+  runs (X and Y too at the first node), all drawn from one generator,
+  while the estimates of X and Y are carried from node to node.
 * rpm: a collection of realizations is drawn once; on it the estimator
   is a coverage function over every node's reverse-reachable set in every
   realization, which backs the same exact incremental oracle as ra_t.
@@ -17,8 +18,9 @@ oracle is realized:
 Every entry point takes the network, its own parameters and an integer
 seed, and its result depends on the seed alone.  RA sets, realizations
 and ra_s's check runs are drawn in fixed-size blocks with one
-SeedSequence child each; spm draws every inspection from one generator
-seeded once per selection.  Each also takes workers, which it ignores.
+SeedSequence child each; spm draws every inspected set from one
+generator seeded once per selection.  Each also takes workers, which it
+ignores.
 
 bounds alone range-checks eps and N: every algorithm evaluates one of its
 thresholds before it draws a sample, spm and rpm even with l_override.
@@ -78,15 +80,35 @@ def _forward_setup(net: TCNetwork, eps, big_n, l_override):
 
 def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
         seed: int = 0, workers: int = 1) -> SelectionResult:
-    """Forward-sampling selection: every inspection draws its own batch of
-    l simulations.  The four inspections of a node are one simulate_sets
-    call per block of SIM_BLOCK runs, and every call draws from one
-    generator, seeded once from the selection's evaluation stream."""
+    """Forward-sampling selection: every set the oracle inspects gets its
+    own batch of l simulations.
+
+    FunctionOracle carries h(X) and h(Y): it inspects X + v, X, Y - v and
+    Y at the first node and X + v and Y - v at every later one, each
+    node's sets in one simulate_sets call per block of SIM_BLOCK runs.
+    Every call draws from one generator, seeded once from the selection's
+    evaluation stream, and an empty set draws nothing, so at most
+    (2 n + 1) l runs are drawn, and sample_counts counts them.
+
+    The guarantee is kept.  delta0's log(8 n N) pays for two Hoeffding
+    tails over 4 n estimates, one per inspection of the four-set pass.
+    Each estimate here is the mean of l runs of a set fixed before its
+    runs are drawn; a carried h(X) or h(Y) is the estimate of X + v or
+    Y - v made at the node that last changed that side, or of X or Y at
+    the first node.  So each marginal is still the difference of two
+    independent l-run estimates, and the union bound runs over at most
+    2 n + 1 estimates drawn, fewer than the 4 n it pays for: with
+    probability at least 1 - 1 / N every one is within eps L* / n, which
+    the 2 eps L* / n shift compensates.
+    """
     big_n, l, shift = _forward_setup(net, eps, big_n, l_override)
     coin_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
     gen = np.random.default_rng(eval_ss)
+    runs = 0
 
     def evaluate(sets):
+        nonlocal runs
+        runs += l * sum(1 for s in sets if s)
         totals = sum(simulate_sets(net, sets, min(SIM_BLOCK, l - lo), gen).sum(axis=1)
                      for lo in range(0, l, SIM_BLOCK))
         return [net.price * (t / l) - net.coupon * len(s)
@@ -96,8 +118,7 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
     members = double_greedy(oracle, range(net.n), _rng_from(coin_ss))
     return SelectionResult(
         members=members, produced_by=SPM,
-        sample_counts={"simulations": oracle.inspections * l,
-                       "realizations": 0, "ra_sets": 0},
+        sample_counts={"simulations": runs, "realizations": 0, "ra_sets": 0},
         l=l,
         params={"eps": eps, "big_n": big_n, "l_override": l_override,
                 "seed": seed})

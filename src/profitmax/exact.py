@@ -170,9 +170,12 @@ def pi_table(net: TCNetwork, chunk: int = 2048) -> np.ndarray:
     """Exact pi for every seed subset, indexed by bitmask.
 
     Builds per-realization reach masks, then folds them over all 2^n
-    subsets with a lowest-bit recurrence, vectorized across a chunk of at
-    most chunk realizations at a time, fewer where TABLE_SCRATCH_BYTES
-    requires it.
+    subsets, a chunk of at most chunk realizations at a time, fewer where
+    TABLE_SCRATCH_BYTES requires it.  A fold builds the union of reach
+    masks of every subset by doubling over the n bits, the subsets with
+    top bit b being those below 2^b joined with reach mask b.  It then
+    adds each subset's probability-weighted reach counts, summed pairwise,
+    in row blocks whose float scratch is an eighth of TABLE_SCRATCH_BYTES.
     """
     n = net.n
     if n > MAX_TABLE_NODES:
@@ -194,11 +197,13 @@ def pi_table(net: TCNetwork, chunk: int = 2048) -> np.ndarray:
         probs = np.array(probs_buf, dtype=np.float64)
         reach = np.array(reach_buf, dtype=np.uint32).T.copy()  # (n, k)
         u = np.zeros((size, k), dtype=np.uint32)
-        for mask in range(1, size):
-            low = mask & -mask
-            u[mask] = u[mask ^ low] | reach[low.bit_length() - 1]
-            table[mask] += float(np.dot(
-                _popcount_u32(u[mask]).astype(np.float64), probs))
+        for b in range(n):
+            np.bitwise_or(u[:1 << b], reach[b], out=u[1 << b:2 << b])
+        rows = max(1, TABLE_SCRATCH_BYTES // (64 * k))
+        for lo in range(0, size, rows):
+            weighted = _popcount_u32(u[lo:lo + rows]).astype(np.float64)
+            weighted *= probs
+            table[lo:lo + rows] += weighted.sum(axis=1)  # pairwise sums
         probs_buf.clear()
         reach_buf.clear()
 

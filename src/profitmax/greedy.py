@@ -11,12 +11,12 @@ Schwartz, FOCS 2012).  Estimated oracles add a fixed shift of
 2 eps L* / n to each marginal, which compensates estimation error up to
 eps L* / n per evaluation.
 
-Two oracle flavors live here: a generic one that evaluates four sets per
-node with an arbitrary set-function evaluator, one set per call or, as
-spm's simulations do, all four in one call, and an incremental one
-over a collection of node sets that answers marginals from per-set
-coverage counters (ra-t and ra-s over RA sets, rpm over its realizations'
-reverse-reachable sets).
+Two oracle flavors live here: a generic one that evaluates sets with an
+arbitrary set-function evaluator, X + v and Y - v of a node in one call
+(X and Y too at the first node), and carries h(X) and h(Y) from node to
+node; and an incremental one over a collection of node sets that answers
+marginals from per-set coverage counters (ra-t and ra-s over RA sets,
+rpm over its realizations' reverse-reachable sets).
 
 The coverage oracle reads a collection's one-member sets as the count
 per node it keeps them in.  A set {v} is read and written by v alone, and
@@ -58,10 +58,14 @@ class FunctionOracle:
     """Marginals via direct evaluation of a set function.
 
     evaluate(sets) takes a list of frozensets and returns their values in
-    order; gains asks it for all four sets of a node in one call.  Each
-    marginal costs two evaluations, so a full double-greedy pass inspects
-    4 n sets; when the evaluator is a sampler it draws fresh samples per
-    inspection by design.  shift is added to every marginal.
+    order.  The oracle carries its values of X and Y from node to node:
+    the first gains evaluates [X + v, X, Y - v, Y] in one call, every later
+    one only [X + v, Y - v], and apply keeps the value of the side that
+    changed.  So a full double-greedy pass inspects 2 n + 2 sets, and with
+    a deterministic evaluator it picks what evaluating all four sets at
+    every node picks.  When the evaluator is a sampler, every set it is
+    asked for gets a fresh estimate, and each one is reused as h(X) or
+    h(Y) until that side changes.  shift is added to every marginal.
     """
 
     def __init__(self, evaluate, universe, shift: float = 0.0):
@@ -70,21 +74,38 @@ class FunctionOracle:
         self.y = set(universe)
         self.shift = shift
         self.inspections = 0
+        self.values = None  # (h(X), h(Y)), once evaluated
+        self._asked = None  # (v, h(X + v), h(Y - v)) of the last gains
 
     def gains(self, v):
-        """(h(X + v) - h(X), h(Y - v) - h(Y)), each plus shift, from the
-        four sets evaluated in that order."""
-        sets = [frozenset(self.x | {v}), frozenset(self.x),
-                frozenset(self.y - {v}), frozenset(self.y)]
-        self.inspections += 4
-        xv, x, yv, y = self.evaluate(sets)
+        """(h(X + v) - h(X), h(Y - v) - h(Y)), each plus shift."""
+        add, drop = frozenset(self.x | {v}), frozenset(self.y - {v})
+        if self.values is None:
+            xv, x, yv, y = self.evaluate([add, frozenset(self.x), drop,
+                                          frozenset(self.y)])
+            self.values = x, y
+            self.inspections += 4
+        else:
+            xv, yv = self.evaluate([add, drop])
+            x, y = self.values
+            self.inspections += 2
+        self._asked = v, xv, yv
         return xv - x + self.shift, yv - y + self.shift
 
     def apply(self, v, included: bool):
+        """Decide v.  The changed side takes the value gains(v) evaluated
+        for it; without one, both values are evaluated afresh next."""
         if included:
             self.x.add(v)
         else:
             self.y.discard(v)
+        asked, self._asked = self._asked, None
+        if asked is None or asked[0] != v:
+            self.values = None
+        elif included:
+            self.values = asked[1], self.values[1]
+        else:
+            self.values = self.values[0], asked[2]
 
 
 def _latest_conflicts(coll: RACollection) -> np.ndarray:

@@ -76,7 +76,8 @@ class BaseSelector:
 
 
 class SimulationSelector(BaseSelector):
-    """Double greedy whose oracle simulates the cascade afresh per query."""
+    """Double greedy whose oracle simulates the cascade afresh for X + v
+    and Y - v of every node, carrying its estimates of X and Y."""
     algorithm = "spm"
 
 

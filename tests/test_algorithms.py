@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from profitmax import (ALGORITHMS, CoverageOracle, FunctionOracle,
-                       MemoryBudgetError, ParameterError, algorithms, delta0,
-                       delta1, delta2, double_greedy, estimate_profit_simulation,
-                       exact_profit, generate_collection, high_degree, max_inf,
-                       node_order, ra_s, ra_t, replay_on_realization, rpm,
+from profitmax import (ALGORITHMS, CoverageOracle, MemoryBudgetError,
+                       ParameterError, algorithms, delta0, delta1, delta2,
+                       estimate_profit_simulation, exact_profit,
+                       generate_collection, high_degree, max_inf, node_order,
+                       ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, simulate_sets, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
 from profitmax.diffusion import SIM_BLOCK, _realizations, stream_blocks
@@ -65,26 +65,40 @@ class TestDeterminism:
 
 def _reference_spm(net, eps, l, seed, block=SIM_BLOCK):
     """spm written out: one generator seeded from the evaluation stream
-    feeds every inspection, and the four sets of a node share one
-    simulate_sets call per block runs: (members, sample_counts)."""
+    draws every inspected set, h(X) and h(Y) are carried from node to
+    node, and a node's sets (X + v, X, Y - v, Y at the first node, X + v
+    and Y - v at the others) share one simulate_sets call per block
+    runs.  An empty set draws no runs.  Returns (members, sample_counts)."""
     n = net.n
     coin_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
     gen = np.random.default_rng(eval_ss)
+    rand = random.Random(int(coin_ss.generate_state(2, np.uint64)[0])).random
+    shift = 2.0 * eps * net.full_profit() / n
     sims = 0
 
     def evaluate(sets):
         nonlocal sims
-        sims += len(sets) * l
+        sims += l * len([s for s in sets if s])
         totals = [0] * len(sets)
         for lo in range(0, l, block):
             rows = simulate_sets(net, sets, min(block, l - lo), gen)
             totals = [t + int(row.sum()) for t, row in zip(totals, rows)]
         return [net.price * (t / l) - net.coupon * len(s) for s, t in zip(sets, totals)]
 
-    oracle = FunctionOracle(evaluate, range(n), shift=2.0 * eps * net.full_profit() / n)
-    members = double_greedy(oracle, range(n), random.Random(
-        int(coin_ss.generate_state(2, np.uint64)[0])))
-    return members, {"simulations": sims, "realizations": 0, "ra_sets": 0}
+    x, y = frozenset(), frozenset(range(n))
+    hx = hy = None
+    for v in range(n):
+        if hx is None:
+            h_add, hx, h_drop, hy = evaluate([x | {v}, x, y - {v}, y])
+        else:
+            h_add, h_drop = evaluate([x | {v}, y - {v}])
+        a = max(h_add - hx + shift, 0.0)
+        b = max(h_drop - hy + shift, 0.0)
+        if a + b == 0.0 or rand() < a / (a + b):
+            x, hx = x | {v}, h_add
+        else:
+            y, hy = y - {v}, h_drop
+    return x, {"simulations": sims, "realizations": 0, "ra_sets": 0}
 
 
 class TestSPM:
@@ -103,7 +117,10 @@ class TestSPM:
                 members, counts = _reference_spm(net, 0.4, l, seed)
                 assert got.members == members
                 assert got.sample_counts == counts
-                assert counts["simulations"] == 4 * net.n * l
+                # three nonempty sets at the first node and two at each
+                # other, less Y - v at the last one when it is empty
+                assert counts["simulations"] in (2 * net.n * l,
+                                                 (2 * net.n + 1) * l)
 
     def test_matches_reference_across_blocks(self, monkeypatch):
         # l = 40 in blocks of 16 runs: spm adds up the per-block sums
@@ -116,10 +133,11 @@ class TestSPM:
                 net, 0.4, 40, seed, block=16)
 
     @pytest.mark.parametrize("model,members", [
-        ("ic-cp", {1, 2, 3, 4, 7, 8, 10, 12}), ("ic-wc", {1, 2, 3, 5, 8, 10, 13}),
-        ("lt", {1, 2, 3, 4, 10, 12, 13})])
+        ("ic-cp", {1, 2, 4, 9}), ("ic-wc", {1, 2, 3, 4, 7, 9, 10, 11}),
+        ("lt", {1, 3, 4, 8, 10})])
     def test_members_are_pinned(self, model, members):
-        # spm's selections since every inspection draws from one generator
+        # spm's selections since the oracle carries h(X) and h(Y): two sets
+        # drawn per node after the first
         rng = random.Random(20261018)
         intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
         net = make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
@@ -139,19 +157,22 @@ class TestSPM:
 
         monkeypatch.setattr(algorithms, "simulate_sets", counting)
         spm(net, eps=0.4, l_override=l, seed=2)
-        assert calls == [4] * (net.n * blocks)
+        assert calls == [4] * blocks + [2] * ((net.n - 1) * blocks)
 
     def test_default_sample_count_follows_threshold(self, two_node_net):
         res = spm(two_node_net, eps=0.4, seed=1)
         l = math.ceil(delta0(2, 2.0, 0.4, 0.5))
         assert res.l == l
-        # four evaluations per node, two nodes
-        assert res.sample_counts["simulations"] == 8 * l
+        # (2 n + 1) l: X + v, Y - v and Y at node 0 (X is empty and draws
+        # nothing); node 0 is taken, then X + v and Y - v at node 1
+        assert res.members == frozenset({0})
+        assert res.sample_counts["simulations"] == 5 * l
 
     def test_l_override(self, two_node_net):
         res = spm(two_node_net, eps=0.4, l_override=50, seed=1)
         assert res.l == 50
-        assert res.sample_counts["simulations"] == 8 * 50
+        assert res.members == frozenset({0})
+        assert res.sample_counts["simulations"] == 5 * 50
 
     def test_eps_range(self, two_node_net):
         with pytest.raises(ParameterError):

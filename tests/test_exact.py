@@ -74,6 +74,23 @@ class TestTables:
                 assert table[mask_of(seeds)] == pytest.approx(
                     exact_pi(net, seeds), abs=1e-9)
 
+    def test_matches_the_lowest_bit_fold(self):
+        # the union of reach masks of every subset, built mask by mask
+        # from the subset without its lowest bit, weighted one
+        # realization at a time
+        rng = random.Random(2024)
+        for _ in range(8):
+            net = random_small_net(rng, n_max=8)
+            want = np.zeros(1 << net.n)
+            for prob, live_out in exact.iter_realizations(net):
+                reach = exact._reach_masks(live_out, net.n)
+                union = [0] * (1 << net.n)
+                for mask in range(1, 1 << net.n):
+                    low = mask & -mask
+                    union[mask] = union[mask ^ low] | reach[low.bit_length() - 1]
+                    want[mask] += prob * bin(union[mask]).count("1")
+            assert np.allclose(pi_table(net), want, rtol=0.0, atol=1e-12)
+
     def test_scratch_bound_shrinks_the_fold(self, monkeypatch):
         # with room for one realization per fold the table is the same
         rng = random.Random(4321)

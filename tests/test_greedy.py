@@ -60,12 +60,71 @@ class TestTwoNodeTrace:
             assert got == frozenset({0})
 
     def test_inspection_count(self, two_node_net):
-        # each node costs two marginals of two evaluations each
+        # X + v, X, Y - v and Y at the first node, then X + v and Y - v:
+        # h(X) and h(Y) are carried
         from profitmax import exact_profit
-        oracle = FunctionOracle(
-            lambda sets: [exact_profit(two_node_net, s) for s in sets], range(2))
+        asked = []
+
+        def evaluate(sets):
+            asked.append(len(sets))
+            return [exact_profit(two_node_net, s) for s in sets]
+
+        oracle = FunctionOracle(evaluate, range(2))
         double_greedy(oracle, range(2), random.Random(0))
-        assert oracle.inspections == 8
+        assert oracle.inspections == 6
+        assert asked == [4, 2]
+
+
+def four_evaluation_pass(h, order, shift, rand):
+    """Double greedy evaluating h at X + v, X, Y - v and Y at every node."""
+    x, y = set(), set(order)
+    for v in order:
+        a = h(x | {v}) - h(x) + shift
+        b = h(y - {v}) - h(y) + shift
+        a, b = max(a, 0.0), max(b, 0.0)
+        if a + b == 0.0 or rand() < a / (a + b):
+            x.add(v)
+        else:
+            y.discard(v)
+    return frozenset(x)
+
+
+class TestCarriedValues:
+    @given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2 ** 32),
+           shift=st.sampled_from([0.0, 0.25]))
+    @settings(max_examples=200, deadline=None)
+    def test_picks_what_four_evaluations_pick(self, n, data, seed, shift):
+        # any deterministic table, not only a submodular one: carrying
+        # h(X) and h(Y) must not change a single pick or coin
+        values = data.draw(st.lists(
+            st.floats(-4, 4, allow_nan=False) | st.integers(-3, 3).map(float),
+            min_size=1 << n, max_size=1 << n))
+        order = data.draw(st.permutations(range(n)))
+
+        def h(s):
+            return values[sum(1 << v for v in s)]
+
+        oracle = FunctionOracle(lambda sets: [h(s) for s in sets], range(n),
+                                shift=shift)
+        got = double_greedy(oracle, order, random.Random(seed))
+        assert got == four_evaluation_pass(h, order, shift,
+                                           random.Random(seed).random)
+        assert oracle.inspections == 2 * n + 2
+
+    def test_apply_without_gains_evaluates_afresh(self):
+        # a decision the oracle did not evaluate leaves no carried value
+        asked = []
+
+        def evaluate(sets):
+            asked.append(sets)
+            return [float(len(s)) for s in sets]
+
+        oracle = FunctionOracle(evaluate, range(3))
+        oracle.gains(0)
+        oracle.apply(1, True)
+        assert oracle.gains(2) == (1.0, -1.0)
+        assert asked[-1] == [frozenset({1, 2}), frozenset({1}),
+                             frozenset({0, 1}), frozenset({0, 1, 2})]
 
 
 class TestCoverageOracle:
