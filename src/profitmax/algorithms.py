@@ -124,10 +124,11 @@ def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,
                 "seed": seed})
 
 
-# Bytes an RR set would take stored whole (a root and offset, the oracle's
-# two counters) and per member (the member and its index entry): an upper
-# bound, as one-member sets are kept as a count per node instead.
-_SET_BYTES = 4 + 8 + 4 + 4
+# Bytes a stored RR set takes: its int32 size while the collection is
+# built, its int64 offset and weight, the int64 size CoverageOracle derives
+# from the offsets and the oracle's two int32 counters; and per member,
+# the member and its index entry.  One-member sets are a count per node.
+_SET_BYTES = 4 + 8 + 8 + 8 + 4 + 4
 _MEMBER_BYTES = 4 + 4
 
 
@@ -135,31 +136,22 @@ def _realization_collection(net: TCNetwork, l: int, ss, budget_mb: float):
     """The l * n reverse-reachable sets of l realizations, SIM_BLOCK
     realizations per SeedSequence child of ss, as one RACollection.
 
-    Every set holds at least its root, so the floor of l * n one-member
-    sets is checked against budget_mb before drawing; sets can hold up to
-    n members, so the growing total is checked after every pass.
+    What is stored, the sets of two or more members with their weights,
+    is charged against budget_mb after every pass of sample_rr_block.
     """
     budget = budget_mb * (1 << 20)
-    sets = l * net.n
-    entries = 0
-
-    def check(when):
-        projected = sets * _SET_BYTES + (sets + entries) * _MEMBER_BYTES
-        if projected > budget:
-            raise MemoryBudgetError(
-                f"{l} realizations {when} ~{projected / (1 << 20):.1f} MiB of "
-                f"reverse-reachable sets, over the {budget_mb:g} MiB budget; "
-                "lower l or raise the budget")
-
-    check("project at least")
+    held = 0
     builder = CollectionBuilder(net)
     for child, size in stream_blocks(ss, l, SIM_BLOCK):
-        for single, sizes, members in sample_rr_block(
-                net, size, np.random.default_rng(child)):
-            # every set counted in the floor already holds one member
-            entries += members.size - sizes.size
-            check("hold at least")
-            builder.add(single, sizes, members)
+        for block in sample_rr_block(net, size, np.random.default_rng(child)):
+            _, sizes, members, _ = block
+            held += sizes.size * _SET_BYTES + members.size * _MEMBER_BYTES
+            if held > budget:
+                raise MemoryBudgetError(
+                    f"{l} realizations hold at least ~{held / (1 << 20):.2f} MiB "
+                    f"of reverse-reachable sets, over the {budget_mb:g} MiB "
+                    "budget; lower l or raise the budget")
+            builder.add(*block)
     return builder.snapshot()
 
 

@@ -39,8 +39,10 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
         fresh = idx[~covered[idx]]
         covered[fresh] = True
         start = coll.offsets[fresh]
-        members = coll.members[_expand(start, coll.offsets[fresh + 1] - start)[0]]
-        np.subtract.at(gains, members, 1)  # each member loses its fresh sets
+        sizes = coll.offsets[fresh + 1] - start
+        members = coll.members[_expand(start, sizes)[0]]
+        # each member loses its fresh sets, each counted with its weight
+        np.subtract.at(gains, members, np.repeat(coll.weights[fresh], sizes))
         gains[v] = -1  # node consumed
     return chain
 

@@ -27,6 +27,10 @@ MAX_TABLE_WORK = 1 << 26
 # Bytes of the (2^n, chunk) uint32 reach scratch of one fold; the chunk
 # of realizations folded at once shrinks to fit.
 TABLE_SCRATCH_BYTES = 1 << 23
+# Entries this many ulps of a profit table's largest magnitude apart tie
+# in best_seed_set: subsets of equal profit, such as the rotations of a
+# seed set on a cycle, were seen up to 6 ulps apart after the fold.
+TIE_ULPS = 8
 
 try:
     _popcount_u32 = np.bitwise_count
@@ -227,11 +231,15 @@ def best_seed_set(net: TCNetwork, table: np.ndarray = None):
     """Optimal seed set by exhaustive search.
 
     Ties resolve to the numerically smallest bitmask so results are
-    reproducible.  Returns (frozenset of node ids, optimal profit).
+    reproducible.  The table's sums round, so subsets of equal profit can
+    differ in their last bits: every entry within TIE_ULPS ulps of the
+    maximum, an ulp taken at the table's largest magnitude, ties with it.
+    Returns (frozenset of node ids, optimal profit).
     """
     if table is None:
         table = profit_table(net)
-    mask = int(np.argmax(table))
+    slack = TIE_ULPS * np.spacing(np.abs(table).max())
+    mask = int(np.flatnonzero(table >= table.max() - slack)[0])
     members = frozenset(v for v in range(net.n) if mask >> v & 1)
     return members, float(table[mask])
 

@@ -16,7 +16,10 @@ arbitrary set-function evaluator, X + v and Y - v of a node in one call
 (X and Y too at the first node), and carries h(X) and h(Y) from node to
 node; and an incremental one over a collection of node sets that answers
 marginals from per-set coverage counters (ra-t and ra-s over RA sets,
-rpm over its realizations' reverse-reachable sets).
+rpm over its realizations' reverse-reachable sets).  A stored set stands
+for as many drawn sets as its weight, one for every RA set, so the
+oracle sums weights wherever it counts sets: integer sums, the same as
+counting every copy.
 
 The coverage oracle reads a collection's one-member sets as the count
 per node it keeps them in.  A set {v} is read and written by v alone, and
@@ -146,13 +149,16 @@ class CoverageOracle:
     realizations' mean adopter count times P, less C * |S|.
 
     single[v] counts the one-member sets {v} of the collection, and
-    count_x and count_y hold, for each of its sets with two or more
-    members, how many of them are in X and in Y.  Adding v to X newly
-    covers its one-member sets and the other sets containing v with zero
-    X-members so far; removing v from Y uncovers its one-member sets and
-    the other sets where v is the last Y-member.  shift is added to every
-    marginal; F itself is evaluated exactly given the collection.  x holds
-    X; Y is kept only through count_y, since the pass ends with X = Y.
+    count_x and count_y hold, for each of its stored sets, those with two
+    or more members, how many of them are in X and in Y.  Adding v to X
+    newly covers its one-member sets and the stored sets containing v
+    with zero X-members so far; removing v from Y uncovers its one-member
+    sets and the stored sets where v is the last Y-member.  A stored set
+    counts with its weight, read in place from the collection, so |sets|,
+    both marginals and F are weighted integer sums.  shift is added to
+    every marginal; F itself is evaluated exactly given the collection.
+    x holds X; Y is kept only through count_y, since the pass ends with
+    X = Y.
 
     greedy_pass runs the double-greedy pass over this oracle; batched says
     whether it plans conflict-free batches or steps through the nodes one
@@ -166,6 +172,7 @@ class CoverageOracle:
         self.unit = price * coll.n / len(coll)
         self.coll = coll
         self.single = coll.single
+        self.weights = coll.weights
         sizes = coll.sizes()
         self.count_x = np.zeros(sizes.size, dtype=np.int32)
         self.count_y = sizes.astype(np.int32)
@@ -182,16 +189,18 @@ class CoverageOracle:
         return sets[offsets[v]:offsets[v + 1]]
 
     def gains(self, v):
-        return self._gains(v, self._sets_of(v))
+        sets = self._sets_of(v)
+        return self._gains(v, sets, self.weights[sets])
 
     def apply(self, v, included: bool):
         self._apply(v, self._sets_of(v), included)
 
-    def _gains(self, v, sets):
-        """(a, b) of node v, whose multi-member sets are sets."""
+    def _gains(self, v, sets, weights):
+        """(a, b) of node v, whose multi-member sets are sets, of those
+        weights."""
         ones = int(self.single[v])
-        newly = ones + int(np.count_nonzero(self.count_x[sets] == 0))
-        lost = ones + int(np.count_nonzero(self.count_y[sets] == 1))
+        newly = ones + int(np.dot(weights, self.count_x[sets] == 0))
+        lost = ones + int(np.dot(weights, self.count_y[sets] == 1))
         return (self.unit * newly - self.coupon + self.shift,
                 -self.unit * lost + self.coupon + self.shift)
 
@@ -205,7 +214,7 @@ class CoverageOracle:
     def current_value(self) -> float:
         """F of the growing side, from the counters."""
         x = np.fromiter(self.x, dtype=np.int64, count=len(self.x))
-        covered = int(self.single[x].sum()) + int(np.count_nonzero(self.count_x))
+        covered = int(self.single[x].sum()) + int(np.dot(self.weights, self.count_x > 0))
         return self.unit * covered - self.coupon * len(self.x)
 
     def _permutation(self, order) -> np.ndarray:
@@ -236,7 +245,7 @@ class CoverageOracle:
         # lists the sets of each position
         by_position = RACollection(order.size, np.zeros(order.size, np.int64),
                                    self.coll.offsets,
-                                   position[self.coll.members])
+                                   position[self.coll.members], self.coll.weights)
         # the batch from s ends at the first later position whose latest
         # earlier conflicting position is s or after
         cuts = [0]
@@ -261,6 +270,9 @@ class CoverageOracle:
             cuts = range(order.size + 1)
             offsets, sets = self.coll.index()
             starts, ends = offsets[order], offsets[order + 1]
+        # each entry's weight, as floats that bincount takes unconverted:
+        # integer sums stay exact below 2^53
+        weights = self.weights.astype(np.float64)[sets]
         starts, ends = starts.tolist(), ends.tolist()
         nodes = order.tolist()
         single = self.single[order]
@@ -269,16 +281,19 @@ class CoverageOracle:
         for s, e in zip(cuts[:-1], cuts[1:]):
             if e - s < SCALAR_BATCH:
                 for p in range(s, e):
-                    v, at = nodes[p], sets[starts[p]:ends[p]]
-                    self._apply(v, at, _admit(*self._gains(v, at), rand))
+                    v, lo, hi = nodes[p], starts[p], ends[p]
+                    at = sets[lo:hi]
+                    self._apply(v, at, _admit(*self._gains(v, at, weights[lo:hi]),
+                                              rand))
                 continue
             # a batch of the plan: its positions' sets are contiguous
-            batch = sets[starts[s]:ends[e - 1]]
+            lo, hi = starts[s], ends[e - 1]
+            batch = sets[lo:hi]
             owner = np.repeat(np.arange(e - s), np.diff(offsets[s:e + 1]))
-            newly = single[s:e] + np.bincount(owner[self.count_x[batch] == 0],
-                                              minlength=e - s)
-            lost = single[s:e] + np.bincount(owner[self.count_y[batch] == 1],
-                                             minlength=e - s)
+            newly = single[s:e] + np.bincount(
+                owner, weights[lo:hi] * (self.count_x[batch] == 0), minlength=e - s)
+            lost = single[s:e] + np.bincount(
+                owner, weights[lo:hi] * (self.count_y[batch] == 1), minlength=e - s)
             a = unit * newly - coupon + shift
             b = -unit * lost + coupon + shift
             a_pos = np.where(a > 0.0, a, 0.0)

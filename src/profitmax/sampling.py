@@ -9,17 +9,21 @@ on a collection of l RA sets is
 
     F(R_l, S) = P * n * (sum_i x(S, R_i)) / l - C * |S|
 
-rpm's sets come from the same level loop: sample_rr_block draws whole
-realizations with diffusion._live_in_edges, the draw sample_realization
-makes one run of, and collects, for every node w of each, the nodes that
-reach w.  Over l realizations those l * n sets give F the value P times
-the mean adopter count of S across the realizations, less C * |S|.
+rpm's sets are the reverse-reachable (RR) sets of whole realizations:
+sample_rr_block draws them with diffusion._live_in_edges, the draw
+sample_realization makes one run of, and collects, for every node w of
+each, the nodes that reach w.  Over l realizations those l * n sets give
+F the value P times the mean adopter count of S across the realizations,
+less C * |S|.  On a net of at most 64 nodes they come from a one-word
+ancestor closure (_rr_closure) that holds each distinct set of a pass
+once, with its count; past that, from the level loop below.
 
 A one-member set {v} meets S exactly when v is in S, so collections keep
 such sets, most RA sets on sparse networks, as a count per node.  The
-kernels settle them at the first level of the traversal: a root that draws
-no parent is counted and leaves it, and only the sets of two or more
-members are grown on and returned, and stored, whole.
+level loop settles them at the first level of the traversal: a root that
+draws no parent is counted and leaves it, and only the sets of two or
+more members are grown on and returned, and stored, whole.  Every stored
+set carries a weight, the number of drawn sets it stands for.
 """
 
 import numpy as np
@@ -151,32 +155,91 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     return _grow(roots, n, parents)
 
 
+def _rr_grow(n: int, runs: int, live_indptr, sources):
+    """The RR sets of runs drawn realizations by _grow from every (r, w):
+    (single, sizes, members, weights), each stored set once, in (r, w)
+    order, with weight one."""
+
+    def parents(sets, nodes):
+        at = sets // n * n + nodes  # (realization, node)
+        start = live_indptr[at]
+        pos, owner = _expand(start, live_indptr[at + 1] - start)
+        return sets[owner] * n + sources[pos]
+
+    single, sizes, members = _grow(np.tile(np.arange(n), runs), n, parents)
+    return single, sizes, members, np.ones(sizes.size, dtype=np.int64)
+
+
+def _rr_closure(n: int, runs: int, live_indptr, sources):
+    """The RR sets of runs drawn realizations of a net of at most 64
+    nodes, as one-word ancestor masks: bit u of anc[r * n + w] says that
+    u reaches w in realization r.  Each round ORs into every node with
+    live in-edges the masks of its live in-neighbors, until no mask
+    changes, after at most the longest live path plus one rounds.
+
+    Returns (single, sizes, members, weights): single counts the masks
+    holding their root alone; the other masks are sorted, each distinct
+    one is stored once, ascending by mask, with its number of copies as
+    its weight, and only those are unpacked to members.
+    """
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    anc = np.tile(bit, runs)
+    targets = np.flatnonzero(live_indptr[1:] != live_indptr[:-1])
+    if targets.size:
+        starts = live_indptr[targets]
+        # each live in-edge's source as a (realization, node) key
+        src = np.repeat(targets - targets % n,
+                        live_indptr[targets + 1] - starts) + sources
+        while True:
+            held = anc[targets]
+            grown = np.bitwise_or.reduceat(anc[src], starts)
+            grown |= held
+            changed = np.flatnonzero(grown != held)
+            if not changed.size:
+                break
+            anc[targets[changed]] = grown[changed]
+    alone = (anc.reshape(runs, n) == bit).reshape(-1)
+    single = np.bincount(np.flatnonzero(alone) % n, minlength=n)
+    masks = np.sort(anc[~alone])
+    first = np.flatnonzero(_run_starts(masks))
+    distinct = masks[first]
+    weights = np.diff(np.append(first, masks.size))
+    # bit u of a little-endian word is bit u % 8 of its byte u // 8
+    bits = np.unpackbits(distinct.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                         axis=1, count=n, bitorder="little")
+    sizes = bits.sum(axis=1, dtype=np.int32)
+    members = np.flatnonzero(bits)
+    members %= n
+    return single, sizes, members.astype(np.int32), weights
+
+
 def sample_rr_block(net: TCNetwork, count: int, gen: np.random.Generator):
     """Draw count realizations and the reverse-reachable set of every node
     in each: RR_r(w) holds the nodes that reach w over live edges in
     realization r, w included.
 
-    A generator: it yields (single, sizes, members), laid out as _grow
-    does, for consecutive passes of whole realizations: single counts the
-    sets {w} at w, and the larger sets follow in (r, w) order.  A caller
-    can stop as soon as the sets outgrow its budget.  A pass holds as many
-    realizations as fit SIM_STATE_BYTES at 8 bytes per in-edge (the draw)
-    and per node of each of n sets (the member keys).  The passes draw
-    the same stream as one pass would.
+    A generator: it yields (single, sizes, members, weights) for
+    consecutive passes of whole realizations.  single counts the sets
+    {w} at w; sizes and members describe the larger sets, each stored
+    once per pass, and weights counts how many of the pass's sets it
+    stands for.  A caller can stop as soon as the sets outgrow its
+    budget.  The passes draw the same stream as one pass would.
+
+    On a net of at most 64 nodes the sets come from _rr_closure, and a
+    pass holds as many realizations as fit SIM_STATE_BYTES at 8 bytes per
+    in-edge (the draw's uniforms) and 64 per node (the mask and the rest
+    of the closure's scratch, as measured), beyond the distinct sets it
+    unpacks.  Past 64 nodes they come from _grow, in (r, w) order
+    and with weight one, at 8 bytes per in-edge and per node of each of n
+    sets (the member keys).
     """
     n = net.n
-    rows = max(1, SIM_STATE_BYTES // (8 * (net.m + n * n)))
+    closure = n <= 64
+    rows = max(1, SIM_STATE_BYTES // (8 * (net.m + (8 * n if closure else n * n))))
+    sets_of = _rr_closure if closure else _rr_grow
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
-        live_indptr, sources = _live_in_edges(net, runs, gen)
-
-        def parents(sets, nodes):
-            at = sets // n * n + nodes  # (realization, node)
-            start = live_indptr[at]
-            pos, owner = _expand(start, live_indptr[at + 1] - start)
-            return sets[owner] * n + sources[pos]
-
-        yield _grow(np.tile(np.arange(n), runs), n, parents)  # root of r*n+w is w
+        yield sets_of(n, runs, *_live_in_edges(net, runs, gen))
 
 
 def _stable_order(nodes, n: int) -> np.ndarray:
@@ -190,25 +253,29 @@ def _stable_order(nodes, n: int) -> np.ndarray:
 
 
 class RACollection:
-    """A flat store of RA sets with an inverted index.
+    """A flat store of RA or RR sets with an inverted index.
 
     single[v] counts the sets {v}.  The other sets are stored: their
     member lists live in one int32 array sliced by offsets, which keeps
-    millions of small sets cheap.  len() counts every set; sizes,
-    members_of and the inverted index (node -> stored sets containing it,
-    built on first use) describe the stored sets, numbered before the
-    one-member sets, which sets_containing numbers node after node.
+    millions of small sets cheap, and weights[i] (int64) counts the drawn
+    sets stored set i stands for: one for every RA set, and for rpm's RR
+    sets the copies of each distinct set of a pass.  len() counts every
+    drawn set; sizes, members_of and the inverted index (node -> stored
+    sets containing it, built on first use) describe the stored sets.
+    sets_containing numbers the drawn sets: stored set i as weights[i]
+    consecutive sets, in order, then the one-member sets node after node.
     """
 
-    def __init__(self, n: int, single, offsets, members):
+    def __init__(self, n: int, single, offsets, members, weights):
         self.n = n
         self.single = np.asarray(single, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.members = np.asarray(members, dtype=np.int32)
+        self.weights = np.asarray(weights, dtype=np.int64)
         self._index = None
 
     def __len__(self):
-        return self.offsets.size - 1 + int(self.single.sum())
+        return int(self.weights.sum()) + int(self.single.sum())
 
     def members_of(self, i: int) -> np.ndarray:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
@@ -216,25 +283,39 @@ class RACollection:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def _entry_chunks(self):
+        """(lo, hi, first, spans) per INDEX_CHUNK entries: entries lo..hi-1
+        belong to stored sets first, first + 1, ..., spans[i] of them to
+        set first + i."""
+        for lo in range(0, self.members.size, INDEX_CHUNK):
+            hi = min(lo + INDEX_CHUNK, self.members.size)
+            first = np.searchsorted(self.offsets, lo, side="right") - 1
+            last = np.searchsorted(self.offsets, hi, side="left") - 1
+            yield lo, hi, first, np.diff(np.clip(self.offsets[first:last + 2], lo, hi))
+
+    def _entry_counts(self) -> np.ndarray:
+        """How many stored sets hold each node, as int64, counted in place
+        per INDEX_CHUNK entries: np.bincount would first copy the whole
+        int32 member array to int64."""
+        counts = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, self.members.size, INDEX_CHUNK):
+            np.add.at(counts, self.members[lo:lo + INDEX_CHUNK], 1)
+        return counts
+
     def index(self):
         """(idx_offsets, idx_sets): for node v, idx_sets[idx_offsets[v]:
         idx_offsets[v+1]] are the indices of stored sets containing v,
         ascending, as int32."""
         if self._index is None:
             idx_offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self.coverage_counts() - self.single, out=idx_offsets[1:])
+            np.cumsum(self._entry_counts(), out=idx_offsets[1:])
             idx_sets = np.empty(self.members.size, dtype=np.int32)
             cursor = idx_offsets[:-1].copy()  # each node's next free slot
             # a counting sort: entries come in set order, so filling each
             # node's slots in entry order keeps its sets ascending
-            for lo in range(0, self.members.size, INDEX_CHUNK):
-                hi = min(lo + INDEX_CHUNK, self.members.size)
-                # sets first..last hold entries lo..hi-1
-                first = np.searchsorted(self.offsets, lo, side="right") - 1
-                last = np.searchsorted(self.offsets, hi, side="left") - 1
-                bounds = np.clip(self.offsets[first:last + 2], lo, hi)
-                owner = np.repeat(np.arange(first, last + 1, dtype=np.int32),
-                                  np.diff(bounds))
+            for lo, hi, first, spans in self._entry_chunks():
+                owner = np.repeat(np.arange(first, first + spans.size, dtype=np.int32),
+                                  spans)
                 order = _stable_order(self.members[lo:hi], self.n)
                 nodes = self.members[lo:hi][order]
                 starts = np.flatnonzero(
@@ -247,19 +328,29 @@ class RACollection:
         return self._index
 
     def sets_containing(self, v: int) -> np.ndarray:
-        """Every set containing v, ascending: stored, then one-member."""
+        """Every drawn set containing v, ascending: stored, then
+        one-member."""
         idx_offsets, idx_sets = self.index()
-        first = self.offsets.size - 1 + int(self.single[:v].sum())
-        return np.concatenate((idx_sets[idx_offsets[v]:idx_offsets[v + 1]],
-                               np.arange(first, first + self.single[v])))
+        stored = idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
+        weights = self.weights[stored]
+        # stored set i is numbered from the weight of the sets before it
+        ends = np.cumsum(self.weights)[stored]
+        drawn = np.arange(int(weights.sum())) + np.repeat(
+            ends - np.cumsum(weights), weights)
+        first = int(self.weights.sum()) + int(self.single[:v].sum())
+        return np.concatenate((drawn, np.arange(first, first + self.single[v])))
 
     def coverage_counts(self) -> np.ndarray:
-        """How many sets contain each node, as int64.  The stored members
-        are counted in place per INDEX_CHUNK entries: np.bincount would
-        first copy the whole int32 member array to int64."""
-        counts = self.single.copy()
-        for lo in range(0, self.members.size, INDEX_CHUNK):
-            np.add.at(counts, self.members[lo:lo + INDEX_CHUNK], 1)
+        """How many drawn sets contain each node, as int64: its one-member
+        sets, and the weight of every stored set holding it.  A stored
+        set's entry counts it once, and where some weight is above one,
+        the rest is added chunk by chunk, so the scratch stays within a
+        chunk."""
+        counts = self.single + self._entry_counts()
+        if self.weights.max(initial=1) > 1:
+            for lo, hi, first, spans in self._entry_chunks():
+                extra = self.weights[first:first + spans.size] - 1
+                np.add.at(counts, self.members[lo:hi], np.repeat(extra, spans))
         return counts
 
 
@@ -270,18 +361,21 @@ class CollectionBuilder:
     def __init__(self, net: TCNetwork):
         self.net = net
         self._single = np.zeros(net.n, dtype=np.int64)
-        # (sizes, members) of the multi-member sets per block
-        self._chunks = [(np.empty(0, np.int32), np.empty(0, np.int32))]
+        # (sizes, members, weights) of the multi-member sets per block
+        self._chunks = [(np.empty(0, np.int32), np.empty(0, np.int32),
+                         np.empty(0, np.int64))]
         self._count = 0
 
     def __len__(self):
         return self._count
 
-    def add(self, single, sizes, members):
-        """Store one kernel block of sets laid out as _grow lays them out."""
-        self._count += int(single.sum()) + sizes.size
+    def add(self, single, sizes, members, weights):
+        """Store one kernel block of sets: single counts the one-member
+        sets per node, and the stored sets are laid out as _grow lays
+        them out, weights[i] drawn sets standing for set i."""
+        self._count += int(single.sum()) + int(weights.sum())
         self._single = self._single + single  # earlier snapshots hold the old one
-        self._chunks.append((sizes, members))
+        self._chunks.append((sizes, members, weights))
 
     def extend(self, count: int, rng):
         """Append count RA sets.  rng (a SeedSequence, a random.Random or a
@@ -289,7 +383,9 @@ class CollectionBuilder:
         if count <= 0:
             return
         for child, size in stream_blocks(rng, count, RA_BLOCK):
-            self.add(*sample_ra_block(self.net, size, np.random.default_rng(child)))
+            single, sizes, members = sample_ra_block(self.net, size,
+                                                     np.random.default_rng(child))
+            self.add(single, sizes, members, np.ones(sizes.size, dtype=np.int64))
 
     def _merged(self):
         # merge once; later snapshots only append the newer chunks
@@ -303,10 +399,10 @@ class CollectionBuilder:
         return self._merged()[1]
 
     def snapshot(self) -> RACollection:
-        sizes, members = self._merged()
+        sizes, members, weights = self._merged()
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        return RACollection(self.net.n, self._single, offsets, members)
+        return RACollection(self.net.n, self._single, offsets, members, weights)
 
 
 def generate_collection(net: TCNetwork, l: int, rng_seed) -> RACollection:

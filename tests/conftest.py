@@ -77,7 +77,7 @@ def ra_block(net, count, seed):
 
 def rr_passes(net, count, seed):
     """sample_rr_block's passes over count realizations drawn from
-    default_rng(seed), each as (single, sizes, members)."""
+    default_rng(seed), each as (single, sizes, members, weights)."""
     return list(sample_rr_block(net, count, np.random.default_rng(seed)))
 
 
@@ -98,7 +98,7 @@ def collection_of(n, sets):
     members = np.concatenate([np.asarray(s, dtype=np.int32) for s in sets])
     single, sizes, members = split_block(n, sizes, members)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return RACollection(n, single, offsets, members)
+    return RACollection(n, single, offsets, members, np.ones(sizes.size))
 
 
 def rat_large_net():

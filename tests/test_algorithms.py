@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from profitmax import (ALGORITHMS, CoverageOracle, MemoryBudgetError,
                        ra_s, ra_t, replay_on_realization, rpm,
                        search_rat_params, simulate_sets, solve_ras_params, spm)
 from profitmax.algorithms import _realization_collection
-from profitmax.diffusion import SIM_BLOCK, _realizations, stream_blocks
+from profitmax.diffusion import (SIM_BLOCK, SIM_STATE_BYTES, _realizations,
+                                 stream_blocks)
 from profitmax.sampling import _live_in_edges, covered_sets, sample_rr_block
 
 from conftest import make_net, random_edge_text
@@ -215,28 +217,46 @@ class TestRPM:
             rpm(two_node_net, eps=0.4, l_override=10_000_000,
                 seed=1, memory_budget_mb=0.1)
 
-    def test_memory_floor_checked_before_drawing(self, two_node_net,
-                                                 monkeypatch):
-        # 2000 one-member sets project ~0.053 MiB, past a 0.05 MiB budget
-        def no_drawing(*args):
-            raise AssertionError("drew realizations past the floor")
-
-        monkeypatch.setattr(algorithms, "sample_rr_block", no_drawing)
-        with pytest.raises(MemoryBudgetError, match="project at least"):
-            rpm(two_node_net, eps=0.4, l_override=1000, seed=1,
-                memory_budget_mb=0.05)
+    def test_budget_charges_what_is_stored(self, two_node_net):
+        # its 2000 sets are 1000 one-member sets, counted per node, and one
+        # distinct set {v1, v2} of weight 1000: far inside 0.05 MiB
+        res = rpm(two_node_net, eps=0.4, l_override=1000, seed=1,
+                  memory_budget_mb=0.05)
+        assert res.members == frozenset({0})
+        assert res.internal_value == pytest.approx(0.75)
+        coll = _realization_collection(two_node_net, 1000,
+                                       np.random.SeedSequence(1), 0.05)
+        assert coll.single.tolist() == [1000, 0]
+        assert coll.weights.tolist() == [1000]
 
     def test_memory_growth_checked_while_drawing(self):
-        # a certain 50-cycle: every RR set holds all 50 nodes, so 200
-        # realizations hold 5 * 10^5 members (~4 MiB), while their floor of
-        # 10^4 one-member sets (~0.3 MiB) fits the budget
-        n = 50
+        # a certain 100-cycle is past one mask word, so its RR sets are
+        # stored one by one: every set holds all 100 nodes, and 200
+        # realizations would hold 2 * 10^6 members (~15 MiB)
+        n = 100
         net = make_net("".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)),
                        ic_p=1.0)
         with pytest.raises(MemoryBudgetError, match="hold at least"):
             rpm(net, eps=0.4, l_override=200, seed=1, memory_budget_mb=1.0)
-        coll = _realization_collection(net, 200, np.random.SeedSequence(1), 8.0)
-        assert np.all(coll.sizes() == n)
+        coll = _realization_collection(net, 20, np.random.SeedSequence(1), 8.0)
+        assert np.all(coll.sizes() == n) and np.all(coll.weights == 1)
+
+    def test_certain_cycle_peak(self):
+        # a certain 50-cycle: its 5 * 10^4 RR sets, all of 50 members, are
+        # one distinct set per pass, so rpm holds about one pass of draws
+        # and masks (24 MiB of members if each set were stored)
+        n = 50
+        net = make_net("".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)),
+                       ic_p=1.0)
+        net.pickers()
+        tracemalloc.start()
+        try:
+            res = rpm(net, eps=0.4, l_override=1000, seed=1, memory_budget_mb=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.members == frozenset({0})
+        assert peak < 2 * SIM_STATE_BYTES
 
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
     @pytest.mark.parametrize("shape", ["chain", "cycle", "diamond"])
@@ -250,13 +270,14 @@ class TestRPM:
                        intrinsics=[0.9, 0.9, 0.3, 0.9][:n])
         l = 20_000
         coll = _realization_collection(net, l, np.random.SeedSequence(77), 64.0)
-        # the kernel's sets of the same draw
+        # the kernel's sets of the same draw, each stored set counted with
+        # its weight
         blocks = [block for child, size in stream_blocks(
                       np.random.SeedSequence(77), l, SIM_BLOCK)
                   for block in sample_rr_block(net, size, np.random.default_rng(child))]
         assert np.array_equal(coll.coverage_counts(), sum(
-            single + np.bincount(members, minlength=n)
-            for single, _, members in blocks))
+            single + np.bincount(members, np.repeat(weights, sizes), minlength=n)
+            for single, sizes, members, weights in blocks))
         # reach[r, u, w]: u reaches w in realization r of the same draw,
         # by transitive closure of its live edges
         reach = np.concatenate([

@@ -135,6 +135,20 @@ class TestTables:
         assert members == frozenset({0})
         assert value == pytest.approx(0.75, abs=1e-12)
 
+    def test_best_seed_set_ties_within_rounding(self):
+        # on a 6-cycle, {v1, v3, v5} and {v2, v4, v6} are rotations of each
+        # other and tie for the optimum, but the fold rounds the second
+        # one's entry an ulp higher, so np.argmax picks it
+        net = make_net("".join(f"{v} {v % 6 + 1}\n" for v in range(1, 7)),
+                       ic_p=0.6, price=0.5, coupon=0.25)
+        table = profit_table(net)
+        low, high = mask_of([0, 2, 4]), mask_of([1, 3, 5])
+        assert int(np.argmax(table)) == high
+        assert 0 < table[high] - table[low] <= 4 * np.spacing(table[high])
+        members, value = best_seed_set(net, table)
+        assert members == frozenset({0, 2, 4})
+        assert value == table[low]
+
     def test_probabilities_sum_to_one(self):
         rng = random.Random(99)
         for _ in range(6):

@@ -311,7 +311,7 @@ class TestBatchedPass:
                    ).astype(np.int32)
         single, sizes, members = split_block(n, sizes, members)
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        coll = RACollection(n, single, offsets, members)
+        coll = RACollection(n, single, offsets, members, np.ones(sizes.size))
         order = rng.permutation(n)
         del sizes, step
         tracemalloc.start()

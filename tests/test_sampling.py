@@ -9,12 +9,12 @@ import pytest
 from scipy import stats
 
 from profitmax import (RACollection, estimate_F, exact_pi, exact_profit,
-                       generate_collection, ra_t)
+                       generate_collection, ra_t, rpm)
 from profitmax import sampling
 from profitmax.diffusion import _realizations, stream_blocks
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
-                                _live_in_edges, covered_sets, sample_ra_block,
-                                sample_rr_block)
+                                _live_in_edges, _rr_closure, _rr_grow,
+                                covered_sets, sample_ra_block)
 
 from conftest import (collection_of, make_net, ra_block, random_edge_text,
                       random_small_net, rat_large_net, rr_passes)
@@ -133,7 +133,7 @@ class TestCollection:
         sets = [np.unique(rng.integers(0, n, rng.integers(1, 6))) for _ in range(l)]
         sets[0] = np.array([0, 65_535, 65_536, n - 1])
         offsets = np.concatenate(([0], np.cumsum([s.size for s in sets])))
-        coll = RACollection(n, np.zeros(n), offsets, np.concatenate(sets))
+        coll = RACollection(n, np.zeros(n), offsets, np.concatenate(sets), np.ones(l))
         assert coll.members.size > 2 * INDEX_CHUNK
         idx_offsets, idx_sets = coll.index()
         assert idx_sets.dtype == np.int32
@@ -156,7 +156,7 @@ class TestCollection:
         rng = np.random.default_rng(5)
         offsets = np.concatenate(([0], np.cumsum(rng.integers(1, 6, 500_000))))
         members = rng.integers(0, n, offsets[-1]).astype(np.int32)
-        coll = RACollection(n, np.zeros(n), offsets, members)
+        coll = RACollection(n, np.zeros(n), offsets, members, np.ones(offsets.size - 1))
         tracemalloc.start()
         try:
             size = coll.coverage_counts().nbytes
@@ -204,7 +204,8 @@ class TestCollectionMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = coll.single.nbytes + coll.offsets.nbytes + coll.members.nbytes
+        result = (coll.single.nbytes + coll.offsets.nbytes + coll.members.nbytes
+                  + coll.weights.nbytes)
         assert len(coll) == l
         assert coll.single.sum() > 0.9 * l
         assert peak <= result + scratch
@@ -282,11 +283,28 @@ class TestKernel:
             assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
 
 
-def rr_sets(net, count, seed):
-    """sample_rr_block's passes joined: (single, sizes, members)."""
-    parts = rr_passes(net, count, seed)
-    return (sum(p[0] for p in parts), np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]))
+def rr_multiset(n, blocks):
+    """The sets of sample_rr_block passes (single, sizes, members, weights)
+    as (single, Counter): single sums the passes' one-member counts, and
+    the Counter maps each larger set, a tuple, to the drawn sets it stands
+    for.  Each pass is checked as assert_well_formed checks a block, with
+    an int64 weight of one or more per stored set."""
+    single, sets = np.zeros(n, dtype=np.int64), Counter()
+    for ones, sizes, members, weights in blocks:
+        assert weights.dtype == np.int64 and weights.shape == sizes.shape
+        assert np.all(weights >= 1)
+        assert_well_formed(n, int(ones.sum()) + sizes.size, ones, sizes, members)
+        single += ones
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        for lo, hi, w in zip(offsets[:-1], offsets[1:], weights.tolist()):
+            sets[tuple(members[lo:hi].tolist())] += w
+    return single, sets
+
+
+def assert_same_sets(a, b):
+    """Two rr_multiset results hold the same sets."""
+    assert np.array_equal(a[0], b[0])
+    assert a[1] == b[1]
 
 
 class TestRRKernel:
@@ -301,36 +319,97 @@ class TestRRKernel:
         net = make_net(self.EDGES, model=model, ic_p=0.5,
                        intrinsics=self.INTRINSICS)
         l, n = 40, net.n
-        single, sizes, members = rr_sets(net, l, 9)
-        assert_well_formed(n, l * n, single, sizes, members)
+        single, sets = rr_multiset(n, rr_passes(net, l, 9))
         reals = _realizations(net, *_live_in_edges(net, l, np.random.default_rng(9)))
-        # RR_r(w) for every r and w in turn: {w} is counted at w, the
-        # larger sets are stored in that order
-        want_single, want = np.zeros(n, dtype=np.int64), []
+        # RR_r(w) for every r and w: {w} is counted at w, and each larger
+        # set is stored once with the number of (r, w) that have it
+        want_single, want = np.zeros(n, dtype=np.int64), Counter()
         for real in reals:
             for w in range(n):
-                rr = [u for u in range(n) if w in _reach_set(real.live_out, u)]
-                if rr == [w]:
+                rr = tuple(u for u in range(n) if w in _reach_set(real.live_out, u))
+                if rr == (w,):
                     want_single[w] += 1
                 else:
-                    want.append(rr)
-        assert np.array_equal(single, want_single)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        assert [members[lo:hi].tolist()
-                for lo, hi in zip(offsets[:-1], offsets[1:])] == want
+                    want[rr] += 1
+        assert_same_sets((single, sets), (want_single, want))
 
     @pytest.mark.parametrize("model", ["ic-cp", "lt"])
     def test_passes_compose(self, model, monkeypatch):
-        # one realization per pass draws the same stream as one pass
+        # one realization per pass draws the same stream as one pass, so
+        # the passes hold the same sets, counted per pass
         rng = random.Random(3)
         net = make_net(random_edge_text(rng, 12, 30), model=model, ic_p=0.4)
-        whole = rr_sets(net, 50, 4)
+        whole = rr_passes(net, 50, 4)
+        assert len(whole) == 1
         monkeypatch.setattr(sampling, "SIM_STATE_BYTES", 1)
-        assert len(list(sample_rr_block(net, 50, np.random.default_rng(4)))) == 50
-        split = rr_sets(net, 50, 4)
-        for a, b in zip(whole, split):
-            assert np.array_equal(a, b)
+        split = rr_passes(net, 50, 4)
+        assert len(split) == 50
+        assert_same_sets(rr_multiset(net.n, whole), rr_multiset(net.n, split))
 
+
+def closure_and_grow(net, runs, seed):
+    """_rr_closure's and _rr_grow's sets of one _live_in_edges draw."""
+    draw = _live_in_edges(net, runs, np.random.default_rng(seed))
+    return _rr_closure(net.n, runs, *draw), _rr_grow(net.n, runs, *draw)
+
+
+class TestRRClosure:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_matches_grow(self, model):
+        # on the same draw, the closure's one-member counts and weighted
+        # sets are _grow's sets as a multiset, on nets of 2 to 64 nodes
+        rng = random.Random(f"closure/{model}")
+        for n in (2, 3, 5, 9, 17, 33, 50, 63, 64):
+            m = rng.randint(1, min(n * (n - 1), 3 * n))
+            net = make_net(random_edge_text(rng, n, m), model=model,
+                           ic_p=rng.uniform(0.1, 0.9),
+                           intrinsics=[rng.uniform(0.3, 1.0) for _ in range(n)])
+            assert net.n == n
+            runs = rng.randint(1, 40)
+            closed, grown = closure_and_grow(net, runs, n)
+            assert np.all(grown[3] == 1)
+            got = rr_multiset(n, [closed])
+            assert_same_sets(got, rr_multiset(n, [grown]))
+            # each distinct set once, ascending by its mask
+            masks = [sum(1 << u for u in s) for s in got[1]]
+            assert len(masks) == closed[1].size and masks == sorted(masks)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_boundary(self, n):
+        # sample_rr_block takes the closure up to 64 nodes, one bit per
+        # node, and _grow past that, with unit weights in (r, w) order
+        rng = random.Random(n)
+        net = make_net(random_edge_text(rng, n, 3 * n), ic_p=0.4)
+        (got,) = rr_passes(net, 10, 5)
+        closed, grown = closure_and_grow(net, 10, 5)
+        for part, want in zip(got, closed if n <= 64 else grown):
+            assert np.array_equal(part, want)
+        if n <= 64:
+            assert_same_sets(rr_multiset(n, [closed]), rr_multiset(n, [grown]))
+            assert got[3].sum() > got[3].size  # some sets were merged
+        else:
+            assert np.all(got[3] == 1)
+
+    def test_pass_without_multi_member_sets(self):
+        # no node can pay full price, so none has a live in-edge and every
+        # set holds its root alone
+        net = make_net(KERNEL_NETS["diamond"], ic_p=0.9, intrinsics=[0.3] * 4)
+        (single, sizes, members, weights), = rr_passes(net, 25, 1)
+        assert single.tolist() == [25] * 4
+        assert sizes.size == members.size == weights.size == 0
+        # and rpm runs on such a collection: every node alone earns P - C
+        res = rpm(net, eps=0.4, l_override=25, seed=1)
+        assert res.members == frozenset(range(4))
+        assert res.internal_value == pytest.approx(4 * (net.price - net.coupon))
+
+    def test_certain_cycle_is_one_set(self):
+        # every node of a certain 5-cycle reaches every other: the pass's
+        # l * n sets are one distinct set, stored once with weight l * n
+        net = make_net("".join(f"{v} {v % 5 + 1}\n" for v in range(1, 6)), ic_p=1.0)
+        (single, sizes, members, weights), = rr_passes(net, 40, 2)
+        assert not single.any()
+        assert sizes.tolist() == [5] and members.tolist() == list(range(5))
+        assert weights.tolist() == [40 * 5]
 
 
 def pin_net(name):
@@ -346,7 +425,7 @@ def pin_net(name):
 
 
 def kernel_digest(blocks):
-    """A digest of a sequence of (single, sizes, members) blocks."""
+    """A digest of a sequence of kernel blocks, each a tuple of arrays."""
     h = hashlib.sha256()
     for block in blocks:
         for part in block:
@@ -356,9 +435,9 @@ def kernel_digest(blocks):
 
 
 class TestKernelPins:
-    # digests of each kernel's output in the split layout, pinned while the
-    # kernels still grew every set through the whole traversal; counts
-    # span one full RA_BLOCK on rat-large and several RR passes
+    # digests of each kernel's output in the split layout, the RA blocks
+    # pinned while the kernels still grew every set through the whole
+    # traversal; counts span one full RA_BLOCK on rat-large
     @pytest.mark.parametrize("name,pinned", [
         ("rat-large", "ee4907ddf8511587"),
         ("complete-12", "25f15c2f9ac7586d"),
@@ -371,17 +450,26 @@ class TestKernelPins:
         count = RA_BLOCK if name == "rat-large" else 3000
         assert kernel_digest([ra_block(net, count, 20261019)]) == pinned
 
+    # RR passes with their weights, pinned when nets of at most 64 nodes
+    # moved to the ancestor closure
     @pytest.mark.parametrize("name,pinned", [
-        ("rat-large", "25986418ccf38d03"),
-        ("complete-12", "b7418e6c19265118"),
-        ("chain/ic-cp", "19d4635e38178743"), ("chain/ic-wc", "f8e84c8538a96153"), ("chain/lt", "f8e84c8538a96153"),
-        ("cycle/ic-cp", "1b571603effdec7b"), ("cycle/ic-wc", "2516da34cbc23870"), ("cycle/lt", "2516da34cbc23870"),
-        ("diamond/ic-cp", "7c813d64bf0b91fd"), ("diamond/ic-wc", "ff5b09aa4369617b"), ("diamond/lt", "c98fb2d1b2bead86"),
+        ("rat-large", "50b4c09b3ea77314"),
+        ("complete-12", "f5cdfac9e1bc7f79"),
+        ("chain/ic-cp", "ba5875b4c70b524b"), ("chain/ic-wc", "358b7cb3db27dde9"), ("chain/lt", "358b7cb3db27dde9"),
+        ("cycle/ic-cp", "880bea635ecd5c65"), ("cycle/ic-wc", "cbfc873d74856af0"), ("cycle/lt", "cbfc873d74856af0"),
+        ("diamond/ic-cp", "724661f5366b7be7"), ("diamond/ic-wc", "624156aed0783111"), ("diamond/lt", "53edfeb45bfe799b"),
     ])
     def test_rr_passes_are_pinned(self, name, pinned):
         net = pin_net(name)
         count = 3 if name == "rat-large" else 300
         assert kernel_digest(rr_passes(net, count, 20261019)) == pinned
+
+    def test_rr_grow_passes_keep_their_pin(self):
+        # rat-large stays on _grow: less their unit weights, its passes
+        # digest as they did before the closure came in
+        passes = rr_passes(pin_net("rat-large"), 3, 20261019)
+        assert all(np.all(p[3] == 1) for p in passes)
+        assert kernel_digest([p[:3] for p in passes]) == "25986418ccf38d03"
 
 
 def _reach_set(live_out, u):
