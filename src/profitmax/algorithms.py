@@ -69,13 +69,13 @@ class SelectionResult:
 
 
 def _forward_setup(net: TCNetwork, eps, big_n, l_override):
-    """spm's and rpm's N, l and shift 2 eps (P - C); delta0 runs even when
-    l_override replaces it, so that bounds checks eps."""
+    """spm's and rpm's N, l and shift 2 eps (P - C), l checked before any
+    draw; delta0 runs even when l_override replaces it, so that bounds
+    checks eps."""
     big_n = confidence(net.n, big_n)
     l = math.ceil(delta0(net.n, big_n, eps, net.discount_ratio))
-    if l_override is not None:
-        l = sample_count(l_override, "l_override")
-    return big_n, l, 2.0 * eps * net.full_profit() / net.n
+    l, name = (l, "l") if l_override is None else (l_override, "l_override")
+    return big_n, sample_count(l, name), 2.0 * eps * net.full_profit() / net.n
 
 
 def spm(net: TCNetwork, eps: float = 0.4, big_n=None, l_override=None,

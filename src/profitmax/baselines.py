@@ -28,7 +28,6 @@ def _coverage_greedy_chain(coll, n: int, length: int) -> list:
     coverage first, smaller id on ties.  Exhausted coverage falls back to
     id order so the chain always reaches the requested length."""
     gains = coll.coverage_counts()
-    # v's one-member sets count toward gains[v] alone, which v consumes
     idx_offsets, idx_sets = coll.index()
     covered = np.zeros(coll.offsets.size - 1, dtype=bool)
     chain = []

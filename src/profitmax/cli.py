@@ -245,10 +245,13 @@ def cmd_thresholds(args) -> int:
     out = {"inputs": {"n": n, "bigN": big_n, "eps": eps, "r": r,
                       "k": args.k, "eps3": args.eps3},
            "delta0": delta0(n, big_n, eps, r)}
-    eps1, eps2, l = rat_size(n, big_n, eps, r)
-    out["rat"] = {"eps1": eps1, "eps2": eps2,
-                  "delta1": delta1(n, big_n, eps1, r),
-                  "delta2": delta2(big_n, eps2, r), "l": l}
+    try:
+        eps1, eps2, l = rat_size(n, big_n, eps, r)
+        out["rat"] = {"eps1": eps1, "eps2": eps2,
+                      "delta1": delta1(n, big_n, eps1, r),
+                      "delta2": delta2(big_n, eps2, r), "l": l}
+    except ParameterError as exc:
+        out["rat"] = {"error": str(exc)}
     try:
         ras = asdict(solve_ras_params(n, big_n, eps, r, args.k, args.eps3))
         out["ras"] = {key: ras[key] for key in ras if key not in ("eps3", "k")}

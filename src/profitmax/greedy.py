@@ -17,25 +17,20 @@ arbitrary set-function evaluator, X + v and Y - v of a node in one call
 node; and an incremental one over a collection of node sets that answers
 marginals from per-set coverage counters (ra-t and ra-s over RA sets,
 rpm over its realizations' reverse-reachable sets).  A stored set stands
-for as many drawn sets as its weight, one for every RA set, so the
-oracle sums weights wherever it counts sets: integer sums, the same as
-counting every copy.
+for as many drawn sets as its weight, so the oracle sums weights
+wherever it counts sets: integer sums, the same as counting every copy.
 
-The coverage oracle reads a collection's one-member sets as the count
-per node it keeps them in.  A set {v} is read and written by v alone, and
-is always uncovered in X and covered in Y when v comes up, so it adds one
-to both of v's marginal counts; only the sets with two or more members
-get counters.  Those are what couple the nodes: v's marginals read only
-the counters of v's sets, and deciding v writes only those.  So a run of
-consecutive nodes in the order whose multi-member sets are pairwise
-disjoint can be decided at once, with the same result as one at a time:
-the concurrency-control scheme of Pan, Jegelka, Gonzalez, Bradley &
-Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS 2014).
+Sets couple the nodes: v's marginals read only the counters of v's sets,
+and deciding v writes only those.  So a run of consecutive nodes in the
+order that share no set can be decided at once, with the same result as
+one at a time: the concurrency-control scheme of Pan, Jegelka, Gonzalez,
+Bradley & Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS
+2014).
 The coins are drawn in order, and only for nodes whose clamped marginals
 do not both vanish, so the batched pass is bit-identical to the
-sequential one.  Planning the runs costs a sort of the multi-member
-entries, so it is skipped where the runs are expected to be short, as on
-the dense reverse-reachable sets of small networks.
+sequential one.  Planning the runs costs a sort of the entries, so it is
+skipped where the runs are expected to be short, as on the dense
+reverse-reachable sets of small networks.
 """
 
 import numpy as np
@@ -148,14 +143,12 @@ class CoverageOracle:
     reverse-reachable sets of each of l realizations, where it equals the
     realizations' mean adopter count times P, less C * |S|.
 
-    single[v] counts the one-member sets {v} of the collection, and
-    count_x and count_y hold, for each of its stored sets, those with two
-    or more members, how many of them are in X and in Y.  Adding v to X
-    newly covers its one-member sets and the stored sets containing v
-    with zero X-members so far; removing v from Y uncovers its one-member
-    sets and the stored sets where v is the last Y-member.  A stored set
-    counts with its weight, read in place from the collection, so |sets|,
-    both marginals and F are weighted integer sums.  shift is added to
+    count_x and count_y hold, for each stored set of the collection, how
+    many of its members are in X and in Y.  Adding v to X newly covers
+    the sets containing v with zero X-members so far; removing v from Y
+    uncovers the sets where v is the last Y-member.  A set counts with
+    its weight, read in place from the collection, so |sets|, both
+    marginals and F are weighted integer sums.  shift is added to
     every marginal; F itself is evaluated exactly given the collection.
     x holds X; Y is kept only through count_y, since the pass ends with
     X = Y.
@@ -171,7 +164,6 @@ class CoverageOracle:
         self.shift = shift
         self.unit = price * coll.n / len(coll)
         self.coll = coll
-        self.single = coll.single
         self.weights = coll.weights
         sizes = coll.sizes()
         self.count_x = np.zeros(sizes.size, dtype=np.int32)
@@ -185,7 +177,7 @@ class CoverageOracle:
         self.x = set()
 
     def _sets_of(self, v):
-        offsets, sets = self.coll.index()  # of the multi-member sets
+        offsets, sets = self.coll.index()
         return sets[offsets[v]:offsets[v + 1]]
 
     def gains(self, v):
@@ -196,11 +188,9 @@ class CoverageOracle:
         self._apply(v, self._sets_of(v), included)
 
     def _gains(self, v, sets, weights):
-        """(a, b) of node v, whose multi-member sets are sets, of those
-        weights."""
-        ones = int(self.single[v])
-        newly = ones + int(np.dot(weights, self.count_x[sets] == 0))
-        lost = ones + int(np.dot(weights, self.count_y[sets] == 1))
+        """(a, b) of node v, whose sets are sets, of those weights."""
+        newly = int(np.dot(weights, self.count_x[sets] == 0))
+        lost = int(np.dot(weights, self.count_y[sets] == 1))
         return (self.unit * newly - self.coupon + self.shift,
                 -self.unit * lost + self.coupon + self.shift)
 
@@ -213,8 +203,7 @@ class CoverageOracle:
 
     def current_value(self) -> float:
         """F of the growing side, from the counters."""
-        x = np.fromiter(self.x, dtype=np.int64, count=len(self.x))
-        covered = int(self.single[x].sum()) + int(np.dot(self.weights, self.count_x > 0))
+        covered = int(np.dot(self.weights, self.count_x > 0))
         return self.unit * covered - self.coupon * len(self.x)
 
     def _permutation(self, order) -> np.ndarray:
@@ -227,24 +216,22 @@ class CoverageOracle:
         return order
 
     def plan(self, order):
-        """Split order into runs of consecutive nodes that share no
-        multi-member set.
+        """Split order into runs of consecutive nodes that share no set.
 
         Returns (order, cuts, offsets, sets).  order is an int64 array.
         cuts are the points 0 = cuts[0] < ... < cuts[-1] = n of the greedy
         split: each batch order[cuts[i]:cuts[i+1]] is conflict-free, and
-        the node after it shares a set with one of its nodes.  The
-        multi-member sets of the node at position p are
-        sets[offsets[p]:offsets[p+1]], ascending.  Raises ValueError
-        unless order is a permutation of 0..n-1.
+        the node after it shares a set with one of its nodes.  The sets of
+        the node at position p are sets[offsets[p]:offsets[p+1]],
+        ascending.  Raises ValueError unless order is a permutation of
+        0..n-1.
         """
         order = self._permutation(order)
         position = np.empty(order.size, dtype=np.int32)
         position[order] = np.arange(order.size, dtype=np.int32)
-        # the multi-member sets with positions for members: its index
-        # lists the sets of each position
-        by_position = RACollection(order.size, np.zeros(order.size, np.int64),
-                                   self.coll.offsets,
+        # the sets with positions for members: its index lists the sets
+        # of each position
+        by_position = RACollection(order.size, self.coll.offsets,
                                    position[self.coll.members], self.coll.weights)
         # the batch from s ends at the first later position whose latest
         # earlier conflicting position is s or after
@@ -275,7 +262,6 @@ class CoverageOracle:
         weights = self.weights.astype(np.float64)[sets]
         starts, ends = starts.tolist(), ends.tolist()
         nodes = order.tolist()
-        single = self.single[order]
         rand = rng.random
         unit, coupon, shift = self.unit, self.coupon, self.shift
         for s, e in zip(cuts[:-1], cuts[1:]):
@@ -290,10 +276,10 @@ class CoverageOracle:
             lo, hi = starts[s], ends[e - 1]
             batch = sets[lo:hi]
             owner = np.repeat(np.arange(e - s), np.diff(offsets[s:e + 1]))
-            newly = single[s:e] + np.bincount(
-                owner, weights[lo:hi] * (self.count_x[batch] == 0), minlength=e - s)
-            lost = single[s:e] + np.bincount(
-                owner, weights[lo:hi] * (self.count_y[batch] == 1), minlength=e - s)
+            newly = np.bincount(owner, weights[lo:hi] * (self.count_x[batch] == 0),
+                                minlength=e - s)
+            lost = np.bincount(owner, weights[lo:hi] * (self.count_y[batch] == 1),
+                               minlength=e - s)
             a = unit * newly - coupon + shift
             b = -unit * lost + coupon + shift
             a_pos = np.where(a > 0.0, a, 0.0)

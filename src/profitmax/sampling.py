@@ -18,12 +18,14 @@ less C * |S|.  On a net of at most 64 nodes they come from a one-word
 ancestor closure (_rr_closure) that holds each distinct set of a pass
 once, with its count; past that, from the level loop below.
 
-A one-member set {v} meets S exactly when v is in S, so collections keep
-such sets, most RA sets on sparse networks, as a count per node.  The
-level loop settles them at the first level of the traversal: a root that
-draws no parent is counted and leaves it, and only the sets of two or
-more members are grown on and returned, and stored, whole.  Every stored
-set carries a weight, the number of drawn sets it stands for.
+Most RA sets on sparse networks hold their root alone.  The level loop
+settles them at the first level of the traversal: a root that draws no
+parent is only counted, per node, and leaves it; only the sets of two or
+more members are grown on and returned whole.  Copies of one set meet
+the same seed sets, so every stored set carries a weight, the number of
+drawn sets it stands for, and a collection holds one kind of set:
+CollectionBuilder.snapshot turns the per-node count into at most n sets
+{v}, each weighted by its count.
 """
 
 import numpy as np
@@ -255,27 +257,26 @@ def _stable_order(nodes, n: int) -> np.ndarray:
 class RACollection:
     """A flat store of RA or RR sets with an inverted index.
 
-    single[v] counts the sets {v}.  The other sets are stored: their
-    member lists live in one int32 array sliced by offsets, which keeps
+    Member lists live in one int32 array sliced by offsets, which keeps
     millions of small sets cheap, and weights[i] (int64) counts the drawn
-    sets stored set i stands for: one for every RA set, and for rpm's RR
-    sets the copies of each distinct set of a pass.  len() counts every
-    drawn set; sizes, members_of and the inverted index (node -> stored
-    sets containing it, built on first use) describe the stored sets.
-    sets_containing numbers the drawn sets: stored set i as weights[i]
-    consecutive sets, in order, then the one-member sets node after node.
+    sets stored set i stands for: one for every RA set of two or more
+    members, for rpm's RR sets the copies of each distinct set of a pass,
+    and for a set {v} every drawn set that held v alone.  len() counts
+    every drawn set; sizes, members_of and the inverted index (node ->
+    stored sets containing it, built on first use) describe the stored
+    sets.  sets_containing numbers the drawn sets: stored set i as
+    weights[i] consecutive sets, in order.
     """
 
-    def __init__(self, n: int, single, offsets, members, weights):
+    def __init__(self, n: int, offsets, members, weights):
         self.n = n
-        self.single = np.asarray(single, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.members = np.asarray(members, dtype=np.int32)
         self.weights = np.asarray(weights, dtype=np.int64)
         self._index = None
 
     def __len__(self):
-        return int(self.weights.sum()) + int(self.single.sum())
+        return int(self.weights.sum())
 
     def members_of(self, i: int) -> np.ndarray:
         return self.members[self.offsets[i]:self.offsets[i + 1]]
@@ -328,35 +329,32 @@ class RACollection:
         return self._index
 
     def sets_containing(self, v: int) -> np.ndarray:
-        """Every drawn set containing v, ascending: stored, then
-        one-member."""
+        """Every drawn set containing v, ascending."""
         idx_offsets, idx_sets = self.index()
         stored = idx_sets[idx_offsets[v]:idx_offsets[v + 1]]
         weights = self.weights[stored]
         # stored set i is numbered from the weight of the sets before it
         ends = np.cumsum(self.weights)[stored]
-        drawn = np.arange(int(weights.sum())) + np.repeat(
-            ends - np.cumsum(weights), weights)
-        first = int(self.weights.sum()) + int(self.single[:v].sum())
-        return np.concatenate((drawn, np.arange(first, first + self.single[v])))
+        return np.arange(int(weights.sum())) + np.repeat(ends - np.cumsum(weights),
+                                                         weights)
 
     def coverage_counts(self) -> np.ndarray:
-        """How many drawn sets contain each node, as int64: its one-member
-        sets, and the weight of every stored set holding it.  A stored
-        set's entry counts it once, and where some weight is above one,
-        the rest is added chunk by chunk, so the scratch stays within a
-        chunk."""
-        counts = self.single + self._entry_counts()
-        if self.weights.max(initial=1) > 1:
-            for lo, hi, first, spans in self._entry_chunks():
-                extra = self.weights[first:first + spans.size] - 1
-                np.add.at(counts, self.members[lo:hi], np.repeat(extra, spans))
+        """How many drawn sets contain each node, as int64: the weight of
+        every stored set holding it, added chunk by chunk, so the scratch
+        stays within a chunk.  A chunk of unit weights adds one per entry
+        and spells out no weight per entry."""
+        counts = np.zeros(self.n, dtype=np.int64)
+        for lo, hi, first, spans in self._entry_chunks():
+            weights = self.weights[first:first + spans.size]
+            np.add.at(counts, self.members[lo:hi],
+                      np.repeat(weights, spans) if weights.max() > 1 else 1)
         return counts
 
 
 class CollectionBuilder:
-    """Accumulates RA or RR sets kernel block by block, across growth rounds,
-    as a running count of one-member sets per node and split blocks."""
+    """Accumulates RA or RR sets kernel block by block, across growth rounds:
+    the sets of two or more members as split blocks, and the one-member
+    sets as a running count per node, which snapshot stores."""
 
     def __init__(self, net: TCNetwork):
         self.net = net
@@ -374,7 +372,7 @@ class CollectionBuilder:
         sets per node, and the stored sets are laid out as _grow lays
         them out, weights[i] drawn sets standing for set i."""
         self._count += int(single.sum()) + int(weights.sum())
-        self._single = self._single + single  # earlier snapshots hold the old one
+        self._single += single
         self._chunks.append((sizes, members, weights))
 
     def extend(self, count: int, rng):
@@ -387,11 +385,17 @@ class CollectionBuilder:
                                                      np.random.default_rng(child))
             self.add(single, sizes, members, np.ones(sizes.size, dtype=np.int64))
 
-    def _merged(self):
-        # merge once; later snapshots only append the newer chunks
-        if len(self._chunks) > 1:
-            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
-        return self._chunks[0]
+    def _merged(self, tail=None):
+        """The chunks, then tail's (sizes, members, weights) if it holds any
+        set, in one concatenation.  The chunks' part of it is kept, as
+        views, for later calls to append to."""
+        parts = self._chunks + ([tail] if tail is not None and tail[0].size else [])
+        if len(parts) == 1:
+            return parts[0]
+        merged = tuple(map(np.concatenate, zip(*parts)))
+        sets, entries = (sum(chunk[i].size for chunk in self._chunks) for i in (0, 1))
+        self._chunks = [(merged[0][:sets], merged[1][:entries], merged[2][:sets])]
+        return merged
 
     @property
     def members(self) -> np.ndarray:
@@ -399,10 +403,14 @@ class CollectionBuilder:
         return self._merged()[1]
 
     def snapshot(self) -> RACollection:
-        sizes, members, weights = self._merged()
+        """The sets so far: the multi-member ones in the order drawn, then
+        one set {v} per node v in order, weighted by its one-member sets."""
+        nodes = np.flatnonzero(self._single)
+        sizes, members, weights = self._merged(
+            (np.ones(nodes.size, np.int32), nodes.astype(np.int32), self._single[nodes]))
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        return RACollection(self.net.n, self._single, offsets, members, weights)
+        return RACollection(self.net.n, offsets, members, weights)
 
 
 def generate_collection(net: TCNetwork, l: int, rng_seed) -> RACollection:

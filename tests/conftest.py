@@ -81,24 +81,27 @@ def rr_passes(net, count, seed):
     return list(sample_rr_block(net, count, np.random.default_rng(seed)))
 
 
-def split_block(n: int, sizes, members):
-    """(single, sizes, members) of sets given whole as sizes and members
-    (each set's nodes in turn), in the layout the samplers return: single
-    counts, per node, the sets of one member; sizes (int32) and members
-    describe the sets of two or more members, in their order."""
+def stored_layout(n: int, sizes, members):
+    """(offsets, members, weights) of sets given whole as sizes and members
+    (each set's nodes in turn), in the layout CollectionBuilder.snapshot
+    stores: the sets of two or more members in their order, each of
+    weight one, then one set {v} per node v that has any, ascending,
+    weighted by their number."""
     one = sizes == 1
     single = np.bincount(members[(np.cumsum(sizes) - sizes)[one]], minlength=n)
-    return single, sizes[~one].astype(np.int32), members[np.repeat(~one, sizes)]
+    nodes = np.flatnonzero(single)
+    kept = np.concatenate((sizes[~one], np.ones(nodes.size, dtype=sizes.dtype)))
+    members = np.concatenate((members[np.repeat(~one, sizes)], nodes)).astype(np.int32)
+    weights = np.concatenate((np.ones(kept.size - nodes.size, np.int64), single[nodes]))
+    return np.concatenate(([0], np.cumsum(kept))), members, weights
 
 
 def collection_of(n, sets):
-    """An RACollection of the given node lists, split as the samplers split
-    their kernel blocks: the sets of two or more members keep their order."""
+    """An RACollection of the given node lists, stored as the samplers'
+    sets are (stored_layout)."""
     sizes = np.array([len(s) for s in sets], dtype=np.int64)
     members = np.concatenate([np.asarray(s, dtype=np.int32) for s in sets])
-    single, sizes, members = split_block(n, sizes, members)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return RACollection(n, single, offsets, members, np.ones(sizes.size))
+    return RACollection(n, *stored_layout(n, sizes, members))
 
 
 def rat_large_net():

@@ -218,16 +218,17 @@ class TestRPM:
                 seed=1, memory_budget_mb=0.1)
 
     def test_budget_charges_what_is_stored(self, two_node_net):
-        # its 2000 sets are 1000 one-member sets, counted per node, and one
-        # distinct set {v1, v2} of weight 1000: far inside 0.05 MiB
+        # its 2000 sets are one distinct set {v1, v2} of weight 1000 and
+        # 1000 one-member sets, counted per node and stored as {v1} of
+        # weight 1000: far inside 0.05 MiB
         res = rpm(two_node_net, eps=0.4, l_override=1000, seed=1,
                   memory_budget_mb=0.05)
         assert res.members == frozenset({0})
         assert res.internal_value == pytest.approx(0.75)
         coll = _realization_collection(two_node_net, 1000,
                                        np.random.SeedSequence(1), 0.05)
-        assert coll.single.tolist() == [1000, 0]
-        assert coll.weights.tolist() == [1000]
+        assert [coll.members_of(i).tolist() for i in range(2)] == [[0, 1], [0]]
+        assert coll.weights.tolist() == [1000, 1000]
 
     def test_memory_growth_checked_while_drawing(self):
         # a certain 100-cycle is past one mask word, so its RR sets are
@@ -456,6 +457,21 @@ class TestSampleCounts:
     def test_integral_float_accepted(self, two_node_net, entry):
         call, _ = SAMPLE_COUNT_ENTRIES[entry]
         call(two_node_net, 5.0)
+
+    @pytest.mark.parametrize("alg", [spm, rpm])
+    def test_default_l_beyond_cap_refused_before_drawing(self, monkeypatch, alg):
+        # on a 20-node ring at coupon fraction 0.9, the CLI's default, and
+        # eps 0.0005, delta0 asks for 2,582,693,176,775 samples, more than
+        # MAX_SAMPLES = 2^40: refused by name, and nothing drawn
+        def drawn(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(algorithms, "simulate_sets", drawn)
+        monkeypatch.setattr(algorithms, "sample_rr_block", drawn)
+        net = make_net("".join(f"{v} {v % 20 + 1}\n" for v in range(1, 21)),
+                       coupon=0.45)
+        with pytest.raises(ParameterError, match="^l must be at most "):
+            alg(net, eps=0.0005, seed=1)
 
     def test_integral_float_counts_as_its_int(self, two_node_net):
         hd = high_degree(two_node_net, trials=5.0, eval_simulations=20, seed=1)

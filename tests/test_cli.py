@@ -468,6 +468,17 @@ class TestThresholds:
         assert code == 0
         assert "error" in json.loads(out)["ras"]
 
+    def test_infeasible_rat_grid_reported_inline(self, capsys):
+        # eps 0.005 leaves no point of ra-t's 0.01 grid; delta0 and ras
+        # are printed all the same
+        code, out, _ = run_cli(capsys, "thresholds", "--n", "20", "--r", "0.1",
+                               "--eps", "0.005")
+        assert code == 0
+        data = json.loads(out)
+        assert data["rat"] == {
+            "error": "no feasible grid point: step 0.01 does not fit below eps 0.005"}
+        assert data["delta0"] > 0 and "ras" in data
+
     def test_infinite_big_n_fails_cleanly(self, capsys):
         code, out, err = run_cli(capsys, "thresholds", "--n", "10", "--r", "0.1",
                                  "--eps", "0.4", "--bigN", "inf")

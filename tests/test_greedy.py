@@ -14,7 +14,7 @@ from profitmax.greedy import SCALAR_BATCH, _latest_conflicts
 from profitmax.sampling import INDEX_CHUNK
 
 from conftest import (collection_of, make_net, random_edge_text, random_small_net,
-                      rat_large_net, split_block)
+                      rat_large_net, stored_layout)
 
 
 def run_modular(weights, rng_seed=0, shift=0.0):
@@ -297,9 +297,10 @@ class TestBatchedPass:
             double_greedy(CoverageOracle(coll, 1.0, 0.5), order, random.Random(0))
 
     def test_oracle_and_plan_scratch_is_bounded(self):
-        # a million sets over 1000 nodes, 95% of them with one member; the
-        # scratch allowance is below a byte per one-member set, so no
-        # array over every set fits into it
+        # a million sets over 1000 nodes, 95% of them with one member,
+        # stored as at most 1000 weighted sets; the scratch allowance is
+        # below a byte per one-member set, so no array over every drawn
+        # set fits into it
         rng = np.random.default_rng(3)
         n, count = 1000, 1_000_000
         sizes = np.where(rng.random(count) < 0.95, 1, rng.integers(2, 5, count))
@@ -309,9 +310,7 @@ class TestBatchedPass:
         step = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
         members = ((np.repeat(rng.integers(0, n, count), sizes) + step) % n
                    ).astype(np.int32)
-        single, sizes, members = split_block(n, sizes, members)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        coll = RACollection(n, single, offsets, members, np.ones(sizes.size))
+        coll = RACollection(n, *stored_layout(n, sizes, members))
         order = rng.permutation(n)
         del sizes, step
         tracemalloc.start()
@@ -327,12 +326,13 @@ class TestBatchedPass:
         # by position; beyond that, chunk scratch, the X and Y node sets
         # and a few arrays per node
         scratch = 64 * INDEX_CHUNK + 256 * n
-        assert scratch < coll.single.sum()
+        assert scratch < coll.weights[coll.sizes() == 1].sum()
         assert peak <= kept + coll.members.nbytes + scratch
 
     def test_construction_holds_counters_only(self):
-        # the one-member sets of a rat-large-shaped collection arrive as
-        # counts, so the oracle copies no part of the collection
+        # the one-member sets of a rat-large-shaped collection are stored
+        # as at most n weighted sets, and the oracle reads the weights in
+        # place: it copies no part of the collection
         net = rat_large_net()
         coll = generate_collection(net, 600_000, 7)
         tracemalloc.start()
@@ -341,7 +341,7 @@ class TestBatchedPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert oracle.single is coll.single
+        assert oracle.weights is coll.weights
         # its two int32 counters and one int64 size per stored set, and the
         # Y node set: a hash table resized as it fills, and an int per node
         assert peak <= 4 * oracle.count_y.nbytes + 160 * net.n
@@ -387,7 +387,7 @@ def _brute_latest_conflicts(n, sets):
 
 class TestLatestConflicts:
     def test_one_member_sets_are_skipped(self):
-        # len() counts the one-member sets, which are not stored
+        # a one-member set pairs its node with no other
         coll = collection_of(4, [[0, 1], [2], [3], [1, 2]])
         assert _latest_conflicts(coll).tolist() == [-1, 0, 1, -1]
 

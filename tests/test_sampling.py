@@ -92,7 +92,7 @@ class TestCollection:
         a = generate_collection(lt_fork_net, 200, 5)
         b = generate_collection(lt_fork_net, 200, 5)
         assert len(a) == len(b) == 200
-        assert np.array_equal(a.single, b.single)
+        assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.offsets, b.offsets)
 
@@ -106,9 +106,10 @@ class TestCollection:
     def test_from_sets_round_trip(self):
         coll = collection_of(2, [[0], [0, 1]])
         assert len(coll) == 2
-        assert list(coll.single) == [1, 0]
+        assert list(coll.weights) == [1, 1]
         assert list(coll.members_of(0)) == [0, 1]
-        assert list(coll.sizes()) == [2]
+        assert list(coll.members_of(1)) == [0]
+        assert list(coll.sizes()) == [2, 1]
 
     def test_inverted_index_matches_bruteforce(self):
         rng = random.Random(7)
@@ -116,12 +117,12 @@ class TestCollection:
         coll = generate_collection(net, 300, 11)
         stored = len(coll.sizes())
         assert stored < len(coll)
+        # stored set j stands for weights[j] drawn sets, numbered in turn
+        first = np.concatenate(([0], np.cumsum(coll.weights)))
         for v in range(net.n):
-            brute = [j for j in range(stored)
-                     if v in set(coll.members_of(j).tolist())]
-            # then v's one-member sets, numbered node after node
-            first = stored + int(coll.single[:v].sum())
-            brute += range(first, first + int(coll.single[v]))
+            brute = [i for j in range(stored)
+                     if v in set(coll.members_of(j).tolist())
+                     for i in range(first[j], first[j + 1])]
             assert list(coll.sets_containing(v)) == brute
 
     def test_inverted_index_beyond_16_bit_ids(self):
@@ -133,7 +134,7 @@ class TestCollection:
         sets = [np.unique(rng.integers(0, n, rng.integers(1, 6))) for _ in range(l)]
         sets[0] = np.array([0, 65_535, 65_536, n - 1])
         offsets = np.concatenate(([0], np.cumsum([s.size for s in sets])))
-        coll = RACollection(n, np.zeros(n), offsets, np.concatenate(sets), np.ones(l))
+        coll = RACollection(n, offsets, np.concatenate(sets), np.ones(l))
         assert coll.members.size > 2 * INDEX_CHUNK
         idx_offsets, idx_sets = coll.index()
         assert idx_sets.dtype == np.int32
@@ -156,7 +157,7 @@ class TestCollection:
         rng = np.random.default_rng(5)
         offsets = np.concatenate(([0], np.cumsum(rng.integers(1, 6, 500_000))))
         members = rng.integers(0, n, offsets[-1]).astype(np.int32)
-        coll = RACollection(n, np.zeros(n), offsets, members, np.ones(offsets.size - 1))
+        coll = RACollection(n, offsets, members, np.ones(offsets.size - 1))
         tracemalloc.start()
         try:
             size = coll.coverage_counts().nbytes
@@ -180,8 +181,48 @@ class TestCollection:
         snap = builder.snapshot()
         assert len(snap) == 80
         assert len(builder) == 80
-        assert np.array_equal(builder.members, snap.members)
+        # the multi-member sets, then the one-member ones
+        assert np.array_equal(builder.members, snap.members[:builder.members.size])
+        assert np.all(snap.sizes()[np.cumsum(snap.sizes()) > builder.members.size] == 1)
         assert len(snap.members) == snap.sizes().sum()
+
+
+class TestSnapshotLayout:
+    def test_layout_is_pinned(self):
+        # two hand-made blocks: the stored sets in the order added, then
+        # {0}, {2} and {3} weighted by their one-member sets over both
+        builder = CollectionBuilder(make_net("1 2\n2 3\n3 4\n"))
+        builder.add(np.array([2, 0, 1, 0]), np.array([2, 3], np.int32),
+                    np.array([0, 1, 1, 2, 3], np.int32), np.array([1, 1]))
+        builder.add(np.array([1, 0, 0, 3]), np.array([2], np.int32),
+                    np.array([2, 3], np.int32), np.array([4]))
+        coll = builder.snapshot()
+        assert coll.offsets.tolist() == [0, 2, 5, 7, 8, 9, 10]
+        assert coll.members.tolist() == [0, 1, 1, 2, 3, 2, 3, 0, 2, 3]
+        assert coll.weights.tolist() == [1, 1, 4, 3, 1, 3]
+        assert len(coll) == len(builder) == 13
+        # stored set i stands for weights[i] consecutive drawn sets
+        assert [coll.sets_containing(v).tolist() for v in range(4)] == [
+            [0, 6, 7, 8], [0, 1], [1, 2, 3, 4, 5, 9], [1, 2, 3, 4, 5, 10, 11, 12]]
+        assert coll.coverage_counts().tolist() == [4, 2, 6, 8]
+        assert builder.members.tolist() == [0, 1, 1, 2, 3, 2, 3]
+
+    def test_snapshot_between_extends(self):
+        # ra-s snapshots between rounds: the kept sets must not take in the
+        # first snapshot's one-member sets
+        net = make_net(KERNEL_NETS["diamond"], ic_p=0.5)
+        rounds = CollectionBuilder(net)
+        rounds.extend(300, 5)
+        first = rounds.snapshot()
+        rounds.extend(500, 6)
+        once = CollectionBuilder(net)
+        once.extend(300, 5)
+        once.extend(500, 6)
+        got, want = rounds.snapshot(), once.snapshot()
+        assert np.any(first.sizes() == 1) and len(got) == 800
+        for name in ("offsets", "members", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(rounds.members, once.members)
 
 
 class TestCollectionMemory:
@@ -204,10 +245,9 @@ class TestCollectionMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = (coll.single.nbytes + coll.offsets.nbytes + coll.members.nbytes
-                  + coll.weights.nbytes)
+        result = coll.offsets.nbytes + coll.members.nbytes + coll.weights.nbytes
         assert len(coll) == l
-        assert coll.single.sum() > 0.9 * l
+        assert coll.weights[coll.sizes() == 1].sum() > 0.9 * l
         assert peak <= result + scratch
         assert peak < 6 << 20
 
@@ -268,17 +308,19 @@ class TestKernel:
                        ic_p=0.7, intrinsics=[0.9, 0.9, 0.9, 0.9, 0.3])
         l = RA_BLOCK + 500
         coll = generate_collection(net, l, 4)
-        # the collection is the kernel's blocks, one-member sets counted
-        single, sizes, members = np.zeros(net.n), [], []
+        # the collection is the kernel's blocks, then one set {v} per node
+        # weighted by its one-member sets
+        single, sizes, members = np.zeros(net.n, dtype=np.int64), [], []
         for child, size in stream_blocks(4, l, RA_BLOCK):
             block = sample_ra_block(net, size, np.random.default_rng(child))
             assert_well_formed(net.n, size, *block)
             single += block[0]
             sizes.append(block[1])
             members.append(block[2])
-        assert np.array_equal(coll.single, single)
-        assert np.array_equal(coll.sizes(), np.concatenate(sizes))
-        assert np.array_equal(coll.members, np.concatenate(members))
+        nodes = np.flatnonzero(single)
+        assert np.array_equal(coll.sizes(), np.concatenate(sizes + [np.ones_like(nodes)]))
+        assert np.array_equal(coll.members, np.concatenate(members + [nodes]))
+        assert np.array_equal(coll.weights[coll.weights.size - nodes.size:], single[nodes])
         for i in range(0, len(coll.sizes()), 37):
             assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
 
@@ -492,9 +534,8 @@ class TestEstimateF:
             for _ in range(4):
                 seeds = [v for v in range(net.n) if rng.random() < 0.4]
                 covered = sum(
-                    1 for j in range(len(coll.sizes()))
+                    int(coll.weights[j]) for j in range(len(coll.sizes()))
                     if set(seeds) & set(coll.members_of(j).tolist()))
-                covered += int(coll.single[seeds].sum())
                 want = net.price * net.n * covered / len(coll) \
                     - net.coupon * len(set(seeds))
                 assert estimate_F(coll, seeds, net) == pytest.approx(want, abs=1e-12)
