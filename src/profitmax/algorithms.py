@@ -235,11 +235,12 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
          workers: int = 1) -> SelectionResult:
     """Reverse-sampling selection on a doubling schedule.
 
-    The collection starts at ceil(delta2_star) sets and doubles each
-    round; rounds end early when the collection's own estimate of its
+    Round i = 0..k draws its collection up to ceil(delta2_star * 2^i)
+    sets; rounds end early when the collection's own estimate of its
     output is confirmed by an independent simulation batch, when the
     estimate has plateaued (relative drop below plateau_pct percent), or
-    unconditionally once the martingale threshold delta1_star is reached.
+    unconditionally at round k, which reaches the martingale threshold
+    delta1_star = 2^k delta2_star.
     """
     if not (plateau_pct >= 0.0 and math.isfinite(plateau_pct)):
         raise ParameterError(f"plateau_pct must be a finite percentage >= 0, got {plateau_pct}")
@@ -251,22 +252,16 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
     probes = default_probe_count(net, big_n, eps)
     order = node_order(net, probes, probe_ss)
     builder = CollectionBuilder(net)
-    l_real = params.delta2_star
     prev_f = None
     sims = 0
-    iterations = 0
-    stop_reason = None
-    members = frozenset()
-    value = None
-    while l_real <= 2.0 * params.delta1_star * (1.0 + 1e-9):
+    for i in range(k + 1):
         grow_ss, coin_ss, sim_ss = loop_ss.spawn(3)
-        builder.extend(math.ceil(l_real) - len(builder), grow_ss)
+        builder.extend(math.ceil(params.delta2_star * 2 ** i) - len(builder), grow_ss)
         coll = builder.snapshot()
         oracle = CoverageOracle(coll, net.price, net.coupon)
         members = double_greedy(oracle, order, _rng_from(coin_ss))
         value = oracle.current_value()
-        iterations += 1
-        if l_real >= params.delta1_star * (1.0 - 1e-9):
+        if i == k:
             stop_reason = "threshold"
             break
         check = estimate_profit_simulation(net, members, l_star, sim_ss)
@@ -278,12 +273,11 @@ def ra_s(net: TCNetwork, eps: float = 0.4, big_n=None, k: int = 5,
             stop_reason = "plateau"
             break
         prev_f = value
-        l_real *= 2.0
     return SelectionResult(
         members=members, produced_by=RA_S,
         sample_counts={"simulations": sims, "realizations": 0,
                        "ra_sets": len(builder) + probes},
-        l=len(builder), internal_value=value, iterations=iterations,
+        l=len(builder), internal_value=value, iterations=i + 1,
         extras={"stop_reason": stop_reason, "l_star": l_star,
                 "eps1": params.eps1, "eps2": params.eps2,
                 "delta1_star": params.delta1_star,

@@ -9,6 +9,7 @@ respective estimator.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -188,7 +189,7 @@ def solve_ras_params(n, big_n, eps, r, k: int, eps3: float) -> RASParams:
     boundary.  Bisection therefore finds the unique root.
     """
     _check(n, big_n, r, "eps", eps)
-    if not k >= 1:
+    if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ParameterError(f"k must be a positive integer, got {k}")
     if not k < sys.float_info.max_exp:
         raise ParameterError(f"k must be below {sys.float_info.max_exp} so that "

@@ -7,7 +7,9 @@ shrinking set Y.  For each node it asks an oracle for the two marginals
 
 clamps both at zero and admits v with probability a' / (a' + b'),
 admitting outright when both clamp to zero (Buchbinder, Feldman, Naor &
-Schwartz, FOCS 2012).  Estimated oracles add a fixed shift of
+Schwartz, FOCS 2012).  Every node of the order takes one uniform coin,
+in order, whether or not its decision needs it, so a node's coin never
+depends on earlier decisions.  Estimated oracles add a fixed shift of
 2 eps L* / n to each marginal, which compensates estimation error up to
 eps L* / n per evaluation.
 
@@ -25,17 +27,17 @@ and deciding v writes only those.  The batched pass uses this
 optimistically, in the concurrency-control scheme of Pan, Jegelka,
 Gonzalez, Bradley & Jordan, "Parallel Double Greedy Submodular
 Maximization" (NIPS 2014): it decides a window of consecutive nodes from
-the counters at the window's start, drawing the coins in order for the
-nodes whose clamped marginals do not both vanish, and then checks the
-window.  Only an entry whose set has an earlier member in the window can
-read a stale counter.  The check recounts those entries from the earlier
-members' decisions and accepts every node up to and including the first
-whose coin flag or decision changes.  By induction over the window, each
-accepted node is decided from the counters and the coin the sequential
-pass gives it, so the pass leaves exactly the sequential pass's members,
-counters, F and coin stream.  Where runs of nodes sharing no set are
-expected to be short, as on the dense reverse-reachable sets of small
-networks, every node takes a scalar step instead.
+the counters at the window's start, each with its own coin, and then
+checks the window.  Only an entry whose set has an earlier member in the
+window can read a stale counter.  The check recounts those entries from
+the earlier members' decisions and accepts every node up to and
+including the first whose decision changes, which takes its recounted
+decision.  By induction over the window, each accepted node is decided
+from the counters the sequential pass gives it, so the pass leaves
+exactly the sequential pass's members, counters and F.  Where runs of
+nodes sharing no set are expected to be short, as on the dense
+reverse-reachable sets of small networks, every node takes a scalar step
+instead.
 """
 
 import numpy as np
@@ -48,14 +50,14 @@ from .sampling import RACollection, _stable_order
 SCALAR_BATCH = 4
 
 
-def _admit(a: float, b: float, rand) -> bool:
-    """The double-greedy decision on marginals a and b: admit with
-    probability a' / (a' + b') of the clamped marginals, outright when
-    both vanish, in which case no coin is drawn."""
+def _admit(a: float, b: float, coin: float) -> bool:
+    """The double-greedy decision on marginals a and b with a uniform coin
+    in [0, 1): admit when coin < a' / (a' + b') of the clamped marginals,
+    and outright, whatever the coin, when both vanish."""
     a_pos = a if a > 0.0 else 0.0
     b_pos = b if b > 0.0 else 0.0
     total = a_pos + b_pos
-    return total == 0.0 or rand() < a_pos / total
+    return total == 0.0 or coin < a_pos / total
 
 
 class FunctionOracle:
@@ -210,40 +212,40 @@ class CoverageOracle:
     def greedy_pass(self, order, rng) -> frozenset:
         """double_greedy over this oracle.  Where runs of nodes sharing no
         set are expected to be short, every node takes a scalar step over
-        the collection's node index.  Otherwise the pass goes window by
-        window over the sets by position (Pan et al., NIPS 2014): _window
-        decides a window from the counters at its start, recounts the
-        entries whose set an earlier window node holds, and accepts the
-        nodes through the first whose coin flag or decision changes.  The
-        nodes before that one read the counters and coins the sequential
-        pass gives them, so its recount is exact too; by induction the
-        pass leaves the sequential pass's members, counters and coin
-        stream.  A window twice as long follows one accepted whole, and one
-        as long as the accepted part follows a cut, never shorter than
-        SCALAR_BATCH.  Drawing a window's coins ahead of its check takes
-        rng's getstate and setstate besides random."""
+        the collection's node index.  Otherwise the pass draws the coins of
+        all the nodes up front and goes window by window over the sets by
+        position (Pan et al., NIPS 2014): _window decides a window from the
+        counters at its start, recounts the entries whose set an earlier
+        window node holds, and accepts the nodes through the first whose
+        decision changes.  The nodes before that one read the counters the
+        sequential pass gives them, so its recount is exact too; by
+        induction the pass leaves the sequential pass's members and
+        counters.  A window twice as long follows one accepted whole, and
+        one as long as the accepted part follows a cut, never shorter than
+        SCALAR_BATCH."""
+        rand = rng.random
         if not self.batched:
             order = self._permutation(order)
             offsets, sets = self.coll.index()
             # each entry's weight, as floats: integer sums stay exact
             # below 2^53
             weights = self.weights.astype(np.float64)[sets]
-            rand = rng.random
             for v, lo, hi in zip(order.tolist(), offsets[order].tolist(),
                                  offsets[order + 1].tolist()):
                 at = sets[lo:hi]
-                self._apply(v, at, _admit(*self._gains(v, at, weights[lo:hi]), rand))
+                self._apply(v, at, _admit(*self._gains(v, at, weights[lo:hi]), rand()))
             return frozenset(self.x)
         order, offsets, sets = self.by_position(order)
         weights = self.weights.astype(np.float64).take(sets)
         bounds = offsets.tolist()
-        coins = _CoinStream(rng)
+        coins = np.array([rand() for _ in range(order.size)])
         start, size = 0, SCALAR_BATCH
         while start < order.size:
             end = min(start + size, order.size)
             lo, hi = bounds[start], bounds[end]
             lens = np.diff(offsets[start:end + 1])
-            accepted, admitted = self._window(sets[lo:hi], weights[lo:hi], lens, coins)
+            accepted, admitted = self._window(sets[lo:hi], weights[lo:hi], lens,
+                                              coins[start:end])
             # apply the accepted nodes: one window may hold a set many
             # times, so the counters take ufunc.at, with an int32 operand
             # that needs no cast
@@ -254,34 +256,30 @@ class CoverageOracle:
             self.x.update(order[start:start + accepted][admitted[:accepted]].tolist())
             size = 2 * size if start + accepted == end else max(SCALAR_BATCH, accepted)
             start += accepted
-        coins.finish()
         return frozenset(self.x)
 
-    def _clamped(self, newly, lost):
-        """(a', a' + b') of nodes whose sets counted newly and lost."""
+    def _decide(self, newly, lost, coin):
+        """_admit's decisions of nodes whose sets counted newly and lost,
+        with those coins."""
         a = self.unit * newly - self.coupon + self.shift
         b = -self.unit * lost + self.coupon + self.shift
         a_pos = np.where(a > 0.0, a, 0.0)
-        return a_pos, a_pos + np.where(b > 0.0, b, 0.0)
+        total = a_pos + np.where(b > 0.0, b, 0.0)
+        vanish = total == 0.0
+        return vanish | (coin < a_pos / np.where(vanish, 1.0, total))
 
-    def _window(self, sets, weights, lens, coins):
+    def _window(self, sets, weights, lens, coin):
         """Decide a window of consecutive nodes from the counters at its
         start, and check the decisions.  Node i of the window holds lens[i]
-        of the entries sets, of those weights.  Returns (accepted,
-        admitted): admitted[:accepted] are the sequential pass's decisions
-        of the window's first accepted nodes, whose coins are consumed
-        from coins."""
+        of the entries sets, of those weights, and decides with coin[i].
+        Returns (accepted, admitted): admitted[:accepted] are the
+        sequential pass's decisions of the window's first accepted nodes."""
         m = lens.size
         owner = np.repeat(np.arange(m), lens)
         in_x, in_y = self.count_x.take(sets), self.count_y.take(sets)
         newly = np.bincount(owner, weights * (in_x == 0), minlength=m)
         lost = np.bincount(owner, weights * (in_y == 1), minlength=m)
-        a_pos, total = self._clamped(newly, lost)
-        draw = np.flatnonzero(total > 0.0)
-        coin = np.zeros(m)
-        coin[draw] = coins.peek(draw.size)
-        admitted = total == 0.0
-        admitted[draw] = coin[draw] < a_pos[draw] / total[draw]
+        admitted = self._decide(newly, lost, coin)
         # The entries by set, each set's in pass order: an entry equal to
         # the one before it is a later member of a set an earlier window
         # node holds, and reads a counter that node may have changed.
@@ -289,7 +287,6 @@ class CoverageOracle:
         grouped = sets.take(by_set)
         pairs = np.flatnonzero(grouped[1:] == grouped[:-1])
         if not pairs.size:
-            coins.consume(draw.size)
             return m, admitted
         later = by_set.take(pairs + 1)
         before = admitted.take(owner.take(by_set.take(pairs))).astype(np.int64)
@@ -309,77 +306,32 @@ class CoverageOracle:
         d_newly = np.bincount(node, w * (x0 + covered == 0) - w * (x0 == 0), minlength=m)
         d_lost = np.bincount(node, w * (y0 - left == 1) - w * (y0 == 1), minlength=m)
         touched = np.flatnonzero((d_newly != 0.0) | (d_lost != 0.0))
-        a_t, total_t = self._clamped(newly[touched] + d_newly[touched],
-                                     lost[touched] + d_lost[touched])
-        flagged = total_t > 0.0
-        admitted_t = ~flagged
-        admitted_t[flagged] = coin[touched][flagged] < a_t[flagged] / total_t[flagged]
-        changed = np.flatnonzero((flagged != (total[touched] > 0.0))
-                                 | (admitted_t != admitted[touched]))
+        recounted = self._decide(newly[touched] + d_newly[touched],
+                                 lost[touched] + d_lost[touched], coin[touched])
+        changed = np.flatnonzero(recounted != admitted[touched])
         if not changed.size:
-            coins.consume(draw.size)
             return m, admitted
-        # the first node whose flag or decision changes: every node before
-        # it was decided as in the sequential pass, so its recount is
-        # exact, and its coin, if it draws one, is the next after theirs
+        # the first node whose decision changes: every node before it was
+        # decided as in the sequential pass, so its recount is exact
         j = changed[0]
-        q = int(touched[j])
-        used = int(np.count_nonzero(total[:q] > 0.0))
-        if flagged[j]:
-            admitted[q] = coins.peek(used + 1)[used] < a_t[j] / total_t[j]
-            used += 1
-        else:
-            admitted[q] = True
-        coins.consume(used)
-        return q + 1, admitted
-
-
-class _CoinStream:
-    """The coin flips of a pass, drawn ahead of their use: a window peeks
-    at the coins of all the nodes it flags and consumes only those of the
-    nodes it accepts.  finish() leaves rng just past the consumed coins,
-    where the sequential pass leaves it."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.state = rng.getstate()
-        self.ahead = np.empty(0)
-        self.used = 0
-
-    def peek(self, k: int) -> np.ndarray:
-        """The next k coins, drawn as needed and not consumed."""
-        if self.ahead.size < k:
-            rand = self.rng.random
-            self.ahead = np.append(self.ahead,
-                                   [rand() for _ in range(k - self.ahead.size)])
-        return self.ahead[:k]
-
-    def consume(self, k: int):
-        self.ahead = self.ahead[k:]
-        self.used += k
-
-    def finish(self):
-        """Rewind rng over the coins drawn but never consumed."""
-        if self.ahead.size:
-            self.rng.setstate(self.state)
-            rand = self.rng.random
-            for _ in range(self.used):
-                rand()
+        admitted[touched[j]] = recounted[j]
+        return int(touched[j]) + 1, admitted
 
 
 def double_greedy(oracle, order, rng) -> frozenset:
     """One pass over `order`; returns the grown set X.
 
     order must be a permutation of the ground set.  rng supplies the
-    inclusion coin flips (random.Random interface).  gains(v) returns
-    both marginals of node v at once.  An oracle that has its own
-    greedy_pass, found by attribute so that proxies forwarding attributes
-    reach it too, runs the pass itself.
+    inclusion coins (random.Random interface): rng.random() is called
+    once per node, in order, whether or not the node's decision needs
+    its coin.  gains(v) returns both marginals of node v at once.  An
+    oracle that has its own greedy_pass, found by attribute so that
+    proxies forwarding attributes reach it too, runs the pass itself.
     """
     greedy_pass = getattr(oracle, "greedy_pass", None)
     if greedy_pass is not None:
         return greedy_pass(order, rng)
     rand = rng.random
     for v in order:
-        oracle.apply(v, _admit(*oracle.gains(v), rand))
+        oracle.apply(v, _admit(*oracle.gains(v), rand()))
     return frozenset(oracle.x)

@@ -135,7 +135,8 @@ class DiffusionParams:
     model: "ic-cp" (independent cascade, constant probability),
     "ic-wc" (independent cascade, probability 1/in-degree) or
     "lt" (linear threshold, weight 1/in-degree).
-    ic_probability is only used by ic-cp.
+    ic_probability is only used by ic-cp, but must lie in (0, 1] under
+    every model.
     """
 
     model: str = "ic-cp"
@@ -144,8 +145,8 @@ class DiffusionParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ParameterError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.model == "ic-cp" and not (0.0 < self.ic_probability <= 1.0):
-            raise ParameterError("ic probability must lie in (0, 1]")
+        if not (0.0 < self.ic_probability <= 1.0):
+            raise ParameterError(f"ic probability must lie in (0, 1], got {self.ic_probability}")
 
 
 class Pickers(NamedTuple):

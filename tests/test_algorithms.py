@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,7 +97,8 @@ def _reference_spm(net, eps, l, seed, block=SIM_BLOCK):
             h_add, h_drop = evaluate([x | {v}, y - {v}])
         a = max(h_add - hx + shift, 0.0)
         b = max(h_drop - hy + shift, 0.0)
-        if a + b == 0.0 or rand() < a / (a + b):
+        coin = rand()  # one coin per node, used or not
+        if a + b == 0.0 or coin < a / (a + b):
             x, hx = x | {v}, h_add
         else:
             y, hy = y - {v}, h_drop
@@ -389,6 +391,28 @@ class TestRAS:
         if res.extras["stop_reason"] == "threshold":
             assert res.l == grid[-1]
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_unconfirmed_rounds_run_to_threshold(self, two_node_net, k, monkeypatch):
+        # a check that never confirms, and an estimate that falls by half
+        # of its size each round, so that it never plateaus: the schedule
+        # runs all k + 1 rounds, round i at ceil(delta2_star * 2^i) sets
+        sizes = []
+
+        class Unconfirmed(CoverageOracle):
+            def current_value(self):
+                sizes.append(len(self.coll))
+                return -float(len(self.coll))
+
+        monkeypatch.setattr(algorithms, "CoverageOracle", Unconfirmed)
+        monkeypatch.setattr(algorithms, "estimate_profit_simulation",
+                            lambda *args: SimpleNamespace(mean_profit=-math.inf))
+        res = ra_s(two_node_net, eps=0.4, k=k, seed=4)
+        d2s = solve_ras_params(2, 2.0, 0.4, 0.5, k, 0.1).delta2_star
+        assert sizes == [math.ceil(d2s * 2 ** i) for i in range(k + 1)]
+        assert res.extras["stop_reason"] == "threshold"
+        assert res.iterations == k + 1
+        assert res.l == math.ceil(d2s * 2 ** k)
+
     def test_sim_checks_counted(self, two_node_net):
         res = ra_s(two_node_net, eps=0.4, k=3, seed=4)
         l_star = math.ceil(solve_ras_params(2, 2.0, 0.4, 0.5, 3, 0.1).delta3)
@@ -401,6 +425,12 @@ class TestRAS:
     def test_k_must_be_positive(self, two_node_net):
         with pytest.raises(ParameterError):
             ra_s(two_node_net, eps=0.4, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_k_must_be_an_integer(self, two_node_net, k):
+        # ra-s counts its rounds to k
+        with pytest.raises(ParameterError, match="k must be a positive integer"):
+            ra_s(two_node_net, eps=0.4, k=k)
 
     @pytest.mark.parametrize("plateau_pct", [math.nan, math.inf, -1.0])
     def test_plateau_pct_must_be_finite_and_nonnegative(self, two_node_net,
@@ -517,10 +547,12 @@ PINNED_RUNS = {
 class TestPinnedSelections:
     # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
     # reason), pinned while RA collections still stored one-member sets
-    # whole, and LT maxinf's values since LT cascades draw their picks up
-    # front; the nets cover split and unsplit, batched and scalar oracles
+    # whole, LT maxinf's values since LT cascades draw their picks up
+    # front, and ra-t's on the sparse nets, which meet nodes whose clamped
+    # marginals both vanish, since every node draws a coin; the nets cover
+    # split and unsplit, batched and scalar oracles
     @pytest.mark.parametrize("kind,alg,pinned", [
-        ("sparse-ic-cp", "ra-t", (797, "4e52f5cec1af3a65", 113.85000000000002, 20000, None)),
+        ("sparse-ic-cp", "ra-t", (799, "a57814ada2640e3b", 113.625, 20000, None)),
         ("sparse-ic-cp", "ra-s", (925, "4089184cd834b099", 102.40981625026342, 90177, "confirmed")),
         ("sparse-ic-cp", "rpm", (931, "4152ea485e875f13", 99.19999999999999, 20, None)),
         ("sparse-ic-cp", "maxinf", (100, "1684030a22f3d007", 13.085, 2159, None)),
@@ -528,7 +560,7 @@ class TestPinnedSelections:
         ("dense-lt", "ra-s", (5, "7c83e8130b1924fc", 4.391111111111111, 1575, "confirmed")),
         ("dense-lt", "rpm", (6, "aeea848eec2ac308", 4.275, 20, None)),
         ("dense-lt", "maxinf", (2, "9393911cbd0ddb23", 3.1624999999999996, 825, None)),
-        ("sparse-lt", "ra-t", (889, "3aa531108d7a8f4c", 604.6, 20000, None)),
+        ("sparse-lt", "ra-t", (879, "236517dfdbdeefc4", 610.3000000000001, 20000, None)),
         ("sparse-lt", "ra-s", (950, "15ebfa29e4198df9", 609.5313292969349, 84729, "confirmed")),
         ("sparse-lt", "rpm", (1099, "9ca9875592df35cd", 560.4, 20, None)),
         ("sparse-lt", "maxinf", (200, "d3996e945c573276", 344.4875, 2376, None)),
@@ -539,11 +571,12 @@ class TestPinnedSelections:
         assert (len(res.members), digest[:16], res.internal_value, res.l,
                 res.extras.get("stop_reason")) == pinned
 
-    # spm has no internal value: its forward simulations are pinned instead
+    # spm has no internal value: its forward simulations are pinned
+    # instead, on the sparse nets since every node draws a coin
     @pytest.mark.parametrize("kind,pinned", [
-        ("sparse-ic-cp", (970, "ed6e1e28cfefc056", 20, 40020)),
+        ("sparse-ic-cp", (974, "faf5113a8df01795", 20, 40020)),
         ("dense-lt", (6, "acb1154e42edeca1", 20, 580)),
-        ("sparse-lt", (1165, "fddf59b9f3592373", 20, 80020)),
+        ("sparse-lt", (1180, "2fc75159c852d0e2", 20, 80020)),
     ])
     def test_spm_draws_are_pinned(self, kind, pinned):
         res = PINNED_RUNS["spm"](pinned_net(kind))

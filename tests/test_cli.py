@@ -280,6 +280,23 @@ class TestRun:
         assert out == ""
         assert err == f"error: eval_sims must be a positive integer, got {sims}\n"
 
+    @pytest.mark.parametrize("ic_p", ["nan", "-3", "0", "1.5"])
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_bad_ic_p_refused_before_selecting(self, capsys, graph_file, intr_file,
+                                               monkeypatch, model, ic_p):
+        # ic-wc and lt do not read --ic-p, but the report would echo it
+        class Refuse:
+            def __init__(self, **params):
+                raise AssertionError("the selector ran")
+
+        monkeypatch.setitem(cli.SELECTORS, "ra-t", Refuse)
+        code, out, err = run_cli(capsys, "run", "--graph", graph_file,
+                                 "--intrinsics-file", intr_file, "--model", model,
+                                 "--ic-p", ic_p, "--alg", "ra-t", "--eval-sims", "100")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ic probability must lie in (0, 1], got {float(ic_p)}\n"
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("size", [None, "1"])
     def test_fixed_size_echoed(self, capsys, graph_file, intr_file, command, size):

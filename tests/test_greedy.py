@@ -83,7 +83,8 @@ def four_evaluation_pass(h, order, shift, rand):
         a = h(x | {v}) - h(x) + shift
         b = h(y - {v}) - h(y) + shift
         a, b = max(a, 0.0), max(b, 0.0)
-        if a + b == 0.0 or rand() < a / (a + b):
+        coin = rand()  # one coin per node, used or not
+        if a + b == 0.0 or coin < a / (a + b):
             x.add(v)
         else:
             y.discard(v)
@@ -277,10 +278,10 @@ class TestBatchedPass:
                 windows.clear()
         assert vectorised  # some batches ran through the vectorised body
 
-    def test_vanishing_marginals_admit_without_a_coin(self, monkeypatch):
+    def test_vanishing_marginals_admit_whatever_the_coin(self, monkeypatch):
         # unit = coupon = 1, so a node whose one set is {v} has a = b = 0
-        # and is admitted outright: the window of nodes 0-3 draws no coin,
-        # and in that of nodes 4-7 node 6 draws the first
+        # and is admitted outright: the window of nodes 0-3 uses none of
+        # its coins, and in that of nodes 4-7 node 6 uses the first
         coll = collection_of(8, [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]])
         windows = _record_windows(monkeypatch)
         for seed in range(10):
@@ -409,7 +410,7 @@ class TestWindows:
         # that admitted it at the window's start rejects it
         ([[0], [0, 1], [2]], [4, 4, 2], 0.03, {0, 2}),
         # node 0 leaves Y, so node 1 is the last Y-member of {0, 1}: both
-        # its marginals vanish, and it is admitted without a coin
+        # its marginals vanish, and it is admitted whatever its coin
         ([[0, 1], [2]], [1, 3], 0.75, {1, 2}),
     ], ids=["newly", "lost"])
     def test_check_cuts_after_the_first_changed_node(self, sets, weights, coupon,
@@ -426,9 +427,25 @@ class TestWindows:
         assert got == want == members
         assert np.array_equal(fast.count_x, [1 if members & set(s) else 0 for s in sets])
         # the window of nodes 0-2 is accepted through node 1; node 2 is
-        # decided again, with the coin drawn ahead for it
+        # decided again, with its own coin
         assert windows == [(3, 2), (1, 1)]
         assert coins_fast.getstate() == coins_slow.getstate()
+
+    def test_flag_only_change_keeps_the_window(self, monkeypatch):
+        # unit = coupon = 0.75.  Node 1 is admitted outright at the window's
+        # start (a' > 0 = b'), and once node 0 covers {0, 1} both its
+        # marginals vanish, so it is admitted outright again: its decision
+        # holds, and the window is accepted whole
+        coll = collection_of(3, [[0, 1], [1], [0], [2]])
+        windows = _record_windows(monkeypatch)
+        fast = CoverageOracle(coll, 1.0, 0.75)
+        fast.batched = True
+        assert fast.gains(1) == (0.75, 0.0)
+        got = double_greedy(fast, range(3), random.Random(0))
+        want = double_greedy(_Sequential(CoverageOracle(coll, 1.0, 0.75)), range(3),
+                             random.Random(0))
+        assert got == want == {0, 1, 2}
+        assert windows == [(3, 3)]
 
     def test_agrees_with_scalar_pass_on_rat_large(self, monkeypatch):
         net = rat_large_net()
@@ -446,6 +463,41 @@ class TestWindows:
         assert fast.current_value() == slow.current_value()
         assert coins_fast.getstate() == coins_slow.getstate()
         assert any(accepted < size for size, accepted in windows)
+
+
+def _coverage_values(coll, price, coupon):
+    """An evaluator of the coverage estimator F over coll, set by set."""
+    stored = [set(coll.members_of(i).tolist()) for i in range(len(coll.offsets) - 1)]
+    unit = price * coll.n / len(coll)
+
+    def evaluate(sets):
+        return [unit * sum(int(w) for m, w in zip(stored, coll.weights) if m & s)
+                - coupon * len(s) for s in sets]
+    return evaluate
+
+
+class TestOneCoinPerNode:
+    @pytest.mark.parametrize("path", ["function", "scalar", "window-1", "window-n"])
+    def test_every_path_draws_one_coin_per_node(self, path):
+        # unit = coupon = 1: the marginals of nodes 0-5, each alone in its
+        # one set, both vanish, and nodes 6 and 7 share two sets
+        coll = collection_of(8, [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]])
+        for seed in range(5):
+            order = random.Random(seed).sample(range(8), 8)
+            if path == "function":
+                oracle = FunctionOracle(_coverage_values(coll, 1.0, 1.0), range(8))
+            else:
+                oracle = CoverageOracle(coll, 1.0, 1.0)
+                oracle.batched = path != "scalar"
+            rng = random.Random(seed)
+            smallest = coll.n if path == "window-n" else 1
+            with mock.patch.object(greedy, "SCALAR_BATCH", smallest):
+                got = double_greedy(oracle, order, rng)
+            assert set(range(6)) <= got
+            want = random.Random(seed)
+            for _ in order:
+                want.random()
+            assert rng.getstate() == want.getstate()
 
 
 @st.composite

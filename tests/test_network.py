@@ -136,6 +136,12 @@ class TestDiffusionParams:
             DiffusionParams(model="ic-cp", ic_probability=1.5)
         with pytest.raises(ParameterError):
             DiffusionParams(model="ic-cp", ic_probability=-0.1)
+        # the other models do not read it, but a report echoes it
+        for model in ("ic-wc", "lt"):
+            for p in (1.5, -0.1, 0.0, math.nan):
+                with pytest.raises(ParameterError, match="ic probability"):
+                    DiffusionParams(model=model, ic_probability=p)
+            assert DiffusionParams(model=model, ic_probability=1.0).model == model
 
 
 class TestBuild:
