@@ -192,7 +192,7 @@ def node_order(net: TCNetwork, probe_count: int, rng_seed) -> list:
                                rng_seed)
     scores = coll.coverage_counts()
     order = np.lexsort((np.arange(net.n), -scores))
-    return [int(v) for v in order]
+    return order.tolist()
 
 
 def default_probe_count(net: TCNetwork, big_n, eps, cap=None) -> int:

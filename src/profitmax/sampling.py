@@ -18,10 +18,16 @@ less C * |S|.  On a net of at most 64 nodes they come from a one-word
 ancestor closure (_rr_closure) that holds each distinct set of a pass
 once, with its count; past that, from the level loop below.
 
-Most RA sets on sparse networks hold their root alone.  The level loop
-settles them at the first level of the traversal: a root that draws no
-parent is only counted, per node, and leaves it; only the sets of two or
-more members are grown on and returned whole.  Copies of one set meet
+Most RA and RR sets on sparse networks hold their root alone.  Those
+are only counted, per node, and the level loop (_grow) grows just the
+others.  RA roots are not drawn one by one to find them:
+sample_ra_block counts the roots per node and splits off, per node, the
+ones that draw no parent by one binomial draw, a root at v drawing none
+with chance q_v = (1 - p_v)^indeg(v) under IC.  That applies SUBSIM's
+geometric skips between live edges (Guo, Wang, Wei & Chen, SIGMOD 2020)
+to the roots: a grown root's first live in-edge comes from the geometric
+truncated to the in-degree.  An RR set of w in realization r holds w
+alone when w has no live in-edge in r.  Copies of one set meet
 the same seed sets, so every stored set carries a weight, the number of
 drawn sets it stands for, and a collection holds one kind of set:
 CollectionBuilder.snapshot turns the per-node count into at most n sets
@@ -31,25 +37,31 @@ CollectionBuilder.snapshot turns the per-node count into at most n sets
 import numpy as np
 
 from .diffusion import (SIM_STATE_BYTES, _expand, _live_in_edges, _lt_picks,
-                        _run_starts, sample_count, stream_blocks)
+                        _run_starts, _seed_sequence, sample_count)
 from .network import TCNetwork
 
-# RA sets per random stream.  Every block of this many sets draws from its
-# own SeedSequence child, so a collection depends on its seed alone.
-RA_BLOCK = 1 << 15
+# Grown RA roots (those that draw a parent) per block: the first block
+# draws from the stream that split the roots, every later one from its own
+# SeedSequence child, so a collection depends on its seed alone.  A grown
+# root carries about 2.2 members through the traversal; a block of this
+# many peaks at about 1.1 MiB on rat-large's shape.
+RA_BLOCK = 1 << 13
 # Entries per pass of the inverted-index build and of the member count,
 # which bounds their scratch memory: about 50 bytes per entry.
 INDEX_CHUNK = 1 << 13
 
 
-def _ic_parents(gen, sets, start, deg, p, indices, n):
+def _ic_parents(gen, sets, start, deg, p, indices, n, pos=None):
     """Keys of the live in-edges' sources: each in-edge of a frontier node
     is live independently with that node's probability, p, a scalar when
     every node shares it.  Geometric skips jump from one live edge to the
-    next, so the draws follow the hits rather than the in-degree."""
+    next, so the draws follow the hits rather than the in-degree.  pos,
+    if given, holds each node's first live in-edge, drawn by the caller;
+    the later skips are memoryless and drawn here."""
     per_node = np.ndim(p) > 0
     found = []
-    pos = gen.geometric(p, size=sets.size)  # 1-based position of the next live in-edge
+    if pos is None:
+        pos = gen.geometric(p, size=sets.size)  # 1-based position of the next live in-edge
     while True:
         hit = np.flatnonzero(pos <= deg)  # index arrays: cheaper than masks
         sets, start, deg, pos = sets[hit], start[hit], deg[hit], pos[hit]
@@ -60,6 +72,19 @@ def _ic_parents(gen, sets, start, deg, p, indices, n):
         found.append(sets * n + indices[start + pos - 1])
         pos += gen.geometric(p, size=sets.size)
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _first_live(u, deg, p, reach):
+    """The 1-based position of each node's first live in-edge, given that
+    it has one: the geometric of p truncated to [1, deg], by inverse CDF
+    of the uniforms u.  reach = 1 - (1 - p)^deg is the chance of a live
+    in-edge at all; p = 1 puts every position at 1."""
+    with np.errstate(divide="ignore"):
+        skip = np.log1p(-u * reach) / np.log1p(-p)
+    pos = skip.astype(np.int64)  # skip >= 0, so truncation is floor
+    pos += 1
+    np.minimum(pos, deg, out=pos)  # rounding may pass deg
+    return pos
 
 
 def _lt_parents(gen, sets, start, deg, indices, n):
@@ -75,34 +100,24 @@ def _in_sorted(sorted_keys, keys) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def _grow(roots, n: int, parents):
+def _grow(roots, first, n: int, parents):
     """Grow one set from each root together by level-synchronous reverse BFS.
 
-    A member of set i that is node v carries the key i * n + v.
-    parents(sets, nodes) returns the keys of the parents of the newest
-    members (any order, repeats allowed), and the step keeps the ones new
-    to their set.
+    A member of set i that is node v carries the key i * n + v.  first
+    holds the keys of the roots' parents at the first level, at least one
+    per root: every root handed in draws a parent, so every set holds two
+    or more members.  A Graph keeps no self-loops or repeated edges, so
+    those parents are distinct and new to their sets.  parents(sets,
+    nodes) returns the keys of the parents of the newest members (any
+    order, repeats allowed), and each later step keeps the ones new to
+    their set.
 
-    The first level settles the one-member sets: a root that draws no
-    parent is only counted, and its set leaves the traversal.  A Graph
-    keeps no self-loops or repeated edges, so the first level's parents
-    are distinct and new to their sets.  The other sets grow on under
-    their original ids, which parents reads, and draw what they would
-    draw if every set were grown.
-
-    Returns (single, sizes, members): single (int64) counts, per node, the
-    sets holding their root alone; sizes and members (int32) describe the
-    sets of two or more members, in their original order: members holds
-    the first one's nodes, then the second one's, each set's ascending.
+    Returns (sizes, members), int32: members holds the first set's nodes,
+    then the second one's, each set's ascending.
     """
     count = roots.size
-    frontier = np.sort(parents(np.arange(count), roots))
-    grown = np.zeros(count, dtype=bool)
-    grown[frontier // n] = True
-    kept = np.flatnonzero(grown)
-    # every root less the kept ones: cheaper than masking out the kept
-    single = np.bincount(roots, minlength=n) - np.bincount(roots[kept], minlength=n)
-    levels = [kept * n + roots[kept], frontier]
+    frontier = np.sort(first)
+    levels = [np.arange(count) * n + roots, frontier]
     # member keys of the sets still growing, ascending; sets that have
     # stopped never meet a candidate again, so they are left out
     growing = np.sort(np.concatenate(levels))
@@ -120,20 +135,16 @@ def _grow(roots, n: int, parents):
                           kind="stable")
     keys = np.sort(np.concatenate(levels), kind="stable")
     sets = keys // n
-    sizes = np.bincount(sets, minlength=count)[kept]
-    return single, sizes.astype(np.int32), (keys - sets * n).astype(np.int32)
+    sizes = np.bincount(sets, minlength=count)
+    return sizes.astype(np.int32), (keys - sets * n).astype(np.int32)
 
 
-def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
-    """Grow count RA sets together from uniform roots (see _grow).
-
-    Each step samples the triggering sets of every set's newest members at
-    once.  Triggering sets are drawn only for nodes the traversal reaches,
-    each once per set; the rest of the realization is never materialized.
-    In-degrees and the nodes that can draw a parent at all come from
-    net.pickers(), computed once per network.
-
-    Returns (single, sizes, members) as _grow lays them out.
+def _grow_ra(net: TCNetwork, roots, reach, gen: np.random.Generator):
+    """The RA sets of roots that each draw a parent, by _grow: (sizes,
+    members).  reach[v] is the chance that a root at v draws one under
+    IC; a root's first live in-edge comes from _first_live, and later
+    triggering sets are drawn in full, once per set, for the nodes the
+    traversal reaches: the rest of the realization is never materialized.
     """
     n = net.n
     indptr, indices = net.graph.in_indptr, net.graph.in_indices
@@ -143,32 +154,93 @@ def sample_ra_block(net: TCNetwork, count: int, gen: np.random.Generator):
     # under ic-cp every node shares one probability; a scalar draws the
     # same stream as the per-node array
     prob = net.params.ic_probability if net.params.model == "ic-cp" else net.prob_in
-    roots = gen.integers(0, n, size=count)
 
-    def parents(sets, nodes):
-        live = np.flatnonzero(expands[nodes])
-        sets, nodes = sets[live], nodes[live]
+    def draw(sets, nodes, first=False):
         start, deg = indptr[nodes], in_deg[nodes]
         if lt:
             return _lt_parents(gen, sets, start, deg, indices, n)
         p = prob if np.ndim(prob) == 0 else prob[nodes]
-        return _ic_parents(gen, sets, start, deg, p, indices, n)
+        pos = _first_live(gen.random(nodes.size), deg, p, reach[nodes]) if first else None
+        return _ic_parents(gen, sets, start, deg, p, indices, n, pos)
 
-    return _grow(roots, n, parents)
+    def parents(sets, nodes):
+        live = np.flatnonzero(expands[nodes])
+        return draw(sets[live], nodes[live])
+
+    return _grow(roots, draw(np.arange(roots.size), roots, first=True), n, parents)
+
+
+def sample_ra_block(net: TCNetwork, count: int, rng):
+    """Draw count RA sets from uniform roots, block by block.
+
+    A generator: it yields (single, sizes, members) per block.  single
+    (int64) counts, per node, the sets holding their root alone; sizes
+    and members (int32) describe the other sets as _grow lays them out,
+    grouped by root, in node order.  Only the first block's single holds
+    any count.
+
+    The roots are split once.  From the first child of rng (a
+    SeedSequence, a random.Random or a seed) they are counted per node,
+    by one multinomial when count >= n and by count uniform draws below
+    that.  Of the c_v roots at a node v that can draw a parent (one of
+    net.pickers()), Binomial(c_v, q_v) draw none: q_v = (1 - p_v)^indeg(v)
+    under IC, and 0 under LT, where a picker always picks.  Every other
+    root draws none.  Only the roots that draw a parent are grown
+    (_grow_ra), RA_BLOCK at a time: the first block from the same
+    generator, each later block from its own child.  Roots are i.i.d.
+    uniform and each roots a set independently, so this is the law of
+    count independent RA sets, and the sets depend on (rng, count) alone.
+    """
+    n = net.n
+    count = sample_count(count, "sample count")
+    ss = _seed_sequence(rng)
+    gen = np.random.default_rng(ss.spawn(1)[0])
+    if count >= n:
+        single = gen.multinomial(count, np.full(n, 1.0 / n))
+    else:
+        single = np.bincount(gen.integers(0, n, size=count), minlength=n)
+    pickers = net.pickers()
+    nodes = pickers.nodes
+    reach = np.zeros(n)
+    if net.params.model == "lt":
+        grown = single[nodes]
+    else:
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-net.prob_in[nodes])
+        reach[nodes] = -np.expm1(pickers.deg * log_miss)
+        grown = gen.binomial(single[nodes], reach[nodes])
+    single[nodes] -= grown
+    # picker i's grown roots are numbers ends[i] .. ends[i + 1] - 1
+    ends = np.concatenate(([0], np.cumsum(grown)))
+    total = int(ends[-1])
+    for lo in range(0, max(total, 1), RA_BLOCK):
+        if lo:
+            gen = np.random.default_rng(ss.spawn(1)[0])
+            single = np.zeros(n, dtype=np.int64)
+        hi = min(lo + RA_BLOCK, total)
+        a = np.searchsorted(ends, lo, side="right") - 1
+        b = np.searchsorted(ends, hi, side="left")
+        roots = np.repeat(nodes[a:b], np.diff(np.clip(ends[a:b + 1], lo, hi)))
+        yield (single, *_grow_ra(net, roots, reach, gen))
 
 
 def _rr_grow(n: int, runs: int, live_indptr, sources):
-    """The RR sets of runs drawn realizations by _grow from every (r, w):
+    """The RR sets of runs drawn realizations from every (r, w):
     (single, sizes, members, weights), each stored set once, in (r, w)
-    order, with weight one."""
+    order, with weight one.  A (r, w) with no live in-edge holds w alone
+    and is only counted; _grow grows the others."""
+    grown = np.flatnonzero(live_indptr[1:] != live_indptr[:-1])  # r * n + w
+    roots = grown % n
+    base = grown - roots  # r * n
 
     def parents(sets, nodes):
-        at = sets // n * n + nodes  # (realization, node)
+        at = base[sets] + nodes  # (realization, node)
         start = live_indptr[at]
         pos, owner = _expand(start, live_indptr[at + 1] - start)
         return sets[owner] * n + sources[pos]
 
-    single, sizes, members = _grow(np.tile(np.arange(n), runs), n, parents)
+    sizes, members = _grow(roots, parents(np.arange(roots.size), roots), n, parents)
+    single = runs - np.bincount(roots, minlength=n)
     return single, sizes, members, np.ones(sizes.size, dtype=np.int64)
 
 
@@ -376,13 +448,13 @@ class CollectionBuilder:
         self._chunks.append((sizes, members, weights))
 
     def extend(self, count: int, rng):
-        """Append count RA sets.  rng (a SeedSequence, a random.Random or a
-        seed) spawns one child stream per RA_BLOCK sets."""
+        """Append count RA sets, drawn by sample_ra_block: rng (a
+        SeedSequence, a random.Random or a seed) spawns one child stream
+        for the split of the roots and the first RA_BLOCK grown roots, and
+        one per RA_BLOCK grown roots after that."""
         if count <= 0:
             return
-        for child, size in stream_blocks(rng, count, RA_BLOCK):
-            single, sizes, members = sample_ra_block(self.net, size,
-                                                     np.random.default_rng(child))
+        for single, sizes, members in sample_ra_block(self.net, count, rng):
             self.add(single, sizes, members, np.ones(sizes.size, dtype=np.int64))
 
     def _merged(self, tail=None):

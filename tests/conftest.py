@@ -74,10 +74,12 @@ def random_small_net(rng: random.Random, n_max: int = 7, model=None):
 
 
 def ra_block(net, count, seed):
-    """sample_ra_block's count sets drawn from default_rng(seed), as
-    (single, sizes, members): single counts the one-member sets per node,
-    sizes and members describe the others in the order they were drawn."""
-    return sample_ra_block(net, count, np.random.default_rng(seed))
+    """sample_ra_block's count sets drawn from seed, its blocks together,
+    as (single, sizes, members): single counts the one-member sets per
+    node, sizes and members describe the others in the order they were
+    drawn."""
+    singles, sizes, members = zip(*sample_ra_block(net, count, seed))
+    return sum(singles), np.concatenate(sizes), np.concatenate(members)
 
 
 def rr_passes(net, count, seed):

@@ -547,23 +547,22 @@ PINNED_RUNS = {
 class TestPinnedSelections:
     # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
     # reason), pinned while RA collections still stored one-member sets
-    # whole, LT maxinf's values since LT cascades draw their picks up
-    # front, and ra-t's on the sparse nets, which meet nodes whose clamped
-    # marginals both vanish, since every node draws a coin; the nets cover
-    # split and unsplit, batched and scalar oracles
+    # whole, and the RA selections' (ra-t, ra-s and maxinf) since RA roots
+    # are split per node; the nets cover split and unsplit, batched and
+    # scalar oracles
     @pytest.mark.parametrize("kind,alg,pinned", [
-        ("sparse-ic-cp", "ra-t", (799, "a57814ada2640e3b", 113.625, 20000, None)),
-        ("sparse-ic-cp", "ra-s", (925, "4089184cd834b099", 102.40981625026342, 90177, "confirmed")),
+        ("sparse-ic-cp", "ra-t", (810, "ef4cfe318e44d088", 113.875, 20000, None)),
+        ("sparse-ic-cp", "ra-s", (921, "dd8cd374c9aed396", 102.45176929815807, 90177, "confirmed")),
         ("sparse-ic-cp", "rpm", (931, "4152ea485e875f13", 99.19999999999999, 20, None)),
-        ("sparse-ic-cp", "maxinf", (100, "1684030a22f3d007", 13.085, 2159, None)),
-        ("dense-lt", "ra-t", (4, "04270b3451062138", 4.413022508038585, 6220, None)),
-        ("dense-lt", "ra-s", (5, "7c83e8130b1924fc", 4.391111111111111, 1575, "confirmed")),
+        ("sparse-ic-cp", "maxinf", (100, "d0876309f15ed2ac", 12.905000000000001, 2159, None)),
+        ("dense-lt", "ra-t", (4, "5e5b0a7d5bd01d19", 4.581832797427653, 6220, None)),
+        ("dense-lt", "ra-s", (5, "2526ceed03c4173c", 4.697777777777778, 1575, "confirmed")),
         ("dense-lt", "rpm", (6, "aeea848eec2ac308", 4.275, 20, None)),
-        ("dense-lt", "maxinf", (2, "9393911cbd0ddb23", 3.1624999999999996, 825, None)),
-        ("sparse-lt", "ra-t", (879, "236517dfdbdeefc4", 610.3000000000001, 20000, None)),
-        ("sparse-lt", "ra-s", (950, "15ebfa29e4198df9", 609.5313292969349, 84729, "confirmed")),
+        ("dense-lt", "maxinf", (2, "011ab7251ca87673", 3.0925000000000002, 825, None)),
+        ("sparse-lt", "ra-t", (878, "84f1651435377d38", 612.85, 20000, None)),
+        ("sparse-lt", "ra-s", (952, "01d01faefd833d9d", 610.3954584616838, 84729, "confirmed")),
         ("sparse-lt", "rpm", (1099, "9ca9875592df35cd", 560.4, 20, None)),
-        ("sparse-lt", "maxinf", (200, "d3996e945c573276", 344.4875, 2376, None)),
+        ("sparse-lt", "maxinf", (200, "78e8f8e90b386594", 335.245, 2376, None)),
     ])
     def test_members_are_pinned(self, kind, alg, pinned):
         res = PINNED_RUNS[alg](pinned_net(kind))

@@ -11,23 +11,24 @@ from scipy import stats
 from profitmax import (RACollection, estimate_F, exact_pi, exact_profit,
                        generate_collection, ra_t, rpm)
 from profitmax import sampling
-from profitmax.diffusion import _realizations, stream_blocks
+from profitmax.diffusion import _realizations
 from profitmax.sampling import (INDEX_CHUNK, RA_BLOCK, CollectionBuilder,
-                                _live_in_edges, _rr_closure, _rr_grow,
-                                covered_sets, sample_ra_block)
+                                _first_live, _live_in_edges, _rr_closure,
+                                _rr_grow, covered_sets, sample_ra_block)
 
 from conftest import (collection_of, make_net, ra_block, random_edge_text,
                       random_small_net, rat_large_net, rr_passes)
 
 
 def ra_sets(net, count, seed):
-    """count RA sets from sample_ra_block as (root, members frozenset).
+    """count RA sets from sample_ra_block (ra_block) as (root, members
+    frozenset).
 
     A one-member set's root is its member.  The kernel keeps no root for
     the other sets; on the acyclic nets these tests use, it is the one
     member with no out-edge to another member, since every other member
     reaches the root through members."""
-    single, sizes, members = sample_ra_block(net, count, np.random.default_rng(seed))
+    single, sizes, members = ra_block(net, count, seed)
     g = net.graph
     out = [set(g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]].tolist())
            for u in range(net.n)]
@@ -228,41 +229,45 @@ class TestSnapshotLayout:
 class TestCollectionMemory:
     def test_generate_peak_is_result_plus_one_block(self):
         # on a rat-large-shaped net, 93% of the 600,000 RA sets hold their
-        # root alone: kept as counts, the collection never holds them whole
+        # root alone: split off as counts, they are never drawn one by one
         net = rat_large_net()
         l, seed = 600_000, 7
         tracemalloc.start()
         try:
-            # the kernel's own peak, its output included, on each block
-            # generate_collection draws
-            scratch = 0
-            for child, size in stream_blocks(seed, l, RA_BLOCK):
-                tracemalloc.reset_peak()
-                sample_ra_block(net, size, np.random.default_rng(child))
+            # the kernel's own peak, its output and the state it keeps
+            # between blocks included, on each block generate_collection
+            # draws
+            scratch, blocks = 0, 0
+            tracemalloc.reset_peak()
+            for block in sample_ra_block(net, l, seed):
                 scratch = max(scratch, tracemalloc.get_traced_memory()[1])
+                blocks += 1
+                del block
+                tracemalloc.reset_peak()
             tracemalloc.reset_peak()
             coll = generate_collection(net, l, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         result = coll.offsets.nbytes + coll.members.nbytes + coll.weights.nbytes
-        assert len(coll) == l
+        assert len(coll) == l and blocks > 1
         assert coll.weights[coll.sizes() == 1].sum() > 0.9 * l
         assert peak <= result + scratch
         assert peak < 6 << 20
 
     def test_kernel_block_peak(self):
-        # one full block on a rat-large-shaped net, its output included:
-        # the 93% of sets that draw no parent at the first level are only
-        # counted, and just the rest are carried through the traversal
-        # (1.19 MiB; 2.14 MiB while every set was grown to the end)
+        # one full block of RA_BLOCK grown roots on a rat-large-shaped
+        # net, the split of the 600,000 roots and its output included: the
+        # 93% of roots that draw no parent are only counted, per node
+        # (1.10 MiB; 1.19 MiB for a block of 32,768 roots split one by one)
         net = rat_large_net()
         tracemalloc.start()
         try:
-            sample_ra_block(net, RA_BLOCK, np.random.default_rng(7))
+            single, sizes, members = next(sample_ra_block(net, 600_000, 7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sizes.size == RA_BLOCK
         assert peak < 1.5 * (1 << 20)
 
 
@@ -271,6 +276,19 @@ class TestCollectionMemory:
 KERNEL_NETS = {"chain": "1 2\n2 3\n3 4\n",
                "cycle": "1 2\n2 3\n3 1\n",
                "diamond": "1 2\n1 3\n2 4\n3 4\n"}
+
+
+def assert_covers_exact_pi(net, l, block):
+    """n * (fraction of a block's l sets holding v) is unbiased for
+    pi({v}): within 3 SE for every v."""
+    single, sizes, members = block
+    covering = single + np.bincount(members, minlength=net.n)
+    for v in range(net.n):
+        pi = exact_pi(net, [v])
+        p = pi / net.n
+        se = net.n * math.sqrt(p * (1.0 - p) / l)
+        got = net.n * covering[v] / l
+        assert abs(got - pi) <= 3.0 * se + 1e-12, (v, got, pi, se)
 
 
 def assert_well_formed(n, count, single, sizes, members):
@@ -287,42 +305,129 @@ class TestKernel:
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
     @pytest.mark.parametrize("shape", sorted(KERNEL_NETS))
     def test_coverage_matches_exact_pi(self, model, shape):
-        # n * (fraction of sets holding v) is unbiased for pi({v})
         net = make_net(KERNEL_NETS[shape], model=model, ic_p=0.5)
         l = 60_000
-        single, sizes, members = sample_ra_block(
-            net, l, np.random.default_rng(20260822))
-        assert_well_formed(net.n, l, single, sizes, members)
-        covering = single + np.bincount(members, minlength=net.n)
-        for v in range(net.n):
-            pi = exact_pi(net, [v])
-            p = pi / net.n
-            se = net.n * math.sqrt(p * (1.0 - p) / l)
-            got = net.n * covering[v] / l
-            assert abs(got - pi) <= 3.0 * se + 1e-12, (v, got, pi, se)
+        block = ra_block(net, l, 20260822)
+        assert_well_formed(net.n, l, *block)
+        assert_covers_exact_pi(net, l, block)
 
     @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
-    def test_collection_is_well_formed(self, model):
-        # node 5 cannot pay full price, so it never expands
+    def test_collection_is_well_formed(self, model, monkeypatch):
+        # node 5 cannot pay full price, so it never expands, and node 1
+        # has no in-edge: pickers and non-pickers mix
+        monkeypatch.setattr(sampling, "RA_BLOCK", 500)
         net = make_net(KERNEL_NETS["diamond"] + "4 1\n4 5\n5 2\n", model=model,
                        ic_p=0.7, intrinsics=[0.9, 0.9, 0.9, 0.9, 0.3])
-        l = RA_BLOCK + 500
+        l = 5000
         coll = generate_collection(net, l, 4)
         # the collection is the kernel's blocks, then one set {v} per node
-        # weighted by its one-member sets
-        single, sizes, members = np.zeros(net.n, dtype=np.int64), [], []
-        for child, size in stream_blocks(4, l, RA_BLOCK):
-            block = sample_ra_block(net, size, np.random.default_rng(child))
-            assert_well_formed(net.n, size, *block)
-            single += block[0]
-            sizes.append(block[1])
-            members.append(block[2])
+        # weighted by its one-member sets; only the first block counts any
+        blocks = list(sample_ra_block(net, l, 4))
+        assert len(blocks) > 2
+        assert not any(block[0].any() for block in blocks[1:])
+        for block in blocks:
+            assert_well_formed(net.n, int(block[0].sum()) + block[1].size, *block)
+        single, sizes, members = (list(part) for part in zip(*blocks))
+        single = single[0]
+        assert single.sum() + sum(map(len, sizes)) == l
         nodes = np.flatnonzero(single)
         assert np.array_equal(coll.sizes(), np.concatenate(sizes + [np.ones_like(nodes)]))
         assert np.array_equal(coll.members, np.concatenate(members + [nodes]))
         assert np.array_equal(coll.weights[coll.weights.size - nodes.size:], single[nodes])
         for i in range(0, len(coll.sizes()), 37):
             assert np.all(np.diff(coll.members_of(i)) > 0)  # ascending
+
+
+# Node 1 has no in-edge and node 5 cannot pay full price: neither draws a
+# parent.  Nodes 2 and 4 have two in-edges, node 3 one.
+SPLIT_EDGES = KERNEL_NETS["diamond"] + "4 5\n5 2\n"
+SPLIT_INTRINSICS = [0.9, 0.9, 0.9, 0.9, 0.3]
+
+
+def no_parent_chance(net):
+    """q_v, the chance that a root at v draws no parent: (1 - p_v)^indeg(v)
+    under IC, 0 under LT, for a node that can draw one, and 1 otherwise."""
+    q = np.ones(net.n)
+    deg = np.diff(net.graph.in_indptr)
+    picks = net.eligible & (deg > 0)
+    q[picks] = 0.0 if net.params.model == "lt" else (1.0 - net.prob_in[picks]) ** deg[picks]
+    return q
+
+
+def assert_one_member_law(net, l, single):
+    """single[v] / l, the fraction of l sets holding their root v alone,
+    is q_v / n: within 3 SE for every v."""
+    p = no_parent_chance(net) / net.n
+    se = np.sqrt(p * (1.0 - p) / l)
+    got = single / l
+    assert np.all(np.abs(got - p) <= 3.0 * se + 1e-12), (got, p, se)
+
+
+class TestRootSplit:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_one_member_fraction_is_q(self, model):
+        net = make_net(SPLIT_EDGES, model=model, ic_p=0.4, intrinsics=SPLIT_INTRINSICS)
+        l = 50_000
+        single, sizes, members = ra_block(net, l, 11)
+        assert_well_formed(net.n, l, single, sizes, members)
+        assert_one_member_law(net, l, single)
+
+    @pytest.mark.parametrize("p,deg", [(1.0, 7), (1e-9, 50), (0.05, 50), (0.3, 4)])
+    def test_first_live_is_truncated_geometric(self, p, deg):
+        # P(K = k) = p (1 - p)^(k - 1) / reach on 1..deg; warnings are
+        # errors, so no NaN or division warning is raised on the way
+        draws = 100_000
+        reach = -math.expm1(deg * math.log1p(-p)) if p < 1 else 1.0
+        pos = _first_live(np.random.default_rng(3).random(draws), np.full(draws, deg),
+                          p, reach)
+        assert pos.dtype == np.int64 and pos.min() >= 1 and pos.max() <= deg
+        k = np.arange(1, deg + 1)
+        pmf = p * (1.0 - p) ** (k - 1) / reach
+        counts = np.bincount(pos, minlength=deg + 1)[1:]
+        if p == 1.0:
+            assert counts[0] == draws
+            return
+        mean, sd = (k * pmf).sum(), math.sqrt(((k - (k * pmf).sum()) ** 2 * pmf).sum())
+        assert abs(pos.mean() - mean) <= 3.0 * sd / math.sqrt(draws)
+        chi2 = ((counts - draws * pmf) ** 2 / (draws * pmf)).sum()
+        assert chi2 < stats.chi2.ppf(0.999, df=deg - 1)
+
+    @pytest.mark.parametrize("count", [150, 1000])  # below n, and n on
+    def test_roots_are_uniform(self, count):
+        # no node can pay full price, so every set holds its root alone
+        # and single counts the roots: uniform over the 200 nodes, by
+        # uniform draws below n and by one multinomial from n on
+        n = 200
+        net = make_net("".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)),
+                       intrinsics=[0.3] * n)
+        roots = np.zeros(n, dtype=np.int64)
+        for seed in range(-(-100_000 // count)):
+            single, sizes, _ = ra_block(net, count, seed)
+            assert single.sum() == count and not sizes.size
+            roots += single
+        expected = roots.sum() / n
+        assert ((roots - expected) ** 2 / expected).sum() < stats.chi2.ppf(0.999, df=n - 1)
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc", "lt"])
+    def test_multi_block_extend(self, model, monkeypatch):
+        # many small blocks: each well formed, the sets a function of
+        # (seed, count) alone, and the law of one block
+        monkeypatch.setattr(sampling, "RA_BLOCK", 64)
+        net = make_net(SPLIT_EDGES, model=model, ic_p=0.4, intrinsics=SPLIT_INTRINSICS)
+        l = 40_000
+        blocks = list(sample_ra_block(net, l, 8))
+        assert len(blocks) > 100 and all(block[1].size <= 64 for block in blocks)
+        for block in blocks:
+            assert_well_formed(net.n, int(block[0].sum()) + block[1].size, *block)
+        builder = CollectionBuilder(net)
+        builder.extend(l, np.random.SeedSequence(8))
+        got, want = builder.snapshot(), generate_collection(net, l, 8)
+        for name in ("offsets", "members", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        single, sizes, members = ra_block(net, l, 8)
+        assert_well_formed(net.n, l, single, sizes, members)
+        assert_one_member_law(net, l, single)
+        assert_covers_exact_pi(net, l, (single, sizes, members))
 
 
 def rr_multiset(n, blocks):
@@ -478,19 +583,19 @@ def kernel_digest(blocks):
 
 class TestKernelPins:
     # digests of each kernel's output in the split layout, the RA blocks
-    # pinned while the kernels still grew every set through the whole
-    # traversal; counts span one full RA_BLOCK on rat-large
+    # one by one, pinned when the roots came to be split per node; on
+    # rat-large the count spans two blocks of RA_BLOCK grown roots
     @pytest.mark.parametrize("name,pinned", [
-        ("rat-large", "ee4907ddf8511587"),
+        ("rat-large", "bb2aa30eb12d41b4"),
         ("complete-12", "25f15c2f9ac7586d"),
-        ("chain/ic-cp", "f29d154bfebf0a4e"), ("chain/ic-wc", "90640b79ac6f8f1f"), ("chain/lt", "90640b79ac6f8f1f"),
-        ("cycle/ic-cp", "8d0818a9d4667976"), ("cycle/ic-wc", "dbf327eaf70d2a0b"), ("cycle/lt", "dbf327eaf70d2a0b"),
-        ("diamond/ic-cp", "05ac7997092eca5b"), ("diamond/ic-wc", "2bba8800455c48eb"), ("diamond/lt", "685df6052239fef5"),
+        ("chain/ic-cp", "b1da2d32997ed0e1"), ("chain/ic-wc", "b086e4ee9ca5865e"), ("chain/lt", "b086e4ee9ca5865e"),
+        ("cycle/ic-cp", "cdd81e3564a57ca2"), ("cycle/ic-wc", "dbf327eaf70d2a0b"), ("cycle/lt", "dbf327eaf70d2a0b"),
+        ("diamond/ic-cp", "05d5c5d4904523d0"), ("diamond/ic-wc", "16fb5a5ff6895888"), ("diamond/lt", "18c21ec03f3a0b1c"),
     ])
     def test_ra_block_is_pinned(self, name, pinned):
         net = pin_net(name)
-        count = RA_BLOCK if name == "rat-large" else 3000
-        assert kernel_digest([ra_block(net, count, 20261019)]) == pinned
+        count = 200_000 if name == "rat-large" else 3000
+        assert kernel_digest(sample_ra_block(net, count, 20261019)) == pinned
 
     # RR passes with their weights, pinned when nets of at most 64 nodes
     # moved to the ancestor closure
