@@ -23,31 +23,33 @@ for as many drawn sets as its weight, so the oracle sums weights
 wherever it counts sets: integer sums, the same as counting every copy.
 
 Sets couple the nodes: v's marginals read only the counters of v's sets,
-and deciding v writes only those.  The batched pass uses this
-optimistically, in the concurrency-control scheme of Pan, Jegelka,
-Gonzalez, Bradley & Jordan, "Parallel Double Greedy Submodular
-Maximization" (NIPS 2014): it decides a window of consecutive nodes from
-the counters at the window's start, each with its own coin, and then
-checks the window.  Only an entry whose set has an earlier member in the
-window can read a stale counter.  The check recounts those entries from
-the earlier members' decisions and accepts every node up to and
-including the first whose decision changes, which takes its recounted
-decision.  By induction over the window, each accepted node is decided
-from the counters the sequential pass gives it, so the pass leaves
-exactly the sequential pass's members, counters and F.  Where runs of
-nodes sharing no set are expected to be short, as on the dense
-reverse-reachable sets of small networks, every node takes a scalar step
-instead.
+and only through what the members before v decided.  At v's turn newly
+counts v's sets with no member admitted before v, and lost those where v
+is the last member and every member before it was rejected; both only
+fall as members before v are admitted.  The coverage oracle's pass uses
+this in the concurrency control by bounds of Pan, Jegelka, Gonzalez,
+Bradley & Jordan, "Parallel Double Greedy Submodular Maximization" (NIPS
+2014).  It draws every coin up front and decides the nodes in rounds: a
+node whose earlier co-members are not all decided yet has counts between
+those it would read if all of them were admitted and if all were
+rejected, and when its coin falls on one side of both bounds' admission
+thresholds, its decision is the sequential pass's, whatever theirs.  The
+first open node of the order always has exact bounds, so every round
+decides a node; once a round decides fewer than half of the open nodes,
+or few remain, the rest take scalar steps in order.  The pass leaves
+exactly the sequential pass's members, counters and F.
 """
 
 import numpy as np
 
-from .sampling import RACollection, _stable_order
+from .sampling import INDEX_CHUNK, RACollection
 
-# The smallest window of the batched pass, and the mean run of nodes
-# sharing no set below which the pass takes one scalar step per node: a
-# step costs a handful of numpy calls, a window a few dozen.
-SCALAR_BATCH = 4
+# How far a coin must clear a bound's admission threshold for the bound
+# to decide its node (see CoverageOracle._bound_decisions).
+MARGIN = 2.0 ** -40
+# Open nodes at or below which the pass decides the rest one at a time: a
+# round costs about as many numpy calls as this many scalar steps.
+STEP_NODES = 16
 
 
 def _admit(a: float, b: float, coin: float) -> bool:
@@ -132,9 +134,9 @@ class CoverageOracle:
     x holds X; Y is kept only through count_y, since the pass ends with
     X = Y.
 
-    greedy_pass runs the double-greedy pass over this oracle; batched says
-    whether it decides checked windows of nodes or steps through the nodes
-    one at a time.
+    gains and apply answer and decide one node at a time; greedy_pass runs
+    the whole double-greedy pass over this oracle, by bounds, and leaves
+    the counters, x and F where the node-by-node pass leaves them.
     """
 
     def __init__(self, coll: RACollection, price: float, coupon: float,
@@ -144,16 +146,8 @@ class CoverageOracle:
         self.unit = price * coll.n / len(coll)
         self.coll = coll
         self.weights = coll.weights
-        sizes = coll.sizes()
-        self.count_x = np.zeros(sizes.size, dtype=np.int32)
-        self.count_y = sizes.astype(np.int32)
-        # Whether the mean run of consecutive nodes sharing no set should
-        # reach SCALAR_BATCH nodes.  With c node pairs sharing a set, spread
-        # over the n^2 / 2 pairs, a run of b nodes holds about b^2 c / n^2
-        # of them, and runs end about where that reaches one half: after
-        # n / sqrt(2 c) nodes.
-        shared = float(np.dot(sizes, sizes)) - coll.members.size  # 2 c
-        self.batched = coll.n ** 2 >= SCALAR_BATCH ** 2 * shared
+        self.count_x = np.zeros(coll.offsets.size - 1, dtype=np.int32)
+        self.count_y = coll.sizes().astype(np.int32)
         self.x = set()
 
     def _sets_of(self, v):
@@ -171,6 +165,10 @@ class CoverageOracle:
         """(a, b) of node v, whose sets are sets, of those weights."""
         newly = int(np.dot(weights, self.count_x[sets] == 0))
         lost = int(np.dot(weights, self.count_y[sets] == 1))
+        return self._marginals(newly, lost)
+
+    def _marginals(self, newly, lost):
+        """(a, b) of nodes whose sets counted newly and lost."""
         return (self.unit * newly - self.coupon + self.shift,
                 -self.unit * lost + self.coupon + self.shift)
 
@@ -186,136 +184,227 @@ class CoverageOracle:
         covered = int(np.dot(self.weights, self.count_x > 0))
         return self.unit * covered - self.coupon * len(self.x)
 
-    def _permutation(self, order) -> np.ndarray:
-        """order as an int64 array.  Raises ValueError unless it is a
-        permutation of 0..n-1: a repeated node would be applied twice."""
+    def _positions(self, order) -> np.ndarray:
+        """Each node's position in order, as int32.  Raises ValueError
+        unless order is a permutation of 0..n-1: a repeated node would be
+        decided twice."""
         n = self.coll.n
         order = np.asarray(order, dtype=np.int64).reshape(-1)
-        if not np.array_equal(np.sort(order), np.arange(n)):
+        position = np.full(n, -1, dtype=np.int32)
+        if order.size == n and n and 0 <= order.min() and order.max() < n:
+            position[order] = np.arange(n, dtype=np.int32)
+        if order.size != n or (position < 0).any():
             raise ValueError(f"order must be a permutation of 0..{n - 1}")
-        return order
+        return position
 
-    def by_position(self, order):
-        """(order, offsets, sets): order as an int64 array, and the stored
-        sets of the node at position p as sets[offsets[p]:offsets[p+1]],
-        ascending.  Raises ValueError unless order is a permutation of
-        0..n-1."""
-        order = self._permutation(order)
-        position = np.empty(order.size, dtype=np.int32)
-        position[order] = np.arange(order.size, dtype=np.int32)
-        # the sets with positions for members: its index lists the sets
-        # of each position
-        return (order,) + RACollection(order.size, self.coll.offsets,
-                                       position[self.coll.members],
-                                       self.coll.weights).index()
+    def _chunks(self, sid):
+        """(sets, members) of the collection's entries, INDEX_CHUNK at a
+        time: members[j] is a member of stored set sets[j]; sid holds the
+        set of every entry."""
+        members = self.coll.members
+        for lo in range(0, members.size, INDEX_CHUNK):
+            yield sid[lo:lo + INDEX_CHUNK], members[lo:lo + INDEX_CHUNK]
 
     def greedy_pass(self, order, rng) -> frozenset:
-        """double_greedy over this oracle.  Where runs of nodes sharing no
-        set are expected to be short, every node takes a scalar step over
-        the collection's node index.  Otherwise the pass draws the coins of
-        all the nodes up front and goes window by window over the sets by
-        position (Pan et al., NIPS 2014): _window decides a window from the
-        counters at its start, recounts the entries whose set an earlier
-        window node holds, and accepts the nodes through the first whose
-        decision changes.  The nodes before that one read the counters the
-        sequential pass gives them, so its recount is exact too; by
-        induction the pass leaves the sequential pass's members and
-        counters.  A window twice as long follows one accepted whole, and
-        one as long as the accepted part follows a cut, never shorter than
-        SCALAR_BATCH."""
-        rand = rng.random
-        if not self.batched:
-            order = self._permutation(order)
-            offsets, sets = self.coll.index()
-            # each entry's weight, as floats: integer sums stay exact
-            # below 2^53
-            weights = self.weights.astype(np.float64)[sets]
-            for v, lo, hi in zip(order.tolist(), offsets[order].tolist(),
-                                 offsets[order + 1].tolist()):
-                at = sets[lo:hi]
-                self._apply(v, at, _admit(*self._gains(v, at, weights[lo:hi]), rand()))
-            return frozenset(self.x)
-        order, offsets, sets = self.by_position(order)
-        weights = self.weights.astype(np.float64).take(sets)
-        bounds = offsets.tolist()
-        coins = np.array([rand() for _ in range(order.size)])
-        start, size = 0, SCALAR_BATCH
-        while start < order.size:
-            end = min(start + size, order.size)
-            lo, hi = bounds[start], bounds[end]
-            lens = np.diff(offsets[start:end + 1])
-            accepted, admitted = self._window(sets[lo:hi], weights[lo:hi], lens,
-                                              coins[start:end])
-            # apply the accepted nodes: one window may hold a set many
-            # times, so the counters take ufunc.at, with an int32 operand
-            # that needs no cast
-            kept = sets[lo:bounds[start + accepted]]
-            taken = np.repeat(admitted[:accepted], lens[:accepted])
-            np.add.at(self.count_x, kept[taken], np.int32(1))
-            np.subtract.at(self.count_y, kept[~taken], np.int32(1))
-            self.x.update(order[start:start + accepted][admitted[:accepted]].tolist())
-            size = 2 * size if start + accepted == end else max(SCALAR_BATCH, accepted)
-            start += accepted
+        """double_greedy over this oracle, from its initial counters.
+
+        Draws the coins of all the nodes up front, one per node in order,
+        decides the nodes by bounds (_by_bounds), and then counts each
+        set's admitted members into both counters, since the pass ends
+        with X = Y.  Its scratch is a few arrays per node and per stored
+        set, one int32 per entry, INDEX_CHUNK entries' worth of chunk
+        scratch, and two int32 per entry of the sets still working after
+        round 1, more for the entries of the nodes left to scalar steps.
+        Raises ValueError unless order is a permutation of 0..n-1, or if a
+        stored set has no member."""
+        position = self._positions(order)
+        offsets = self.coll.offsets
+        if (offsets[1:] == offsets[:-1]).any():
+            raise ValueError("every stored set must have a member")
+        # one coin per node, in order, drawn through a C-level iterator
+        coins = np.fromiter(iter(rng.random, 2.0), np.float64, position.size)
+        # each entry's stored set, counted up in place from the set starts
+        sid = np.zeros(self.coll.members.size, dtype=np.int32)
+        sid[offsets[1:-1]] = 1
+        np.cumsum(sid, out=sid)
+        admitted = self._by_bounds(position, sid, coins)[position]
+        self.count_x.fill(0)
+        taken = admitted.astype(np.int32)
+        for sets, members in self._chunks(sid):
+            np.add.at(self.count_x, sets, taken[members])
+        self.count_y[:] = self.count_x
+        self.x.update(np.flatnonzero(admitted).tolist())
         return frozenset(self.x)
 
-    def _decide(self, newly, lost, coin):
-        """_admit's decisions of nodes whose sets counted newly and lost,
-        with those coins."""
-        a = self.unit * newly - self.coupon + self.shift
-        b = -self.unit * lost + self.coupon + self.shift
-        a_pos = np.where(a > 0.0, a, 0.0)
-        total = a_pos + np.where(b > 0.0, b, 0.0)
-        vanish = total == 0.0
-        return vanish | (coin < a_pos / np.where(vanish, 1.0, total))
+    def _ratio(self, newly, lost):
+        """_admit's threshold of nodes whose sets counted newly and lost:
+        a' / (a' + b') of the clamped marginals, and 1 where both vanish."""
+        a, b = self._marginals(newly, lost)
+        a = np.maximum(a, 0.0)
+        total = a + np.maximum(b, 0.0)
+        return np.divide(a, total, out=np.ones_like(total), where=total != 0.0)
 
-    def _window(self, sets, weights, lens, coin):
-        """Decide a window of consecutive nodes from the counters at its
-        start, and check the decisions.  Node i of the window holds lens[i]
-        of the entries sets, of those weights, and decides with coin[i].
-        Returns (accepted, admitted): admitted[:accepted] are the
-        sequential pass's decisions of the window's first accepted nodes."""
-        m = lens.size
-        owner = np.repeat(np.arange(m), lens)
-        in_x, in_y = self.count_x.take(sets), self.count_y.take(sets)
-        newly = np.bincount(owner, weights * (in_x == 0), minlength=m)
-        lost = np.bincount(owner, weights * (in_y == 1), minlength=m)
-        admitted = self._decide(newly, lost, coin)
-        # The entries by set, each set's in pass order: an entry equal to
-        # the one before it is a later member of a set an earlier window
-        # node holds, and reads a counter that node may have changed.
-        by_set = _stable_order(sets, self.count_x.size)
-        grouped = sets.take(by_set)
-        pairs = np.flatnonzero(grouped[1:] == grouped[:-1])
-        if not pairs.size:
-            return m, admitted
-        later = by_set.take(pairs + 1)
-        before = admitted.take(owner.take(by_set.take(pairs))).astype(np.int64)
-        # consecutive pairs chain one set's members: for each later entry,
-        # how many earlier members of its set the window admitted
-        # (covered) and rejected (left)
-        first = np.ones(pairs.size, dtype=bool)
-        np.not_equal(pairs[1:], pairs[:-1] + 1, out=first[1:])
-        head = np.maximum.accumulate(np.where(first, np.arange(pairs.size), 0))
-        run = np.cumsum(before)
-        covered = run - (run - before).take(head)
-        left = np.arange(1, pairs.size + 1) - head - covered
-        # what the later entries add to newly and lost at the counters the
-        # sequential pass reads, less what they added at the window's start
-        w, x0, y0 = weights.take(later), in_x.take(later), in_y.take(later)
-        node = owner.take(later)
-        d_newly = np.bincount(node, w * (x0 + covered == 0) - w * (x0 == 0), minlength=m)
-        d_lost = np.bincount(node, w * (y0 - left == 1) - w * (y0 == 1), minlength=m)
-        touched = np.flatnonzero((d_newly != 0.0) | (d_lost != 0.0))
-        recounted = self._decide(newly[touched] + d_newly[touched],
-                                 lost[touched] + d_lost[touched], coin[touched])
-        changed = np.flatnonzero(recounted != admitted[touched])
-        if not changed.size:
-            return m, admitted
-        # the first node whose decision changes: every node before it was
-        # decided as in the sequential pass, so its recount is exact
-        j = changed[0]
-        admitted[touched[j]] = recounted[j]
-        return int(touched[j]) + 1, admitted
+    def _bound_decisions(self, newly_lo, lost_lo, newly_hi, lost_hi, coin):
+        """(admitted, decided) of nodes whose exact counts lie between the
+        lo and the hi counts, each with its coin: admitted says which
+        nodes the bounds admit, decided which ones they decide.
+
+        _admit's threshold is non-decreasing in newly and in lost (a
+        threshold of 1 where both marginals vanish fits that order), so
+        a coin below the lo counts' threshold admits, and one at or above
+        the hi counts' threshold rejects, whatever the exact counts.  As
+        computed, a and b are monotone in the counts too, each operation
+        rounding monotonically, but the threshold rounds twice more and
+        can come out reversed between adjacent counts.  It is then off by
+        a few ulps, and no threshold exceeds 1, so the bounds decide only
+        a coin that clears their threshold by MARGIN.  A node whose lo
+        and hi counts are equal is decided as _admit decides it."""
+        exact = (newly_lo == newly_hi) & (lost_lo == lost_hi)
+        margin = np.where(exact, 0.0, MARGIN)
+        admitted = coin < self._ratio(newly_lo, lost_lo) - margin
+        return admitted, admitted | (coin >= self._ratio(newly_hi, lost_hi) + margin)
+
+    def _by_bounds(self, position, sid, coins):
+        """The pass's decisions, admitted or not, of the nodes by position:
+        position holds each node's position, sid the stored set of every
+        entry of the collection, and coins each position's coin.
+
+        Each round bounds the counts of every open node: the lo counts
+        take its undecided earlier co-members as admitted, the hi counts
+        as rejected.  In terms of a set's lowest admitted and lowest open
+        member, the set counts towards the newly bounds of the open
+        members before its lowest admitted one, lo only for the lowest
+        open one, and towards the lost bounds of its highest member while
+        that one is open and no member is admitted, lo only while it is
+        the only open one.  _bound_decisions then decides what it can.
+        The first open node has exact bounds, so a round decides at least
+        one node.  Worst case: every round but the last decides at least
+        half of the open nodes, so there are at most log2(n) + 1 rounds;
+        once one decides fewer, or at most STEP_NODES nodes stay open,
+        those take one scalar step each (_steps).  A chain of nodes each
+        hanging on the one before costs a round or two and a step per
+        node."""
+        n = coins.size
+        offsets, weights = self.coll.offsets, self.weights
+        every = np.arange(n, dtype=np.int32)
+        # round 1: every node is open and none admitted.  Each set's
+        # lowest and highest member position live in the counters'
+        # buffers, which the pass ends by recounting
+        low, high = self.count_x, self.count_y
+        low.fill(n)
+        high.fill(-1)
+        covered = np.zeros(n, dtype=np.int64)
+        for sets, members in self._chunks(sid):
+            at = position[members]
+            np.minimum.at(low, sets, at)
+            np.maximum.at(high, sets, at)
+            np.add.at(covered, at, weights[sets])
+        alone = low == high
+        bounds = (self._sums(low, weights, n), self._sums(high[alone], weights[alone], n),
+                  covered, self._sums(high, weights, n))
+        admitted = np.zeros(n, dtype=bool)
+        is_open = np.ones(n + 1, dtype=bool)  # and is_open[n], for no member, False
+        is_open[n] = False
+        open_pos, slot = every, np.empty(n, dtype=np.int64)
+        wpos = wsid = None  # the working sets' entries, once round 1 is done
+
+        def lowest(values):
+            """Each working set's least values[p] over its members'
+            positions p; n for every other set."""
+            out = np.full(weights.size, n, dtype=np.int32)
+            if wpos is None:
+                for sets, members in self._chunks(sid):
+                    np.minimum.at(out, sets, values[position[members]])
+            else:
+                np.minimum.at(out, wsid, values[wpos])
+            return out
+
+        while True:
+            got, done = self._bound_decisions(*bounds, coins[open_pos])
+            admitted[open_pos[got]] = True
+            is_open[open_pos[done]] = False
+            if done.all():
+                return admitted
+            # the working sets: those whose lowest member not rejected is
+            # open; in every other set, an admitted member precedes each
+            # open one, so the set counts towards none of their bounds
+            first = lowest(np.where(admitted | is_open[:n], every, n))
+            keep = is_open[first]
+            sets = np.flatnonzero(keep)
+            if wpos is None:
+                wpos, wsid = self._entries_of(keep, sets, position, sid)
+            else:
+                entries = keep[wsid]
+                wpos, wsid = wpos[entries], wsid[entries]
+            open_pos = open_pos[~done]
+            if 2 * open_pos.size > done.size or open_pos.size <= STEP_NODES:
+                self._steps(open_pos, wpos, wsid, admitted, high, coins)
+                return admitted
+            low_adm = lowest(np.where(admitted, every, n))
+            a, o, h, w = low_adm[sets], first[sets], high[sets], weights[sets]
+            top = (a == n) & is_open[h]
+            alone = top & (o == h)
+            k = open_pos.size
+            slot[open_pos] = np.arange(k)
+            newly_hi = np.zeros(k, dtype=np.int64)
+            for lo in range(0, wpos.size, INDEX_CHUNK):
+                at, sets_at = wpos[lo:lo + INDEX_CHUNK], wsid[lo:lo + INDEX_CHUNK]
+                hit = (at < low_adm[sets_at]) & is_open[at]
+                np.add.at(newly_hi, slot[at[hit]], weights[sets_at[hit]])
+            bounds = (self._sums(slot[o], w, k), self._sums(slot[h[alone]], w[alone], k),
+                      newly_hi, self._sums(slot[h[top]], w[top], k))
+
+    def _entries_of(self, keep, sets, position, sid):
+        """(positions, sets), as int32, of every entry of the stored sets
+        that keep marks, which are sets, gathered INDEX_CHUNK entries at a
+        time."""
+        offsets = self.coll.offsets
+        size = int((offsets[sets + 1] - offsets[sets]).sum())
+        at, of = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+        end = 0
+        for chunk, members in self._chunks(sid):
+            mine = keep[chunk]
+            start, end = end, end + int(np.count_nonzero(mine))
+            at[start:end] = position[members[mine]]
+            of[start:end] = chunk[mine]
+        return at, of
+
+    @staticmethod
+    def _sums(at, weights, size):
+        """The weights summed by at, into size int64 bins."""
+        out = np.zeros(size, dtype=np.int64)
+        np.add.at(out, at, weights)
+        return out
+
+    def _steps(self, left, wpos, wsid, admitted, high, coins):
+        """Decide the open nodes at positions left, ascending, one at a
+        time, and mark the admitted ones in admitted.  wpos and wsid hold
+        the position and the set of every entry of the sets that can count
+        towards their marginals, and high each set's highest position.
+
+        When a node's turn comes, every node before it is decided, so one
+        of its sets counts towards newly when no member before it is
+        admitted, and towards lost when, besides, it is the set's highest
+        member: each set's lowest admitted position answers both."""
+        n = coins.size
+        low_adm = np.full(high.size, n, dtype=np.int32)
+        np.minimum.at(low_adm, wsid, np.where(admitted, np.arange(n), n)[wpos])
+        mine = np.zeros(n, dtype=bool)
+        mine[left] = True
+        entries = np.flatnonzero(mine[wpos])
+        entries = entries[np.argsort(wpos[entries], kind="stable")]
+        epos, esid = wpos[entries], wsid[entries]
+        newly = self.weights[esid].astype(np.float64)
+        lost = newly * (high[esid] == epos)
+        ends = np.searchsorted(epos, left, "right").tolist()
+        for p, lo, hi, coin in zip(left.tolist(), [0] + ends[:-1], ends,
+                                   coins[left].tolist()):
+            sets = esid[lo:hi]
+            free = low_adm[sets] > p
+            if _admit(*self._marginals(float(np.dot(newly[lo:hi], free)),
+                                       float(np.dot(lost[lo:hi], free))), coin):
+                low_adm[sets[free]] = p
+                admitted[p] = True
 
 
 def double_greedy(oracle, order, rng) -> frozenset:

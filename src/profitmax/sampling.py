@@ -133,10 +133,16 @@ def _grow(roots, first, n: int, parents):
         alive[frontier // n] = True
         growing = np.sort(np.concatenate((growing[alive[growing // n]], frontier)),
                           kind="stable")
-    keys = np.sort(np.concatenate(levels), kind="stable")
-    sets = keys // n
-    sizes = np.bincount(sets, minlength=count)
-    return sizes.astype(np.int32), (keys - sets * n).astype(np.int32)
+    # one int64 copy of the member keys: the levels go once joined, the
+    # keys are sorted in place (they are distinct), and each set's size
+    # comes from where its keys begin
+    del growing
+    keys = np.concatenate(levels)
+    del levels
+    keys.sort()
+    sizes = np.diff(np.searchsorted(keys, np.arange(count + 1) * n))
+    np.remainder(keys, n, out=keys)
+    return sizes.astype(np.int32), keys.astype(np.int32)
 
 
 def _grow_ra(net: TCNetwork, roots, reach, gen: np.random.Generator):

@@ -548,8 +548,7 @@ class TestPinnedSelections:
     # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
     # reason), pinned while RA collections still stored one-member sets
     # whole, and the RA selections' (ra-t, ra-s and maxinf) since RA roots
-    # are split per node; the nets cover split and unsplit, batched and
-    # scalar oracles
+    # are split per node; the nets cover split and unsplit roots
     @pytest.mark.parametrize("kind,alg,pinned", [
         ("sparse-ic-cp", "ra-t", (810, "ef4cfe318e44d088", 113.875, 20000, None)),
         ("sparse-ic-cp", "ra-s", (921, "dd8cd374c9aed396", 102.45176929815807, 90177, "confirmed")),

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -11,6 +12,7 @@ from profitmax import (MODELS, CollectionBuilder, CoverageOracle,
                        FunctionOracle, RACollection, double_greedy, estimate_F,
                        generate_collection, node_order)
 from profitmax import greedy
+from profitmax.greedy import _admit
 from profitmax.algorithms import _realization_collection
 from profitmax.sampling import INDEX_CHUNK
 
@@ -236,65 +238,72 @@ def _collections(net, seed):
             ("rpm", rr, list(range(net.n)))]
 
 
-def _record_windows(monkeypatch):
-    """Record (nodes, accepted) of every window the batched pass decides."""
-    windows = []
-    window = CoverageOracle._window
+def _record_rounds(monkeypatch):
+    """Record the bounds pass's work: ("round", open, decided) per round
+    and ("steps", nodes) when the rest take scalar steps."""
+    work = []
+    decide, steps = CoverageOracle._bound_decisions, CoverageOracle._steps
 
-    def recorded(self, *args):
-        accepted, admitted = window(self, *args)
-        windows.append((admitted.size, accepted))
-        return accepted, admitted
+    def recorded_round(self, *args):
+        admitted, decided = decide(self, *args)
+        work.append(("round", decided.size, int(decided.sum())))
+        return admitted, decided
 
-    monkeypatch.setattr(CoverageOracle, "_window", recorded)
-    return windows
+    def recorded_steps(self, left, *args):
+        work.append(("steps", left.size))
+        return steps(self, left, *args)
+
+    monkeypatch.setattr(CoverageOracle, "_bound_decisions", recorded_round)
+    monkeypatch.setattr(CoverageOracle, "_steps", recorded_steps)
+    return work
+
+
+def _assert_pass_is_sequential(coll, price, coupon, shift, order, seed):
+    """The pass must leave exactly the state of the sequential loop:
+    members, both counters, F and the coin stream.  Returns the members."""
+    fast = CoverageOracle(coll, price, coupon, shift)
+    slow = CoverageOracle(coll, price, coupon, shift)
+    coins_fast, coins_slow = random.Random(seed), random.Random(seed)
+    got = double_greedy(fast, order, coins_fast)
+    assert got == double_greedy(_Sequential(slow), order, coins_slow)
+    assert np.array_equal(fast.count_x, slow.count_x)
+    assert np.array_equal(fast.count_y, slow.count_y)
+    assert fast.current_value() == slow.current_value()
+    assert coins_fast.getstate() == coins_slow.getstate()
+    return got
 
 
 class TestBatchedPass:
     @pytest.mark.parametrize("model", MODELS)
     def test_matches_sequential_pass(self, model, monkeypatch):
-        # the batched pass must leave exactly the state of the sequential
-        # loop: members, both counters, F and the coin stream
+        # ra-t, ra-s and rpm collections, sparse and denser, with and
+        # without a shift; with the default hand-over to scalar steps, and
+        # with rounds until one decides fewer than half of the open nodes
         rng = random.Random(f"batched/{model}")
-        windows = _record_windows(monkeypatch)
-        vectorised = 0
+        work = _record_rounds(monkeypatch)
         for trial in range(3):
             net = _sparse_net(rng, model, density=1 + 2 * trial)
             shift = rng.choice([0.0, 0.3 * net.price])
             for name, coll, order in _collections(net, trial):
-                for batched in (True, False):
-                    fast = CoverageOracle(coll, net.price, net.coupon, shift)
-                    fast.batched = batched
-                    slow = CoverageOracle(coll, net.price, net.coupon, shift)
-                    coins_fast, coins_slow = random.Random(trial), random.Random(trial)
-                    got = double_greedy(fast, order, coins_fast)
-                    want = double_greedy(_Sequential(slow), order, coins_slow)
-                    assert got == want, (name, batched)
-                    assert np.array_equal(fast.count_x, slow.count_x)
-                    assert np.array_equal(fast.count_y, slow.count_y)
-                    assert fast.current_value() == slow.current_value()
-                    assert coins_fast.getstate() == coins_slow.getstate()
-                vectorised += sum(size >= greedy.SCALAR_BATCH for size, _ in windows)
-                windows.clear()
-        assert vectorised  # some batches ran through the vectorised body
+                for step_nodes in (greedy.STEP_NODES, 0):
+                    with mock.patch.object(greedy, "STEP_NODES", step_nodes):
+                        _assert_pass_is_sequential(coll, net.price, net.coupon, shift,
+                                                   order, trial)
+        # 18 passes: some went past round 1, and some ended in scalar steps
+        assert sum(kind == "round" for kind, *_ in work) > 18
+        assert any(kind == "steps" for kind, *_ in work)
 
     def test_vanishing_marginals_admit_whatever_the_coin(self, monkeypatch):
         # unit = coupon = 1, so a node whose one set is {v} has a = b = 0
-        # and is admitted outright: the window of nodes 0-3 uses none of
-        # its coins, and in that of nodes 4-7 node 6 uses the first
+        # and is admitted outright: round 1 decides nodes 0-5 whatever
+        # their coins
         coll = collection_of(8, [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]])
-        windows = _record_windows(monkeypatch)
+        work = _record_rounds(monkeypatch)
         for seed in range(10):
-            fast = CoverageOracle(coll, 1.0, 1.0)
-            fast.batched = True
-            windows.clear()
-            coins_fast, coins_slow = random.Random(seed), random.Random(seed)
-            got = double_greedy(fast, range(8), coins_fast)
-            assert got == double_greedy(_Sequential(CoverageOracle(coll, 1.0, 1.0)),
-                                        range(8), coins_slow)
+            work.clear()
+            got = _assert_pass_is_sequential(coll, 1.0, 1.0, 0.0, range(8), seed)
             assert set(range(6)) <= got
-            assert coins_fast.getstate() == coins_slow.getstate()
-            assert windows[0] == (4, 4)
+            assert work[0][:2] == ("round", 8) and work[0][2] >= 6
 
     def test_forwarding_proxy_reaches_batched_pass(self):
         rng = random.Random(41)
@@ -307,13 +316,19 @@ class TestBatchedPass:
         assert proxy.queries == 0
 
     @pytest.mark.parametrize("order", [[0, 0, 2, 3, 4], [0, 1, 2, 3],
-                                       [0, 1, 2, 3, 5], [4, 3, 2, 1, 1]],
+                                       [0, 1, 2, 3, 5], [4, 3, 2, 1, 1],
+                                       [-1, 1, 2, 3, 4]],
                              ids=["repeated", "missing", "out-of-range",
-                                  "repeated-last"])
+                                  "repeated-last", "negative"])
     def test_order_must_be_a_permutation(self, order):
         coll = collection_of(5, [[0, 1], [1, 2], [2]])
         with pytest.raises(ValueError, match="permutation"):
             double_greedy(CoverageOracle(coll, 1.0, 0.5), order, random.Random(0))
+
+    def test_empty_stored_set_refused(self):
+        coll = RACollection(3, [0, 2, 2, 3], [0, 1, 2], [1, 1, 1])
+        with pytest.raises(ValueError, match="member"):
+            CoverageOracle(coll, 1.0, 0.5).greedy_pass(range(3), random.Random(0))
 
     def test_oracle_and_plan_scratch_is_bounded(self):
         # a million sets over 1000 nodes, 95% of them with one member,
@@ -335,18 +350,16 @@ class TestBatchedPass:
         tracemalloc.start()
         try:
             oracle = CoverageOracle(coll, 1.0, 0.5)
-            order, plan_offsets, plan_sets = oracle.by_position(order)
+            oracle.greedy_pass(order, random.Random(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (
-            oracle.count_x, oracle.count_y, order, plan_offsets, plan_sets))
-        # while it indexes them, by_position also holds the members
-        # relabelled by position; beyond that, chunk scratch, the X and Y
-        # node sets and a few arrays per node
+        counters = oracle.count_x.nbytes + oracle.count_y.nbytes
+        # the whole pass: the counters, one int32 per entry (each entry's
+        # set), chunk scratch, the coins and a few arrays per node
         scratch = 64 * INDEX_CHUNK + 256 * n
         assert scratch < coll.weights[coll.sizes() == 1].sum()
-        assert peak <= kept + coll.members.nbytes + scratch
+        assert peak <= counters + coll.members.nbytes + scratch
 
     def test_construction_holds_counters_only(self):
         # the one-member sets of a rat-large-shaped collection are stored
@@ -383,86 +396,134 @@ def _weighted_case(draw):
     return coll, price, coupon, shift, draw(st.permutations(range(n)))
 
 
-class TestWindows:
+@st.composite
+def _bounded_counts(draw):
+    """(lo, exact, hi) of newly and of lost: integer counts, small or up
+    to 2^53, each trio ascending."""
+    counts = draw(st.sampled_from([st.integers(0, 40), st.integers(0, 2 ** 53)]))
+    trio = st.lists(counts, min_size=3, max_size=3).map(sorted)
+    return draw(trio), draw(trio)
+
+
+def _ulps_from(x, steps):
+    """x moved steps floats up (or down, for negative steps), kept in [0, 1)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return float(min(max(x, 0.0), np.nextafter(1.0, 0.0)))
+
+
+class TestBoundRule:
+    @given(counts=_bounded_counts(), unit=st.floats(1e-6, 1e6),
+           coupon=st.floats(0.0, 1e6), shift=st.just(0.0) | st.floats(0.0, 1e3),
+           data=st.data())
+    @settings(deadline=None)
+    def test_early_decisions_are_exact(self, counts, unit, coupon, shift, data):
+        # whatever the exact counts between the bounds, a node the bounds
+        # decide is decided as at its exact counts
+        (newly_lo, newly, newly_hi), (lost_lo, lost, lost_hi) = counts
+        oracle = CoverageOracle(collection_of(1, [[0]]), 1.0, coupon, shift)
+        oracle.unit = unit
+        # a uniform coin, or one a few ulps from the exact threshold
+        near = float(oracle._ratio(np.int64(newly), np.int64(lost)))
+        coin = data.draw(st.floats(0.0, 1.0, exclude_max=True)
+                         | st.integers(-3, 3).map(lambda k: _ulps_from(near, k)))
+        admitted, decided = oracle._bound_decisions(
+            *(np.array([c], dtype=np.int64) for c in (newly_lo, lost_lo, newly_hi, lost_hi)),
+            np.array([coin]))
+        assert not (admitted & ~decided).any()
+        if decided[0]:
+            assert admitted[0] == _admit(*oracle._marginals(newly, lost), coin)
+        if (newly_lo, lost_lo) == (newly_hi, lost_hi):
+            assert decided[0]
+
+    def test_margin_keeps_adjacent_counts_exact(self):
+        # newly 7798569933596158 has a higher computed threshold than one
+        # more; a coin between the two thresholds is rejected at the
+        # higher count, which the lo count's threshold alone would admit
+        oracle = CoverageOracle(collection_of(1, [[0]]), 1.0, 1264986047609403.0)
+        oracle.unit = 0.5265825119585663
+        newly, lost = np.array([7798569933596158]), np.array([1738522128863506])
+        low, exact = (oracle._ratio(newly + d, lost)[0] for d in (0, 1))
+        assert exact < low
+        coin = np.array([exact])
+        assert not _admit(*oracle._marginals(newly[0] + 1, lost[0]), exact)
+        admitted, decided = oracle._bound_decisions(newly, lost, newly + 2, lost, coin)
+        assert not admitted[0] and not decided[0]
+
+
+class TestBounds:
     @given(case=_weighted_case(), seed=st.integers(0, 2 ** 32))
     @settings(deadline=None)
     def test_matches_sequential_pass(self, case, seed):
-        # windows of one node, and windows of the whole rest of the order,
-        # leave the sequential pass's members, counters, F and coin stream
-        coll, price, coupon, shift, order = case
-        slow = CoverageOracle(coll, price, coupon, shift)
-        coins_slow = random.Random(seed)
-        want = double_greedy(_Sequential(slow), order, coins_slow)
-        for smallest in (1, coll.n):
-            fast = CoverageOracle(coll, price, coupon, shift)
-            fast.batched = True
-            coins_fast = random.Random(seed)
-            with mock.patch.object(greedy, "SCALAR_BATCH", smallest):
-                got = double_greedy(fast, order, coins_fast)
-            assert got == want
-            assert np.array_equal(fast.count_x, slow.count_x)
-            assert np.array_equal(fast.count_y, slow.count_y)
-            assert fast.current_value() == slow.current_value()
-            assert coins_fast.getstate() == coins_slow.getstate()
+        # with the default hand-over to scalar steps, and with rounds
+        # until one decides fewer than half of the open nodes
+        for step_nodes in (greedy.STEP_NODES, 0):
+            with mock.patch.object(greedy, "STEP_NODES", step_nodes):
+                _assert_pass_is_sequential(*case, seed)
 
     @pytest.mark.parametrize("sets,weights,coupon,members", [
-        # node 0 covers {0, 1}: node 1's a drops to -coupon, and the coin
-        # that admitted it at the window's start rejects it
+        # node 1's a is -coupon once node 0 covers {0, 1}, and its b is
+        # -coupon less once node 0 leaves Y: its threshold is 0 or 1
         ([[0], [0, 1], [2]], [4, 4, 2], 0.03, {0, 2}),
         # node 0 leaves Y, so node 1 is the last Y-member of {0, 1}: both
         # its marginals vanish, and it is admitted whatever its coin
         ([[0, 1], [2]], [1, 3], 0.75, {1, 2}),
     ], ids=["newly", "lost"])
-    def test_check_cuts_after_the_first_changed_node(self, sets, weights, coupon,
-                                                     members, monkeypatch):
+    def test_open_node_waits_for_the_node_it_hangs_on(self, sets, weights, coupon,
+                                                      members, monkeypatch):
         coll = RACollection(3, np.cumsum([0] + [len(s) for s in sets]),
                             np.concatenate(sets), weights)
-        windows = _record_windows(monkeypatch)
-        fast = CoverageOracle(coll, 1.0, coupon)
-        fast.batched = True
-        coins_fast, coins_slow = random.Random(0), random.Random(0)
-        got = double_greedy(fast, range(3), coins_fast)
-        want = double_greedy(_Sequential(CoverageOracle(coll, 1.0, coupon)), range(3),
-                             coins_slow)
-        assert got == want == members
-        assert np.array_equal(fast.count_x, [1 if members & set(s) else 0 for s in sets])
-        # the window of nodes 0-2 is accepted through node 1; node 2 is
-        # decided again, with its own coin
-        assert windows == [(3, 2), (1, 1)]
-        assert coins_fast.getstate() == coins_slow.getstate()
+        work = _record_rounds(monkeypatch)
+        # round 1 decides nodes 0 and 2; node 1 takes a scalar step, or,
+        # with no hand-over, round 2 decides it from exact bounds
+        assert _assert_pass_is_sequential(coll, 1.0, coupon, 0.0, range(3), 0) == members
+        assert work == [("round", 3, 2), ("steps", 1)]
+        work.clear()
+        with mock.patch.object(greedy, "STEP_NODES", 0):
+            assert _assert_pass_is_sequential(coll, 1.0, coupon, 0.0, range(3), 0) == members
+        assert work == [("round", 3, 2), ("round", 1, 1)]
 
-    def test_flag_only_change_keeps_the_window(self, monkeypatch):
-        # unit = coupon = 0.75.  Node 1 is admitted outright at the window's
-        # start (a' > 0 = b'), and once node 0 covers {0, 1} both its
-        # marginals vanish, so it is admitted outright again: its decision
-        # holds, and the window is accepted whole
+    def test_bounds_that_agree_decide_in_round_one(self, monkeypatch):
+        # unit = coupon = 0.75.  Node 1 is admitted outright if node 0 is
+        # rejected (a' > 0 = b'), and outright if node 0 covers {0, 1}
+        # (both marginals vanish): round 1 decides it whatever its coin
         coll = collection_of(3, [[0, 1], [1], [0], [2]])
-        windows = _record_windows(monkeypatch)
-        fast = CoverageOracle(coll, 1.0, 0.75)
-        fast.batched = True
-        assert fast.gains(1) == (0.75, 0.0)
-        got = double_greedy(fast, range(3), random.Random(0))
-        want = double_greedy(_Sequential(CoverageOracle(coll, 1.0, 0.75)), range(3),
-                             random.Random(0))
-        assert got == want == {0, 1, 2}
-        assert windows == [(3, 3)]
+        work = _record_rounds(monkeypatch)
+        assert CoverageOracle(coll, 1.0, 0.75).gains(1) == (0.75, 0.0)
+        for seed in range(5):
+            work.clear()
+            assert _assert_pass_is_sequential(coll, 1.0, 0.75, 0.0, range(3), seed) \
+                == {0, 1, 2}
+            assert work == [("round", 3, 3)]
 
-    def test_agrees_with_scalar_pass_on_rat_large(self, monkeypatch):
+    def test_agrees_with_sequential_pass_on_rat_large(self, monkeypatch):
         net = rat_large_net()
         coll = generate_collection(net, 600_000, 7)
-        order = node_order(net, 2000, 7)
-        windows = _record_windows(monkeypatch)
-        fast = CoverageOracle(coll, net.price, net.coupon)
-        slow = CoverageOracle(coll, net.price, net.coupon)
-        slow.batched = False
-        assert fast.batched
-        coins_fast, coins_slow = random.Random(7), random.Random(7)
-        assert fast.greedy_pass(order, coins_fast) == slow.greedy_pass(order, coins_slow)
-        assert np.array_equal(fast.count_x, slow.count_x)
-        assert np.array_equal(fast.count_y, slow.count_y)
-        assert fast.current_value() == slow.current_value()
-        assert coins_fast.getstate() == coins_slow.getstate()
-        assert any(accepted < size for size, accepted in windows)
+        work = _record_rounds(monkeypatch)
+        _assert_pass_is_sequential(coll, net.price, net.coupon, 0.0,
+                                   node_order(net, 2000, 7), 7)
+        rounds = [entry for entry in work if entry[0] == "round"]
+        assert rounds[0] == ("round", net.n, rounds[0][2]) and len(rounds) >= 3
+        # every round but the last decides most of the open nodes
+        assert all(2 * decided >= nodes for _, nodes, decided in rounds)
+
+    def test_chain_stays_within_the_worst_case(self, monkeypatch):
+        # sets {i, i + 1}: node i + 1 is admitted outright when node i is
+        # rejected, and with chance 1 - coupon / unit otherwise, so its
+        # bounds stay apart until node i is decided
+        n = 2000
+        coll = RACollection(n, np.arange(0, 2 * n - 1, 2),
+                            np.stack([np.arange(n - 1), np.arange(1, n)], 1).reshape(-1),
+                            np.ones(n - 1, dtype=np.int64))
+        work = _record_rounds(monkeypatch)
+        _assert_pass_is_sequential(coll, 1.0, 0.9, 0.0, range(n), 3)
+        rounds = [entry for entry in work if entry[0] == "round"]
+        # at most log2(n) + 1 rounds, each but the last deciding half of
+        # the open nodes or more, then a scalar step per open node left
+        assert len(rounds) <= math.log2(n) + 1
+        assert all(2 * decided >= nodes for _, nodes, decided in rounds[:-1])
+        kind, left = work[-1]
+        assert kind == "steps" and left == rounds[-1][1] - rounds[-1][2] > n // 2
 
 
 def _coverage_values(coll, price, coupon):
@@ -477,47 +538,26 @@ def _coverage_values(coll, price, coupon):
 
 
 class TestOneCoinPerNode:
-    @pytest.mark.parametrize("path", ["function", "scalar", "window-1", "window-n"])
+    @pytest.mark.parametrize("path", ["function", "scalar", "rounds", "steps"])
     def test_every_path_draws_one_coin_per_node(self, path):
         # unit = coupon = 1: the marginals of nodes 0-5, each alone in its
-        # one set, both vanish, and nodes 6 and 7 share two sets
+        # one set, both vanish, and nodes 6 and 7 share two sets.  The
+        # pass runs rounds with no hand-over, or hands every node round 1
+        # leaves open to scalar steps
         coll = collection_of(8, [[0], [1], [2], [3], [4], [5], [6, 7], [6, 7]])
         for seed in range(5):
             order = random.Random(seed).sample(range(8), 8)
             if path == "function":
                 oracle = FunctionOracle(_coverage_values(coll, 1.0, 1.0), range(8))
+            elif path == "scalar":
+                oracle = _Sequential(CoverageOracle(coll, 1.0, 1.0))
             else:
                 oracle = CoverageOracle(coll, 1.0, 1.0)
-                oracle.batched = path != "scalar"
             rng = random.Random(seed)
-            smallest = coll.n if path == "window-n" else 1
-            with mock.patch.object(greedy, "SCALAR_BATCH", smallest):
+            with mock.patch.object(greedy, "STEP_NODES", 0 if path == "rounds" else 8):
                 got = double_greedy(oracle, order, rng)
             assert set(range(6)) <= got
             want = random.Random(seed)
             for _ in order:
                 want.random()
             assert rng.getstate() == want.getstate()
-
-
-@st.composite
-def _collection_and_order(draw):
-    n = draw(st.integers(1, 12))
-    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
-                         min_size=1, max_size=30))
-    coll = collection_of(n, [sorted(s) for s in sets])
-    return coll, sets, draw(st.permutations(range(n)))
-
-
-class TestByPosition:
-    @given(case=_collection_and_order())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, case):
-        coll, sets, order = case
-        oracle = CoverageOracle(coll, 1.0, 0.5)
-        got_order, offsets, by_position = oracle.by_position(order)
-        assert got_order.tolist() == list(order)
-        stored = [set(coll.members_of(i).tolist()) for i in range(len(coll.offsets) - 1)]
-        for p, v in enumerate(order):
-            assert by_position[offsets[p]:offsets[p + 1]].tolist() == \
-                [i for i, s in enumerate(stored) if v in s]
