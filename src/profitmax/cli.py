@@ -382,6 +382,11 @@ def main(argv=None) -> int:
             ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy says how much it could not allocate; a bare MemoryError
+        # says nothing
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,10 +7,12 @@ This module writes that law once for each way the program walks it:
 * simulate_sets runs a block of independent cascades from each of several
   seed sets together, all drawing from one generator, and reports how
   many nodes adopt in each run; simulate_block is its one-set call.  Under
-  IC the runs advance level by level, drawing each edge as the cascade
-  reaches it.  Under LT each run draws one uniform in-neighbor pick per
-  eligible node with in-neighbors up front, and the adopters are the
-  nodes whose chain of picks reaches a seed.  The rows of a call share
+  IC a cascade from S only ever adopts open nodes, the eligible nodes
+  outside S: the runs advance level by level over an out-CSR of each
+  set's open nodes, built once per call, drawing each edge as the
+  cascade reaches it.  Under LT each run draws one uniform in-neighbor
+  pick per eligible node with in-neighbors up front, and the adopters are
+  the nodes whose chain of picks reaches a seed.  The rows of a call share
   their generator's stream, so a row is a draw of its own cascade law but
   not the draw a call for its seed set alone makes; a one-set call draws
   exactly what simulate_block draws.
@@ -46,13 +48,14 @@ MAX_SAMPLES = 1 << 40
 # block of this many runs from its own SeedSequence child, so an estimate
 # depends on its seed alone.
 SIM_BLOCK = 1 << 12
-# Dense per-run state one chunk of a block may hold per seed set: under IC
-# 9 bytes per (run, node), an adoption flag and a first-level draw; under
-# LT 16, two 8-byte values at a time, first a pick's uniform and its
-# in-edge position, then a pointer and its next jump.  A block runs in
-# chunks of as many runs as fit, and every set of a simulate_sets call
-# runs each chunk together, so one call holds up to len(seed_sets) times
-# this.
+# Dense per-run state one chunk of a block may hold: under IC 9 bytes per
+# (run, open node), an adoption flag and a first-level draw, where the
+# open nodes of every set of a simulate_sets call count together; under
+# LT 16 per (run, node) and seed set, two 8-byte values at a time, first a
+# pick's uniform and its in-edge position, then a pointer and its next
+# jump, so an LT call holds up to len(seed_sets) times this.  A block runs
+# in chunks of as many runs as fit, and every set of a call runs each
+# chunk together.
 SIM_STATE_BYTES = 1 << 19
 # Out-edges expanded at once within an IC level, across every set and run
 # of a chunk, which bounds the scratch memory of the levels after the
@@ -145,9 +148,11 @@ def _run_starts(keys):
 def _expand(start, deg):
     """Positions start[i] .. start[i] + deg[i] - 1 for every i, and for
     each position its i."""
-    owner = np.repeat(np.arange(deg.size), deg)
-    first = np.cumsum(deg) - deg  # where each i's positions begin
-    return np.arange(owner.size) + (start - first)[owner], owner
+    owner = np.arange(deg.size).repeat(deg)
+    first = deg.cumsum() - deg  # where each i's positions begin
+    pos = (start - first)[owner]
+    pos += np.arange(owner.size)
+    return pos, owner
 
 
 def _steps(ends):
@@ -173,9 +178,10 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int,
     Under the live-edge view of IC and LT (Kempe, Kleinberg & Tardos,
     KDD 2003) a cascade is reachability over one random draw of live
     edges.  IC draws its edges as the cascade reaches them, level by
-    level (_ic_cascades).  LT draws each run's live edges up front, one
-    uniform in-neighbor pick per eligible node with in-neighbors, and a
-    node adopts iff its chain of picks reaches a seed (_lt_cascades).
+    level, and only the edges into the set's open nodes, the eligible
+    non-seeds (_ic_cascades).  LT draws each run's live edges up front,
+    one uniform in-neighbor pick per eligible node with in-neighbors, and
+    a node adopts iff its chain of picks reaches a seed (_lt_cascades).
     """
     counts = np.zeros((len(seed_sets), count), dtype=np.int64)
     rows, sets = [], []
@@ -194,60 +200,78 @@ def simulate_sets(net: TCNetwork, seed_sets, count: int,
 def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
     """simulate_sets under IC for nonempty sets of distinct sorted seeds.
 
-    The runs of every set advance together one level at a time, in chunks
-    of runs, and a level in steps of about EDGE_STEP edges.  (set s, run
-    r, node v) carries the key (s * runs + r) * n + v, where runs counts
-    the runs of the chunk.  Each set's seed level is the same in every
-    run: its out-edges are expanded once, and a non-seed target hit by k
-    of them adopts with probability 1 - (1 - p_v)^k.  Later levels expand
-    each run's new adopters, and an edge is live with its target's
-    probability.
+    A cascade from S only ever adopts open nodes: eligible nodes outside
+    S.  The open nodes of every set are numbered 0..N-1 (N is big_n),
+    set after set, each set's in node order, and one out-CSR over them,
+    the disjoint union of each set's graph on its open nodes, keeps an
+    edge only where its target is open in that set: a frontier node is
+    always open, so edges into seeds and into nodes below the price are
+    dropped once per call, not walked in every run.  (run r, open node
+    g) carries the key r * N + g.  Each set's seed level is the same in
+    every run, so it is folded into exposure counts: an open node hit by
+    k of its set's seeds' out-edges adopts with probability
+    1 - (1 - p_v)^k.  Later levels expand each run's new adopters over
+    the union, and an edge is live with its target's probability.  The
+    runs advance together one level at a time, in chunks of runs, and a
+    level in steps of about EDGE_STEP edges.  A run's count is its set's
+    seeds plus its adopted open nodes.
     """
     n = net.n
-    indptr, indices, prob_in = net.graph.out_indptr, net.graph.out_indices, net.prob_in
-    # A node below the price never adopts unless seeded, so it starts out
-    # closed, as if adopted: one lookup then keeps out both.  A run's
-    # count is its set's seeds plus the keys that adopt in it.
-    blocked = ~net.eligible
-    # per set: its closed row at the start, and its first level: the
-    # targets and their adoption probability
-    live = []
-    for seeds in seed_sets:
-        start = indptr[seeds]
-        exposed = np.bincount(indices[_expand(start, indptr[seeds + 1] - start)[0]],
-                              minlength=n)
-        exposed[seeds] = 0
-        exposed[blocked] = 0
-        targets = exposed.nonzero()[0]
-        first = 1.0 - (1.0 - prob_in[targets]) ** exposed[targets]
-        init = blocked.copy()
-        init[seeds] = True
-        live.append((init, targets, first))
-    sets = len(live)
-    seed_counts = np.array([[seeds.size] for seeds in seed_sets])
+    indptr, indices = net.graph.out_indptr, net.graph.out_indices
+    sets = len(seed_sets)
+    # (set s, node v) carries the key s * n + v while the union is built
+    seeds = np.concatenate([seeds + s * n for s, seeds in enumerate(seed_sets)])
+    is_open = np.concatenate([net.eligible] * sets)
+    is_open[seeds] = False
+    opened = is_open.nonzero()[0]
+    big_n = opened.size
     counts = np.empty((sets, count), dtype=np.int64)
-    # Chunk rows are per set, so one call holds up to sets chunks' state.
-    rows = max(1, SIM_STATE_BYTES // (9 * n))
+    counts.T[:] = [seeds.size for seeds in seed_sets]  # every run adopts its seeds
+    if not big_n:
+        return counts
+    # the out-edges of the open nodes, then of the seeds, in one
+    # expansion, kept where their target is open
+    sources = np.concatenate((opened, seeds))
+    nodes = sources % n
+    start = indptr[nodes]
+    pos, owner = _expand(start, indptr[nodes + 1] - start)
+    targets = (sources - nodes)[owner]
+    targets += indices[pos]
+    del pos
+    kept = is_open[targets].nonzero()[0]
+    number = np.empty(is_open.size, dtype=np.int64)
+    number[opened] = np.arange(big_n)
+    edge_to = number[targets[kept]]
+    # owner ascends: open node g's kept edges run from starts[g] to
+    # starts[g + 1], and the seeds' kept edges follow
+    starts = owner[kept].searchsorted(np.arange(big_n + 1))
+    del targets, owner, kept, number
+    degs = starts[1:] - starts[:-1]
+    exposed = np.bincount(edge_to[starts[-1]:], minlength=big_n)
+    prob = net.prob_in[nodes[:big_n]]  # each open node's
+    edge_prob = prob[edge_to]
+    first_hit = exposed.nonzero()[0]
+    first = 1.0 - (1.0 - prob[first_hit]) ** exposed[first_hit]
+    set_of = opened // n
+    rows = max(1, SIM_STATE_BYTES // (9 * big_n))
     for lo in range(0, count, rows):
         runs = min(rows, count - lo)
-        closed = np.empty((sets, runs, n), dtype=bool)
-        parts = []
-        for s, (init, targets, first) in enumerate(live):
-            closed[s] = init
-            hit_runs, hit_cols = np.nonzero(gen.random((runs, targets.size)) < first)
-            if s:
-                hit_runs += s * runs
-            parts.append(hit_runs * n + targets[hit_cols])
-        frontier = parts[0] if sets == 1 else np.concatenate(parts)
-        flat = closed.reshape(-1)
-        flat[frontier] = True
-        adopted = [frontier]
+        adopted = np.zeros(runs * big_n, dtype=bool)
+        hit_runs, hit_cols = (gen.random((runs, first_hit.size)) < first).nonzero()
+        frontier = hit_runs * big_n + first_hit[hit_cols]
+        adopted[frontier] = True
+        levels = [frontier]
         while frontier.size:
-            nodes = frontier % n
-            base = frontier - nodes  # the key of (set, run, node 0)
-            start = indptr[nodes]
-            deg = indptr[nodes + 1] - start
+            nodes = frontier % big_n
+            base = frontier - nodes  # the key of (run, open node 0)
+            deg = degs[nodes]
             ends = deg.cumsum()
+            if not ends[-1]:
+                break  # the frontier has no edge to an open node
+            # the level's edges are numbered in frontier order, and
+            # node i's edge at number j is edge_to[j + shift[i]]
+            shift = starts[nodes] - ends
+            shift += deg
             cuts = _steps(ends)
             found = []
             # a level in steps of about EDGE_STEP out-edges: a node that
@@ -255,24 +279,22 @@ def _ic_cascades(net: TCNetwork, seed_sets, count: int, gen) -> np.ndarray:
             # compose exactly
             for a, b in zip(cuts[:-1], cuts[1:]):
                 d = deg[a:b]
-                before = ends[a - 1] if a else 0
-                pos = np.arange(ends[b - 1] - before) + (
-                    start[a:b] - (ends[a:b] - d - before)).repeat(d)
-                v = indices[pos]
-                keys = base[a:b].repeat(d) + v
+                at = np.arange(ends[a - 1] if a else 0, ends[b - 1]) + shift[a:b].repeat(d)
+                keys = base[a:b].repeat(d) + edge_to[at]
                 # index arrays: a boolean gather on random masks is slower
-                still_open = np.flatnonzero(~flat[keys])
+                still_open = (~adopted[keys]).nonzero()[0]
                 keys = keys[still_open]
-                new = keys[np.flatnonzero(gen.random(keys.size) < prob_in[v[still_open]])]
+                new = keys[(gen.random(keys.size) < edge_prob[at[still_open]]).nonzero()[0]]
                 new.sort()
                 if new.size > 1:
                     new = new[_run_starts(new)]
-                flat[new] = True
+                adopted[new] = True
                 found.append(new)
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
-            adopted.append(frontier)
-        hits = np.bincount(np.concatenate(adopted) // n, minlength=sets * runs)
-        counts[:, lo:lo + runs] = hits.reshape(sets, runs) + seed_counts
+            levels.append(frontier)
+        run, g = np.divmod(np.concatenate(levels), big_n)
+        counts[:, lo:lo + runs] += np.bincount(
+            set_of[g] * runs + run, minlength=sets * runs).reshape(sets, runs)
     return counts
 
 

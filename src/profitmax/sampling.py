@@ -44,7 +44,7 @@ from .network import TCNetwork
 # draws from the stream that split the roots, every later one from its own
 # SeedSequence child, so a collection depends on its seed alone.  A grown
 # root carries about 2.2 members through the traversal; a block of this
-# many peaks at about 1.1 MiB on rat-large's shape.
+# many peaks at about 0.94 MiB on rat-large's shape.
 RA_BLOCK = 1 << 13
 # Entries per pass of the inverted-index build and of the member count,
 # which bounds their scratch memory: about 50 bytes per entry.
@@ -57,21 +57,32 @@ def _ic_parents(gen, sets, start, deg, p, indices, n, pos=None):
     every node shares it.  Geometric skips jump from one live edge to the
     next, so the draws follow the hits rather than the in-degree.  pos,
     if given, holds each node's first live in-edge, drawn by the caller;
-    the later skips are memoryless and drawn here."""
+    the later skips are memoryless and drawn here.  sets, start, deg, pos
+    and a per-node p are scratch: the filter moves the entries it keeps
+    to their fronts in place, so it never holds a second copy of them."""
     per_node = np.ndim(p) > 0
     found = []
     if pos is None:
         pos = gen.geometric(p, size=sets.size)  # 1-based position of the next live in-edge
     while True:
         hit = np.flatnonzero(pos <= deg)  # index arrays: cheaper than masks
-        sets, start, deg, pos = sets[hit], start[hit], deg[hit], pos[hit]
-        if per_node:
-            p = p[hit]
+        if hit.size < sets.size:
+            sets, start, deg, pos = _keep(hit, sets, start, deg, pos)
+            if per_node:
+                p, = _keep(hit, p)
         if not sets.size:
             break
         found.append(sets * n + indices[start + pos - 1])
         pos += gen.geometric(p, size=sets.size)
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+
+
+def _keep(hit, *arrays):
+    """Views of each array's entries at the ascending positions hit,
+    moved in place to its front."""
+    for a in arrays:
+        a[:hit.size] = a[hit]
+    return [a[:hit.size] for a in arrays]
 
 
 def _first_live(u, deg, p, reach):
@@ -110,20 +121,23 @@ def _grow(roots, first, n: int, parents):
     those parents are distinct and new to their sets.  parents(sets,
     nodes) returns the keys of the parents of the newest members (any
     order, repeats allowed), and each later step keeps the ones new to
-    their set.
+    their set.  first, the arrays handed to parents and the arrays it
+    returns are scratch: sorted or filtered in place, never copied.
 
     Returns (sizes, members), int32: members holds the first set's nodes,
     then the second one's, each set's ascending.
     """
     count = roots.size
-    frontier = np.sort(first)
+    frontier = first
+    frontier.sort()
     levels = [np.arange(count) * n + roots, frontier]
     # member keys of the sets still growing, ascending; sets that have
     # stopped never meet a candidate again, so they are left out
-    growing = np.sort(np.concatenate(levels))
+    growing = np.concatenate(levels)
+    growing.sort()
     while frontier.size:
-        sets, nodes = np.divmod(frontier, n)
-        found = np.sort(parents(sets, nodes))
+        found = parents(*np.divmod(frontier, n))
+        found.sort()
         found = found[_run_starts(found)]
         frontier = found[~_in_sorted(growing, found)]
         if not frontier.size:
@@ -170,8 +184,7 @@ def _grow_ra(net: TCNetwork, roots, reach, gen: np.random.Generator):
         return _ic_parents(gen, sets, start, deg, p, indices, n, pos)
 
     def parents(sets, nodes):
-        live = np.flatnonzero(expands[nodes])
-        return draw(sets[live], nodes[live])
+        return draw(*_keep(np.flatnonzero(expands[nodes]), sets, nodes))
 
     return _grow(roots, draw(np.arange(roots.size), roots, first=True), n, parents)
 
@@ -437,9 +450,10 @@ class CollectionBuilder:
     def __init__(self, net: TCNetwork):
         self.net = net
         self._single = np.zeros(net.n, dtype=np.int64)
-        # (sizes, members, weights) of the multi-member sets per block
-        self._chunks = [(np.empty(0, np.int32), np.empty(0, np.int32),
-                         np.empty(0, np.int64))]
+        # the sizes, the members and the weights of the multi-member sets,
+        # each a list of one array per block
+        self._fields = ([np.empty(0, np.int32)], [np.empty(0, np.int32)],
+                        [np.empty(0, np.int64)])
         self._count = 0
 
     def __len__(self):
@@ -451,7 +465,8 @@ class CollectionBuilder:
         them out, weights[i] drawn sets standing for set i."""
         self._count += int(single.sum()) + int(weights.sum())
         self._single += single
-        self._chunks.append((sizes, members, weights))
+        for field, part in zip(self._fields, (sizes, members, weights)):
+            field.append(part)
 
     def extend(self, count: int, rng):
         """Append count RA sets, drawn by sample_ra_block: rng (a
@@ -464,16 +479,21 @@ class CollectionBuilder:
             self.add(single, sizes, members, np.ones(sizes.size, dtype=np.int64))
 
     def _merged(self, tail=None):
-        """The chunks, then tail's (sizes, members, weights) if it holds any
-        set, in one concatenation.  The chunks' part of it is kept, as
-        views, for later calls to append to."""
-        parts = self._chunks + ([tail] if tail is not None and tail[0].size else [])
-        if len(parts) == 1:
-            return parts[0]
-        merged = tuple(map(np.concatenate, zip(*parts)))
-        sets, entries = (sum(chunk[i].size for chunk in self._chunks) for i in (0, 1))
-        self._chunks = [(merged[0][:sets], merged[1][:entries], merged[2][:sets])]
-        return merged
+        """(sizes, members, weights) of the blocks, then of tail if it
+        holds any set, each field in one concatenation.  The blocks' part
+        of a field is kept, as a view, for later calls to append to, and
+        its blocks go as soon as it is merged, so the merge holds one
+        field twice at a time, not all three."""
+        merged = []
+        for i, field in enumerate(self._fields):
+            parts = field + [tail[i]] if tail is not None and tail[0].size else field
+            if len(parts) == 1:
+                merged.append(parts[0])
+                continue
+            whole = np.concatenate(parts)
+            field[:] = [whole[:sum(part.size for part in field)]]
+            merged.append(whole)
+        return tuple(merged)
 
     @property
     def members(self) -> np.ndarray:
@@ -487,7 +507,8 @@ class CollectionBuilder:
         sizes, members, weights = self._merged(
             (np.ones(nodes.size, np.int32), nodes.astype(np.int32), self._single[nodes]))
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets[1:] = sizes
+        np.cumsum(offsets, out=offsets)  # in place: from int32 it would buffer a copy
         return RACollection(self.net.n, offsets, members, weights)
 
 

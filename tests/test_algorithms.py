@@ -137,11 +137,12 @@ class TestSPM:
                 net, 0.4, 40, seed, block=16)
 
     @pytest.mark.parametrize("model,members", [
-        ("ic-cp", {1, 2, 4, 9}), ("ic-wc", {1, 2, 3, 4, 7, 9, 10, 11}),
+        ("ic-cp", {1, 2, 3, 4, 6, 9}), ("ic-wc", {1, 3, 7, 8, 10, 12}),
         ("lt", {1, 3, 4, 8, 10})])
     def test_members_are_pinned(self, model, members):
         # spm's selections since the oracle carries h(X) and h(Y): two sets
-        # drawn per node after the first
+        # drawn per node after the first; under IC since its cascades run
+        # on each set's open nodes
         rng = random.Random(20261018)
         intrinsics = [rng.choice([0.9, 0.9, 0.9, 0.3]) for _ in range(14)]
         net = make_net(random_edge_text(rng, 14, 40), model=model, ic_p=0.4,
@@ -548,12 +549,13 @@ class TestPinnedSelections:
     # (seed count, digest of the sorted seeds, internal_value, l, ra-s stop
     # reason), pinned while RA collections still stored one-member sets
     # whole, and the RA selections' (ra-t, ra-s and maxinf) since RA roots
-    # are split per node; the nets cover split and unsplit roots
+    # are split per node, sparse-ic-cp's maxinf since IC cascades run on
+    # each set's open nodes; the nets cover split and unsplit roots
     @pytest.mark.parametrize("kind,alg,pinned", [
         ("sparse-ic-cp", "ra-t", (810, "ef4cfe318e44d088", 113.875, 20000, None)),
         ("sparse-ic-cp", "ra-s", (921, "dd8cd374c9aed396", 102.45176929815807, 90177, "confirmed")),
         ("sparse-ic-cp", "rpm", (931, "4152ea485e875f13", 99.19999999999999, 20, None)),
-        ("sparse-ic-cp", "maxinf", (100, "d0876309f15ed2ac", 12.905000000000001, 2159, None)),
+        ("sparse-ic-cp", "maxinf", (100, "d0876309f15ed2ac", 12.920000000000002, 2159, None)),
         ("dense-lt", "ra-t", (4, "5e5b0a7d5bd01d19", 4.581832797427653, 6220, None)),
         ("dense-lt", "ra-s", (5, "2526ceed03c4173c", 4.697777777777778, 1575, "confirmed")),
         ("dense-lt", "rpm", (6, "aeea848eec2ac308", 4.275, 20, None)),
@@ -570,9 +572,10 @@ class TestPinnedSelections:
                 res.extras.get("stop_reason")) == pinned
 
     # spm has no internal value: its forward simulations are pinned
-    # instead, on the sparse nets since every node draws a coin
+    # instead, on the sparse nets since every node draws a coin (under IC
+    # since its cascades run on each set's open nodes)
     @pytest.mark.parametrize("kind,pinned", [
-        ("sparse-ic-cp", (974, "faf5113a8df01795", 20, 40020)),
+        ("sparse-ic-cp", (984, "ca1fa34376eb4807", 20, 40020)),
         ("dense-lt", (6, "acb1154e42edeca1", 20, 580)),
         ("sparse-lt", (1180, "2fc75159c852d0e2", 20, 80020)),
     ])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from profitmax import (ALGORITHMS, SELECTORS, DiffusionParams,
                        build_tc_network, generate_intrinsics, ingest_edge_list,
                        ra_s, ra_t, validate_report)
-from profitmax import cli
+from profitmax import cli, diffusion
 from profitmax.cli import build_parser, main
 
 from conftest import make_net, random_edge_text
@@ -188,6 +188,22 @@ def test_negative_config_seed_fails_cleanly(capsys, graph_file, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "rng-seed" in err and "-4" in err
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB"])
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_out_of_memory_fails_cleanly(capsys, graph_file, monkeypatch, command,
+                                     message):
+    # the forward simulation runs out of memory: one error line, no
+    # traceback and no partial report
+    def kernel(*args):
+        raise MemoryError(message) if message else MemoryError
+    monkeypatch.setattr(diffusion, "_ic_cascades", kernel)
+    code, out, err = run_cli(capsys, command, "--graph", graph_file,
+                             *NEGATIVE_SEED_ARGS[command])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: out of memory{': ' + message if message else ''}\n"
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,10 +10,10 @@ from profitmax import (ParameterError, Realization, diffusion,
                        estimate_profit_simulation, exact_pi,
                        replay_on_realization, sample_realization,
                        simulate_block, simulate_once, simulate_sets)
-from profitmax.diffusion import (MAX_SAMPLES, SIM_BLOCK, _live_in_edges,
-                                 _realizations, stream_blocks)
+from profitmax.diffusion import (MAX_SAMPLES, SIM_BLOCK, SIM_STATE_BYTES,
+                                 _live_in_edges, _realizations, stream_blocks)
 
-from conftest import make_net, random_edge_text
+from conftest import make_net, random_edge_text, rat_large_net
 
 
 class TestSimulateOnce:
@@ -262,10 +263,11 @@ class TestMultiSetKernel:
         assert simulate_sets(two_node_net, [], 5, np.random.default_rng(0)).shape == (0, 5)
 
     # simulate_block(net, [0, 5, 9], 24, default_rng(77)) on _golden_net:
-    # under IC as the kernel drew before it took several seed sets, under
-    # LT since it draws the picks up front; the small sizes split levels
-    # into steps and blocks into chunks, and LT's picks, drawn run after
-    # run, do not depend on the chunks
+    # under IC as the kernel drew before it took several seed sets, the
+    # small rows since a chunk holds runs per open node, under LT since it
+    # draws the picks up front; the small sizes split levels into steps
+    # and blocks into chunks, and LT's picks, drawn run after run, do not
+    # depend on the chunks
     GOLDEN = {
         ("ic-cp", False): [7, 12, 8, 11, 7, 11, 4, 6, 10, 8, 6, 3, 7, 13, 3,
                            8, 10, 5, 11, 9, 10, 5, 8, 12],
@@ -273,10 +275,10 @@ class TestMultiSetKernel:
                            13, 9, 8, 11, 9, 12, 7, 11, 8],
         ("lt", False): [4, 13, 12, 13, 6, 4, 12, 13, 8, 9, 5, 13, 10, 13, 13,
                         9, 13, 9, 13, 6, 9, 13, 5, 9],
-        ("ic-cp", True): [9, 9, 11, 11, 6, 5, 8, 12, 9, 7, 8, 4, 9, 6, 4, 4,
-                          3, 8, 11, 9, 12, 12, 10, 10],
-        ("ic-wc", True): [12, 6, 7, 13, 6, 7, 12, 4, 10, 5, 6, 7, 10, 7, 7, 6,
-                          10, 10, 10, 11, 11, 5, 12, 6],
+        ("ic-cp", True): [7, 8, 9, 8, 11, 11, 3, 8, 12, 8, 9, 8, 6, 7, 5, 9,
+                          3, 8, 12, 13, 12, 11, 6, 10],
+        ("ic-wc", True): [5, 5, 12, 7, 12, 7, 5, 11, 7, 9, 8, 8, 9, 5, 8, 8,
+                          10, 11, 10, 8, 7, 9, 11, 12],
         ("lt", True): [4, 13, 12, 13, 6, 4, 12, 13, 8, 9, 5, 13, 10, 13, 13,
                        9, 13, 9, 13, 6, 9, 13, 5, 9],
     }
@@ -292,6 +294,95 @@ class TestMultiSetKernel:
         got = simulate_block(_golden_net(model), [0, 5, 9], 24,
                              np.random.default_rng(77))
         assert got.tolist() == self.GOLDEN[model, small]
+
+
+# (edges, seed labels, intrinsics) for the IC kernel, which runs each
+# seed set's cascade on its open nodes: the eligible nodes outside it
+OPEN_CASES = {
+    # one open node, 4, hit by three seeds and pointing back at one
+    "one-open": ("1 4\n2 4\n3 4\n4 1\n", [1, 2, 3], None),
+    # two open nodes, 4 and 5, each hit by the seeds and by the other
+    "two-open": ("1 4\n2 5\n3 4\n4 5\n5 4\n4 1\n", [1, 2, 3], None),
+    # 3 and 4 are open and reached only through the open node 2
+    "through-open": ("1 2\n2 3\n3 4\n2 4\n4 1\n", [1], None),
+    # 2 is below the price: 3, reached only through it, never adopts
+    "non-seed-below-price": ("1 2\n2 3\n1 4\n", [1], [0.9, 0.3, 0.9, 0.9]),
+    # the seed 1 is below the price and still relays
+    "seed-below-price": ("1 2\n2 3\n3 1\n", [1], [0.3, 0.9, 0.9]),
+}
+
+
+class TestOpenNodes:
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc"])
+    @pytest.mark.parametrize("case", sorted(OPEN_CASES))
+    def test_mean_matches_exact_pi(self, model, case):
+        edges, labels, intrinsics = OPEN_CASES[case]
+        net = make_net(edges, model=model, ic_p=0.5, intrinsics=intrinsics)
+        seeds = [net.graph.id_of(lab) for lab in labels]
+        l = 50_000
+        counts = simulate_block(net, seeds, l, np.random.default_rng(20261022))
+        pi = exact_pi(net, seeds)
+        se = counts.std(ddof=1) / math.sqrt(l)
+        assert abs(counts.mean() - pi) <= 3.0 * se + 1e-12, (counts.mean(), pi, se)
+        assert len(seeds) <= counts.min() and counts.max() <= net.n
+        if case == "non-seed-below-price":
+            # 1 reaches 4 alone: neither 2 nor 3 ever adopts
+            assert counts.max() == 2
+        if case == "seed-below-price":
+            assert counts.max() == 3
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc"])
+    def test_no_open_node_draws_nothing(self, model):
+        # every node seeded, or every non-seed below the price: no cascade
+        # can adopt anyone, so every run counts the seeds alone
+        for intrinsics, labels in (([0.9] * 3, [1, 2, 3]), ([0.9, 0.3, 0.3], [1])):
+            net = make_net("1 2\n2 3\n3 1\n", model=model, ic_p=0.5,
+                           intrinsics=intrinsics)
+            gen = np.random.default_rng(5)
+            state = gen.bit_generator.state
+            seeds = [net.graph.id_of(lab) for lab in labels]
+            counts = simulate_block(net, seeds, 100, gen)
+            assert counts.tolist() == [len(seeds)] * 100
+            assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("model", ["ic-cp", "ic-wc"])
+    def test_sets_with_different_open_nodes(self, model, monkeypatch):
+        # one call over sets whose open nodes differ, with steps and chunks
+        # small enough that a level splits into steps and a block into
+        # chunks that cut across the sets
+        monkeypatch.setattr(diffusion, "EDGE_STEP", 4)
+        monkeypatch.setattr(diffusion, "SIM_STATE_BYTES", 600)
+        net = make_net("1 2\n2 3\n3 4\n4 5\n5 1\n2 5\n3 1\n6 3\n4 6\n",
+                       model=model, ic_p=0.5, intrinsics=[0.9] * 5 + [0.3])
+        ids = net.graph.id_of
+        sets = [[ids(1)], [ids(1), ids(2), ids(3), ids(4), ids(5)], [ids(6)],
+                [ids(2), ids(4)], [ids(1), ids(2), ids(3), ids(4), ids(5), ids(6)],
+                [ids(3), ids(6)]]
+        l = 30_000
+        rows = simulate_sets(net, sets, l, np.random.default_rng(20261022))
+        for row, seeds in zip(rows, sets):
+            pi = exact_pi(net, seeds)
+            se = row.std(ddof=1) / math.sqrt(l)
+            assert abs(row.mean() - pi) <= 3.0 * se + 1e-12, (seeds, row.mean(), pi, se)
+        assert rows[4].tolist() == [6] * l
+
+    def test_block_peak_is_bounded(self):
+        # one SIM_BLOCK from 5,000 seeds on rat-large's shape: the union is
+        # built from one expansion of the open nodes' and the seeds'
+        # out-edges, at most m, holding about three int64 arrays and a
+        # mask over them, and a chunk holds SIM_STATE_BYTES (2.7 MiB; 1.9
+        # MiB when every run carried all n nodes and only the seeds' edges
+        # were expanded up front)
+        net = rat_large_net()
+        tracemalloc.start()
+        try:
+            counts = simulate_block(net, np.arange(5000), SIM_BLOCK,
+                                    np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.min() >= 5000
+        assert peak < SIM_STATE_BYTES + 28 * net.m
 
 
 def _path_net(n, intrinsics=None):

@@ -270,6 +270,22 @@ class TestCollectionMemory:
         assert sizes.size == RA_BLOCK
         assert peak < 1.5 * (1 << 20)
 
+    def test_four_block_peak(self, monkeypatch):
+        # a block of four times RA_BLOCK grown roots, as above: the level
+        # loop filters its frontier arrays in place, so no level holds a
+        # second copy of every grown root's arrays (3.47 MiB when the first
+        # level did, 2.67 MiB since)
+        monkeypatch.setattr(sampling, "RA_BLOCK", 4 * RA_BLOCK)
+        net = rat_large_net()
+        tracemalloc.start()
+        try:
+            single, sizes, members = next(sample_ra_block(net, 600_000, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes.size == 4 * RA_BLOCK
+        assert peak < 3 << 20
+
 
 # A multi-level chain, a cycle and two paths to one ancestor (the diamond:
 # 4's parents 2 and 3 reach 1 on the same level, so 1 must be kept once).
